@@ -34,14 +34,11 @@ from .fuzzy import (  # noqa: F401
     Rule,
     Trapezoidal,
     Triangular,
-    aggregate,
     centroid,
     class_output_variable,
-    fuzzify,
     infer,
     load_model,
     predict,
-    rule_strength,
     save_model,
     uniform_partition,
 )
@@ -66,6 +63,5 @@ from .selector import (  # noqa: F401
     SelectionResult,
     brute_force_selection,
     derive_seed,
-    fitness,
     run_selection,
 )

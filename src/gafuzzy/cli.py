@@ -317,7 +317,7 @@ def _read_records_csv(path: Path, input_names: tuple[str, ...]) -> np.ndarray:
     if not rows:
         raise ConfigError(f"{path}: no records")
     header: list[str] | None = None
-    if any(not _is_float(c) for c in rows[0]):
+    if any(not ds._is_number(c) for c in rows[0]):
         header = [c.strip() for c in rows[0]]
         rows = rows[1:]
         if not rows:
@@ -345,14 +345,6 @@ def _read_records_csv(path: Path, input_names: tuple[str, ...]) -> np.ndarray:
             except ValueError as exc:
                 raise ConfigError(f"{path} row {row_no}: {exc}") from exc
     return np.asarray(records)
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def cmd_classify(args: argparse.Namespace) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,21 +31,16 @@ from .errors import (
     WrongColumnCount,
 )
 
-Mask = tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class FeatureSpec:
-    """One feature column: its name, position in the file and test cost."""
+    """One feature column: its name, position in the file and declared range.
+    Costs live only in the CostTable."""
 
     name: str
     index: int
-    cost: float = 0.0
     value_range: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.cost < 0:
-            raise NegativeCost(self.name, self.cost)
         if self.value_range is not None and self.value_range[0] > self.value_range[1]:
             raise ConfigError(f"feature {self.name!r}: min > max in declared range")
 
@@ -173,10 +168,6 @@ class CostTable:
                 return c
         raise UnknownFeature(name)
 
-    @classmethod
-    def from_schema(cls, schema: Schema) -> "CostTable":
-        return cls(tuple((f.name, f.cost) for f in schema.features))
-
 
 @dataclass(frozen=True)
 class SplitPlan:
@@ -185,7 +176,6 @@ class SplitPlan:
     kind: str  # "holdout" | "kfold"
     param: float  # train fraction, or k
     seed: int
-    stratified: bool = True
 
     def __post_init__(self):
         if self.kind == "holdout":
@@ -246,7 +236,6 @@ def load_schema(path: str | Path) -> Schema:
             index = int(sec["index"])
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: [{section}] needs integer 'index'") from exc
-        cost = float(sec.get("cost", "0"))
         value_range = None
         if "min" in sec or "max" in sec:
             try:
@@ -255,7 +244,7 @@ def load_schema(path: str | Path) -> Schema:
                 raise ConfigError(
                     f"{path}: [{section}] must declare both min and max"
                 ) from exc
-        features.append(FeatureSpec(section, index, cost, value_range))
+        features.append(FeatureSpec(section, index, value_range))
     features.sort(key=lambda f: f.index)
     return Schema(tuple(features), label_name, label_index, positive, negative)
 
@@ -440,8 +429,7 @@ def project(data: Dataset, mask: Sequence[int]) -> Dataset:
         raise EmptyMask("cannot project onto an empty feature set")
     old = data.schema
     features = tuple(
-        FeatureSpec(old.features[i].name, new_idx, old.features[i].cost,
-                    old.features[i].value_range)
+        FeatureSpec(old.features[i].name, new_idx, old.features[i].value_range)
         for new_idx, i in enumerate(kept)
     )
     schema = Schema(

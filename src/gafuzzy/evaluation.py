@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInput, FingerprintMismatch, LengthMismatch
+from .errors import EmptyInput, FingerprintMismatch, LengthMismatch
 from .ga import EvolutionTrace
+from .jsonio import read_json, write_json
 from .selector import SelectionResult
 
 
@@ -144,65 +144,29 @@ def emit_plot_data(
 # --- files -------------------------------------------------------------------
 
 
-def baseline_to_dict(baseline: BaselineRun) -> dict:
-    return {
-        "accuracy": baseline.accuracy,
-        "confusion": {
-            "tp": baseline.confusion.tp,
-            "fp": baseline.confusion.fp,
-            "tn": baseline.confusion.tn,
-            "fn": baseline.confusion.fn,
-        },
-        "feature_count": baseline.feature_count,
-        "cost": baseline.cost,
-        "dataset_fingerprint": baseline.dataset_fingerprint,
-        "report_seed": baseline.report_seed,
-    }
-
-
 def baseline_from_dict(d: dict) -> BaselineRun:
+    # numbers are cast on load so that a corrupted file fails here, with
+    # the file named, rather than later in format_report
+    conf = d["confusion"]
     return BaselineRun(
-        accuracy=d["accuracy"],
-        confusion=ConfusionMatrix(**d["confusion"]),
-        feature_count=d["feature_count"],
-        cost=d["cost"],
-        dataset_fingerprint=d["dataset_fingerprint"],
-        report_seed=d["report_seed"],
+        accuracy=float(d["accuracy"]),
+        confusion=ConfusionMatrix(
+            int(conf["tp"]), int(conf["fp"]), int(conf["tn"]), int(conf["fn"])
+        ),
+        feature_count=int(d["feature_count"]),
+        cost=float(d["cost"]),
+        dataset_fingerprint=str(d["dataset_fingerprint"]),
+        report_seed=int(d["report_seed"]),
     )
 
 
 def save_baseline(baseline: BaselineRun, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(baseline_to_dict(baseline), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(asdict(baseline), path)
 
 
 def load_baseline(path: str | Path) -> BaselineRun:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        return baseline_from_dict(payload)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: malformed baseline file: {exc}") from exc
+    return read_json(path, baseline_from_dict, "baseline")
 
 
 def save_report(report: ComparisonReport, path: str | Path) -> None:
-    payload = {
-        "dataset_fingerprint": report.dataset_fingerprint,
-        "rows": [
-            {
-                "condition": r.condition,
-                "original_feature_count": r.original_feature_count,
-                "selected_count": r.selected_count,
-                "accuracy": r.accuracy,
-                "cost": r.cost,
-            }
-            for r in report.rows
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(asdict(report), path)

@@ -9,7 +9,6 @@ disagree.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
@@ -17,6 +16,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import ArityMismatch, ConfigError, NoRules, UnknownTerm
+from .jsonio import read_json, write_json
 
 COVERAGE_GRID = 129  # sample count for the coverage sanity check
 
@@ -30,13 +30,6 @@ class Triangular:
     def __post_init__(self):
         if not (self.a <= self.b <= self.c) or not self.a < self.c:
             raise ConfigError(f"triangular needs a <= b <= c and a < c, got {self}")
-
-    def degree(self, x: float) -> float:
-        if x < self.a or x > self.c:
-            return 0.0
-        rising = (x - self.a) / (self.b - self.a) if self.b > self.a else 1.0
-        falling = (self.c - x) / (self.c - self.b) if self.c > self.b else 1.0
-        return min(max(min(rising, falling), 0.0), 1.0)
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -67,13 +60,6 @@ class Trapezoidal:
                 f"trapezoidal needs a <= b <= c <= d and a < d, got {self}"
             )
 
-    def degree(self, x: float) -> float:
-        if x < self.a or x > self.d:
-            return 0.0
-        rising = (x - self.a) / (self.b - self.a) if self.b > self.a else 1.0
-        falling = (self.d - x) / (self.d - self.c) if self.d > self.c else 1.0
-        return min(max(min(rising, falling), 0.0), 1.0)
-
     def sample(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         rising = (
@@ -97,9 +83,6 @@ class Gaussian:
     def __post_init__(self):
         if self.width <= 0:
             raise ConfigError(f"gaussian width must be positive, got {self.width}")
-
-    def degree(self, x: float) -> float:
-        return float(np.exp(-((x - self.center) ** 2) / (2.0 * self.width**2)))
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -144,10 +127,6 @@ class LinguisticVariable:
             if t == name:
                 return mf
         raise UnknownTerm(f"variable {self.name!r} has no term {name!r}")
-
-    def clamp(self, x: float) -> float:
-        lo, hi = self.universe
-        return min(max(x, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -208,8 +187,8 @@ class Inference(NamedTuple):
 
 
 class CompiledFIS:
-    """Index-based engine. All public inference funnels through here so the
-    scalar API and the batch classifier share one arithmetic path."""
+    """Index-based engine, the package's only inference path: infer(),
+    predict(), the fitness evaluator and the classify command all run here."""
 
     def __init__(
         self,
@@ -239,38 +218,25 @@ class CompiledFIS:
 
     @classmethod
     def from_config(cls, config: FISConfig) -> "CompiledFIS":
+        # FISConfig has already checked every variable and term name. A rule
+        # need not constrain every input; unconstrained inputs keep the
+        # sentinel -1 and contribute degree 1
         var_index = {v.name: i for i, v in enumerate(config.inputs)}
         term_index = [
             {t: j for j, t in enumerate(v.term_names)} for v in config.inputs
         ]
         out_index = {t: j for j, t in enumerate(config.output.term_names)}
-        ant = np.zeros((len(config.rules), len(config.inputs)), dtype=np.int64)
-        cons = np.zeros(len(config.rules), dtype=np.int64)
-        weights = np.zeros(len(config.rules))
+        ant = np.full((len(config.rules), len(config.inputs)), -1, dtype=np.int64)
         for r, rule in enumerate(config.rules):
-            clauses = dict(rule.antecedent)
-            for var, term in clauses.items():
-                if var not in var_index:
-                    raise UnknownTerm(f"rule references unknown variable {var!r}")
-            # a rule need not constrain every input; unconstrained inputs
-            # contribute degree 1 via a sentinel below
-            row = np.full(len(config.inputs), -1, dtype=np.int64)
-            for var, term in clauses.items():
+            for var, term in rule.antecedent:
                 i = var_index[var]
-                if term not in term_index[i]:
-                    raise UnknownTerm(
-                        f"variable {var!r} has no term {term!r}"
-                    )
-                row[i] = term_index[i][term]
-            ant[r] = row
-            cons[r] = out_index[rule.consequent]
-            weights[r] = rule.weight
+                ant[r, i] = term_index[i][term]
         return cls(
             config.inputs,
             config.output,
             ant,
-            weights,
-            cons,
+            [rule.weight for rule in config.rules],
+            [out_index[rule.consequent] for rule in config.rules],
             config.resolution,
             config.decision_threshold,
         )
@@ -337,52 +303,6 @@ class CompiledFIS:
 
 
 # --- public operations -------------------------------------------------------
-
-
-def fuzzify(config: FISConfig, record: Sequence[float]) -> dict[str, dict[str, float]]:
-    """Membership degree of every (input variable, term) pair for one record.
-
-    Values outside a variable's universe are clamped to its bounds first.
-    """
-    if len(record) != len(config.inputs):
-        raise ArityMismatch(
-            f"record has {len(record)} values, expected {len(config.inputs)}"
-        )
-    out: dict[str, dict[str, float]] = {}
-    for var, x in zip(config.inputs, record):
-        cx = var.clamp(float(x))
-        out[var.name] = {t: mf.degree(cx) for t, mf in var.terms}
-    return out
-
-
-def rule_strength(rule: Rule, degrees: dict[str, dict[str, float]]) -> float:
-    """weight * min over antecedent clauses of the clause degree."""
-    values = []
-    for var, term in rule.antecedent:
-        table = degrees.get(var)
-        if table is None or term not in table:
-            raise UnknownTerm(f"no degree for clause ({var} IS {term})")
-        values.append(table[term])
-    return rule.weight * min(values)
-
-
-def aggregate(config: FISConfig, strengths: Sequence[float]) -> np.ndarray:
-    """Sampled aggregated output membership over the output universe.
-
-    Each rule's consequent term is clipped at the rule strength; samples
-    are combined pointwise by max.
-    """
-    if len(strengths) != len(config.rules):
-        raise ConfigError(
-            f"got {len(strengths)} strengths for {len(config.rules)} rules"
-        )
-    lo, hi = config.output.universe
-    grid = np.linspace(lo, hi, config.resolution)
-    out = np.zeros(config.resolution)
-    for rule, s in zip(config.rules, strengths):
-        samples = config.output.term(rule.consequent).sample(grid)
-        np.maximum(out, np.minimum(float(s), samples), out=out)
-    return out
 
 
 def centroid(samples: np.ndarray, lo: float, hi: float) -> float:
@@ -498,13 +418,8 @@ def _variable_to_dict(var: LinguisticVariable) -> dict:
 
 
 def _variable_from_dict(d: dict) -> LinguisticVariable:
-    try:
-        terms = tuple(
-            (t["name"], _mf_from_dict(t)) for t in d["terms"]
-        )
-        return LinguisticVariable(d["name"], tuple(d["universe"]), terms)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed variable entry: {exc}") from exc
+    terms = tuple((t["name"], _mf_from_dict(t)) for t in d["terms"])
+    return LinguisticVariable(d["name"], tuple(d["universe"]), terms)
 
 
 def config_to_dict(config: FISConfig) -> dict:
@@ -525,38 +440,26 @@ def config_to_dict(config: FISConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> FISConfig:
-    try:
-        inputs = tuple(_variable_from_dict(v) for v in d["inputs"])
-        output = _variable_from_dict(d["output"])
-        rules = tuple(
-            Rule(
-                tuple((var, term) for var, term in r["if"]),
-                r["then"],
-                float(r.get("weight", 1.0)),
-            )
-            for r in d["rules"]
+    rules = tuple(
+        Rule(
+            tuple((var, term) for var, term in r["if"]),
+            r["then"],
+            float(r.get("weight", 1.0)),
         )
-        return FISConfig(
-            inputs,
-            output,
-            rules,
-            int(d.get("resolution", 1001)),
-            float(d.get("decision_threshold", 0.5)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed model file: {exc}") from exc
+        for r in d["rules"]
+    )
+    return FISConfig(
+        tuple(_variable_from_dict(v) for v in d["inputs"]),
+        _variable_from_dict(d["output"]),
+        rules,
+        int(d.get("resolution", 1001)),
+        float(d.get("decision_threshold", 0.5)),
+    )
 
 
 def save_model(config: FISConfig, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(config_to_dict(config), path)
 
 
 def load_model(path: str | Path) -> FISConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return config_from_dict(payload)
+    return read_json(path, config_from_dict, "model")

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -19,7 +18,6 @@ from .dataset import (
     CostTable,
     Dataset,
     SplitPlan,
-    feature_stats,
     mask_cost,
     project,
     stratified_split,
@@ -41,6 +39,7 @@ from .ga import (
     mask_to_string,
     string_to_mask,
 )
+from .jsonio import read_json, write_json
 from .rule_learning import InductionConfig, induce_rule_matrix, induce_rules
 
 BRUTE_FORCE_LIMIT = 16
@@ -60,7 +59,6 @@ class FitnessConfig:
     evaluation: SplitPlan = field(
         default_factory=lambda: SplitPlan.kfold(5, seed=0)
     )
-    cache: bool = True
     resolution: int = 1001
     decision_threshold: float = 0.5
     report_plan: SplitPlan | None = None
@@ -157,11 +155,9 @@ def _cv_accuracy(
     data: Dataset,
     fcfg: "FitnessConfig",
     icfg: InductionConfig,
-    folds: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    folds: list[tuple[np.ndarray, np.ndarray]],
 ) -> float:
     sub = project(data, mask)
-    if folds is None:
-        folds = stratified_split(sub, fcfg.evaluation)
     output = class_output_variable(sub.schema.label_name)
     accs = [
         _fold_accuracy(
@@ -173,31 +169,13 @@ def _cv_accuracy(
     return float(np.mean(accs))
 
 
-def fitness(
-    mask: Mask,
-    data: Dataset,
-    costs: CostTable,
-    fcfg: FitnessConfig,
-    icfg: InductionConfig,
-) -> float:
-    """mean CV accuracy of the masked classifier - cost_weight * cost ratio."""
-    if len(mask) != data.n_features:
-        raise LengthMismatch(
-            f"mask length {len(mask)} != {data.n_features} features"
-        )
-    if not any(mask):
-        raise EmptyMask("fitness of the empty mask is undefined")
-    accuracy = _cv_accuracy(mask, data, fcfg, icfg)
-    penalty = fcfg.cost_weight * mask_cost(mask, costs) / costs.total_cost
-    return accuracy - penalty
-
-
 class FitnessEvaluator:
-    """Memoizing fitness callable bound to one run's inputs.
+    """Fitness of a mask: mean CV accuracy of the classifier trained on the
+    masked features, minus cost_weight times the mask's share of the total
+    cost. This callable is the package's only fitness path.
 
     The split depends only on labels and the plan seed, so the folds are
-    computed once and shared by every mask. Values are identical to the
-    plain fitness() function; the cache is a pure speedup.
+    computed once and shared by every mask; values are memoized per mask.
     """
 
     def __init__(
@@ -217,10 +195,9 @@ class FitnessEvaluator:
 
     def __call__(self, mask: Mask) -> float:
         mask = tuple(int(b) for b in mask)
-        if self.fcfg.cache:
-            hit = self._cache.get(mask)
-            if hit is not None:
-                return hit
+        hit = self._cache.get(mask)
+        if hit is not None:
+            return hit
         if len(mask) != self.data.n_features:
             raise LengthMismatch(
                 f"mask length {len(mask)} != {self.data.n_features} features"
@@ -235,8 +212,7 @@ class FitnessEvaluator:
         )
         value = accuracy - penalty
         self.evaluations += 1
-        if self.fcfg.cache:
-            self._cache[mask] = value
+        self._cache[mask] = value
         return value
 
 
@@ -354,25 +330,16 @@ def brute_force_selection(
 # --- result file -------------------------------------------------------------
 
 
-def _split_plan_to_dict(plan: SplitPlan | None) -> dict | None:
-    if plan is None:
-        return None
-    return {
-        "kind": plan.kind,
-        "param": plan.param,
-        "seed": plan.seed,
-        "stratified": plan.stratified,
-    }
-
-
 def _split_plan_from_dict(d: dict | None) -> SplitPlan | None:
+    # files written before the `stratified` key was dropped still carry it
     if d is None:
         return None
-    return SplitPlan(d["kind"], d["param"], d["seed"], d.get("stratified", True))
+    return SplitPlan(d["kind"], d["param"], int(d["seed"]))
 
 
 def result_to_dict(result: SelectionResult) -> dict:
     prov = result.provenance
+    fcfg = replace(prov.fitness, report_plan=prov.fitness.resolved_report_plan())
     return {
         "best_mask": mask_to_string(result.best_mask),
         "selected_names": list(result.selected_names),
@@ -388,68 +355,56 @@ def result_to_dict(result: SelectionResult) -> dict:
             }
             for s in result.trace
         ],
-        "provenance": {
-            "master_seed": prov.master_seed,
-            "dataset_fingerprint": prov.dataset_fingerprint,
-            "n_records": prov.n_records,
-            "ga": {
-                "population_size": prov.ga.population_size,
-                "crossover_prob": prov.ga.crossover_prob,
-                "mutation_prob": prov.ga.mutation_prob,
-                "max_generations": prov.ga.max_generations,
-                "stagnation_window": prov.ga.stagnation_window,
-                "elite_count": prov.ga.elite_count,
-                "seed": prov.ga.seed,
-            },
-            "fitness": {
-                "cost_weight": prov.fitness.cost_weight,
-                "evaluation": _split_plan_to_dict(prov.fitness.evaluation),
-                "cache": prov.fitness.cache,
-                "resolution": prov.fitness.resolution,
-                "decision_threshold": prov.fitness.decision_threshold,
-                "report_plan": _split_plan_to_dict(
-                    prov.fitness.resolved_report_plan()
-                ),
-            },
-            "induction": {
-                "partitions_per_input": prov.induction.partitions_per_input,
-                "min_rule_weight": prov.induction.min_rule_weight,
-            },
-        },
+        "provenance": asdict(replace(prov, fitness=fcfg)),
     }
 
 
 def result_from_dict(d: dict) -> SelectionResult:
+    # numbers are cast on load so that a corrupted file fails here, with
+    # the file named, rather than later in the report; older files carry
+    # a `cache` key under provenance.fitness, which is ignored
     prov = d["provenance"]
-    ga = GAParams(**prov["ga"])
-    fitness_cfg = FitnessConfig(
-        cost_weight=prov["fitness"]["cost_weight"],
-        evaluation=_split_plan_from_dict(prov["fitness"]["evaluation"]),
-        cache=prov["fitness"]["cache"],
-        resolution=prov["fitness"]["resolution"],
-        decision_threshold=prov["fitness"]["decision_threshold"],
-        report_plan=_split_plan_from_dict(prov["fitness"]["report_plan"]),
+    ga, fit, ind = prov["ga"], prov["fitness"], prov["induction"]
+    ga_params = GAParams(
+        population_size=int(ga["population_size"]),
+        crossover_prob=float(ga["crossover_prob"]),
+        mutation_prob=float(ga["mutation_prob"]),
+        max_generations=int(ga["max_generations"]),
+        stagnation_window=int(ga["stagnation_window"]),
+        elite_count=int(ga["elite_count"]),
+        seed=int(ga["seed"]),
     )
-    icfg = InductionConfig(**prov["induction"])
+    fitness_cfg = FitnessConfig(
+        cost_weight=float(fit["cost_weight"]),
+        evaluation=_split_plan_from_dict(fit["evaluation"]),
+        resolution=int(fit["resolution"]),
+        decision_threshold=float(fit["decision_threshold"]),
+        report_plan=_split_plan_from_dict(fit["report_plan"]),
+    )
+    icfg = InductionConfig(
+        partitions_per_input=int(ind["partitions_per_input"]),
+        min_rule_weight=float(ind["min_rule_weight"]),
+    )
     trace = [
         GenerationStats(
-            t["generation"],
-            t["best_fitness"],
-            t["mean_fitness"],
+            int(t["generation"]),
+            float(t["best_fitness"]),
+            float(t["mean_fitness"]),
             string_to_mask(t["best_mask"]),
         )
         for t in d["trace"]
     ]
+    master = prov.get("master_seed")
     provenance = Provenance(
-        ga, fitness_cfg, icfg,
-        prov["dataset_fingerprint"], prov["n_records"], prov.get("master_seed"),
+        ga_params, fitness_cfg, icfg, str(prov["dataset_fingerprint"]),
+        int(prov["n_records"]), None if master is None else int(master),
     )
     return SelectionResult(
         string_to_mask(d["best_mask"]),
         tuple(d["selected_names"]),
-        d["accuracy"],
-        d["cost"],
-        d["fitness"],
+        float(d["accuracy"]),
+        float(d["cost"]),
+        float(d["fitness"]),
         trace,
         provenance,
         model=None,  # stored separately
@@ -457,18 +412,8 @@ def result_from_dict(d: dict) -> SelectionResult:
 
 
 def save_result(result: SelectionResult, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result_to_dict(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(result_to_dict(result), path)
 
 
 def load_result(path: str | Path) -> SelectionResult:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        return result_from_dict(payload)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: malformed result file: {exc}") from exc
+    return read_json(path, result_from_dict, "result")

@@ -1,4 +1,6 @@
 import json
+import random
+import shutil
 
 import numpy as np
 import pytest
@@ -264,3 +266,77 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["select", "--pop", "not-a-number"])
     assert exc.value.code == 2
+
+
+# --- malformed saved files -------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("saved") / "out"
+    assert main(["select", *PIMA_ARGS, "--seed", "2", *FAST, "--out", str(out)]) == 0
+    return out
+
+
+def numeric_leaves(node, path=()):
+    """Key paths of every number in a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        return [path]
+    else:
+        return []
+    return [leaf for key, value in items for leaf in numeric_leaves(value, path + (key,))]
+
+
+def run_on_corrupted(saved_run, tmp_path, name, path, value):
+    """Copy the run, overwrite one field of one file, and run the command
+    that reads that file. Returns (exit code, corrupted file)."""
+    out = tmp_path / "run"
+    shutil.copytree(saved_run, out)
+    target = out / name
+    payload = json.loads(target.read_text())
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    target.write_text(json.dumps(payload))
+    if name == "model.json":
+        argv = ["classify", "--model", str(target), "--data", str(_packaged("pima.csv"))]
+    else:
+        argv = ["report", "--out", str(out)]
+    return main(argv), target
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [
+        ("model.json", ("resolution",), "abc"),
+        ("model.json", ("decision_threshold",), "abc"),
+        ("model.json", ("rules", 0, "weight"), "abc"),
+        ("result.json", ("provenance", "fitness", "evaluation", "param"), "abc"),
+        ("baseline.json", ("accuracy",), "x"),
+        ("baseline.json", ("cost",), float("inf")),  # written as Infinity
+    ],
+    ids=["model-resolution", "model-threshold", "model-rule-weight",
+         "result-evaluation-param", "baseline-accuracy", "baseline-infinite-cost"],
+)
+def test_malformed_saved_file_exits_2(saved_run, tmp_path, capsys, name, path, value):
+    code, target = run_on_corrupted(saved_run, tmp_path, name, path, value)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert str(target) in err
+
+
+def test_seeded_corruption_of_saved_files_exits_2(saved_run, tmp_path, capsys):
+    rng = random.Random(2)
+    for name in ("model.json", "result.json", "baseline.json"):
+        leaves = numeric_leaves(json.loads((saved_run / name).read_text()))
+        for i, path in enumerate(rng.sample(leaves, 6)):
+            code, target = run_on_corrupted(
+                saved_run, tmp_path / f"{name}-{i}", name, path, "abc"
+            )
+            err = capsys.readouterr().err
+            assert code == 2, (name, path, err)
+            assert str(target) in err, (name, path, err)

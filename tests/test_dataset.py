@@ -132,8 +132,6 @@ def test_schema_invariants():
         Schema((FeatureSpec("a", 0), FeatureSpec("b", 2)), "y", 1)
     with pytest.raises(ConfigError):  # label collides
         Schema((FeatureSpec("a", 0),), "y", 0)
-    with pytest.raises(NegativeCost):
-        FeatureSpec("a", 0, cost=-1.0)
 
 
 def test_load_costs_uniform(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from gafuzzy.evaluation import (
     BaselineRun,
     ConfusionMatrix,
     baseline_from_dict,
-    baseline_to_dict,
     build_report,
     emit_plot_data,
     format_report,
@@ -147,7 +148,7 @@ def test_baseline_roundtrip(tmp_path):
     path = tmp_path / "baseline.json"
     save_baseline(baseline, path)
     assert load_baseline(path) == baseline
-    assert baseline_from_dict(baseline_to_dict(baseline)) == baseline
+    assert baseline_from_dict(asdict(baseline)) == baseline
 
 
 def test_save_report_deterministic(tmp_path):

@@ -13,16 +13,13 @@ from gafuzzy.fuzzy import (
     Rule,
     Trapezoidal,
     Triangular,
-    aggregate,
     centroid,
     class_output_variable,
     config_from_dict,
     config_to_dict,
-    fuzzify,
     infer,
     load_model,
     predict,
-    rule_strength,
     save_model,
     uniform_partition,
 )
@@ -34,38 +31,30 @@ import oracle
 
 def test_triangular_examples():
     tri = Triangular(0, 5, 10)
-    assert tri.degree(5) == 1.0
-    assert tri.degree(2.5) == 0.5
-    assert tri.degree(-1) == 0.0
-    assert tri.degree(10) == 0.0
-    assert tri.degree(0) == 0.0
+    assert list(tri.sample([5, 2.5, -1, 10, 0])) == [1.0, 0.5, 0.0, 0.0, 0.0]
 
 
 def test_triangular_shoulders():
     left = Triangular(0, 0, 10)
-    assert left.degree(0) == 1.0
-    assert left.degree(5) == 0.5
-    assert left.degree(-3) == 0.0  # outside support even though rising is flat
+    # -3 lies outside the support even though the rising side is flat
+    assert list(left.sample([0, 5, -3])) == [1.0, 0.5, 0.0]
     right = Triangular(0, 10, 10)
-    assert right.degree(10) == 1.0
-    assert right.degree(11) == 0.0
+    assert list(right.sample([10, 11])) == [1.0, 0.0]
 
 
 def test_trapezoidal_examples():
     trap = Trapezoidal(0, 2, 4, 6)
-    assert trap.degree(7) == 0.0
-    assert trap.degree(3) == 1.0
-    assert trap.degree(1) == 0.5
-    assert trap.degree(5) == 0.5
+    assert list(trap.sample([7, 3, 1, 5])) == [0.0, 1.0, 0.5, 0.5]
 
 
 def test_gaussian_formula():
     g = Gaussian(2.0, 0.5)
-    for x in (-1.0, 0.0, 1.7, 2.0, 3.3):
-        assert g.degree(x) == pytest.approx(
+    xs = [-1.0, 0.0, 1.7, 2.0, 3.3]
+    for x, sampled in zip(xs, g.sample(xs)):
+        assert sampled == pytest.approx(
             math.exp(-((x - 2.0) ** 2) / (2 * 0.25)), abs=1e-15
         )
-    assert g.degree(2.0) == 1.0
+    assert g.sample([2.0])[0] == 1.0
 
 
 def test_invalid_parameters():
@@ -81,20 +70,26 @@ def test_invalid_parameters():
 
 def test_degree_in_unit_interval_and_matches_sample():
     rng = np.random.default_rng(11)
-    mfs = [
-        Triangular(*sorted(rng.uniform(-5, 5, 3))),
-        Trapezoidal(*sorted(rng.uniform(-5, 5, 4))),
-        Gaussian(rng.uniform(-5, 5), rng.uniform(0.1, 3)),
-    ]
+    a, b, c = sorted(rng.uniform(-5, 5, 3))
+    ta, tb, tc, td = sorted(rng.uniform(-5, 5, 4))
+    center, width = rng.uniform(-5, 5), rng.uniform(0.1, 3)
     xs = rng.uniform(-10, 10, 200)
-    for mf in mfs:
-        try:
-            sampled = mf.sample(xs)
-        except ConfigError:
-            continue
+    cases = [
+        (Triangular(a, b, c), lambda x: oracle.tri_degree(x, a, b, c)),
+        (
+            Trapezoidal(ta, tb, tc, td),
+            lambda x: max(0.0, min((x - ta) / (tb - ta), 1.0, (td - x) / (td - tc))),
+        ),
+        (
+            Gaussian(center, width),
+            lambda x: math.exp(-((x - center) ** 2) / (2 * width**2)),
+        ),
+    ]
+    for mf, definition in cases:
+        sampled = mf.sample(xs)
         assert np.all((sampled >= 0) & (sampled <= 1))
         for x, s in zip(xs, sampled):
-            assert mf.degree(float(x)) == s
+            assert s == pytest.approx(definition(float(x)), abs=1e-12)
 
 
 # --- variables -----------------------------------------------------------------
@@ -122,8 +117,8 @@ def test_uniform_partition_shape():
     assert (medium.a, medium.b, medium.c) == (0.0, 5.0, 10.0)
     assert (high.a, high.b, high.c) == (5.0, 10.0, 10.0)
     # adjacent terms cross at 0.5
-    assert low.degree(2.5) == medium.degree(2.5) == 0.5
-    assert medium.degree(7.5) == high.degree(7.5) == 0.5
+    assert low.sample([2.5])[0] == medium.sample([2.5])[0] == 0.5
+    assert medium.sample([7.5])[0] == high.sample([7.5])[0] == 0.5
 
 
 def test_uniform_partition_degenerate_range():
@@ -136,11 +131,11 @@ def test_class_output_variable():
     out = class_output_variable()
     assert out.term_names == ("negative", "positive")
     assert out.universe == (0.0, 1.0)
-    assert out.term("negative").degree(0.0) == 1.0
-    assert out.term("positive").degree(1.0) == 1.0
+    assert out.term("negative").sample([0.0])[0] == 1.0
+    assert out.term("positive").sample([1.0])[0] == 1.0
 
 
-# --- fuzzify / rule strength ----------------------------------------------------
+# --- fuzzify (degree table) / rule strength ---------------------------------------
 
 def two_input_config():
     u = LinguisticVariable(
@@ -158,16 +153,41 @@ def two_input_config():
     return FISConfig((u, v), class_output_variable(), rules)
 
 
+def degrees_of(config, record):
+    """{variable: {term: degree}} for one record, read off the degree table."""
+    table = CompiledFIS.from_config(config).degree_table([record])
+    return {
+        var.name: {t: table[i, j, 0] for j, t in enumerate(var.term_names)}
+        for i, var in enumerate(config.inputs)
+    }
+
+
+def oracle_crisp(config, record):
+    """Crisp output of tests/oracle.classify for a two-class triangular model."""
+    variables = [oracle.variable_params(v) for v in config.inputs]
+    rules = [
+        (
+            tuple(v.term_names.index(dict(r.antecedent)[v.name])
+                  for v in config.inputs),
+            r.weight,
+            config.output.term_names.index(r.consequent),
+        )
+        for r in config.rules
+    ]
+    crisp, _ = oracle.classify(record, variables, rules, config.resolution)
+    return crisp
+
+
 def test_fuzzify_peak_and_clamping():
     config = two_input_config()
-    degrees = fuzzify(config, [0.0, 100.0])
+    degrees = degrees_of(config, [0.0, 100.0])
     assert degrees["u"]["low"] == 1.0
     assert degrees["v"]["high"] == 1.0
-    below = fuzzify(config, [-5.0, -1.0])
-    at_lo = fuzzify(config, [0.0, 0.0])
+    below = degrees_of(config, [-5.0, -1.0])
+    at_lo = degrees_of(config, [0.0, 0.0])
     assert below == at_lo
     with pytest.raises(ArityMismatch):
-        fuzzify(config, [1.0])
+        degrees_of(config, [1.0])
 
 
 def test_fuzzify_hand_computed_three_inputs():
@@ -181,7 +201,7 @@ def test_fuzzify_hand_computed_three_inputs():
         vars_, class_output_variable(),
         (Rule((("glucose", "high"),), "positive"),),
     )
-    degrees = fuzzify(config, [60.0, 30.0, 35.0])
+    degrees = degrees_of(config, [60.0, 30.0, 35.0])
     # glucose 60 on [0,200]: low falls 1 -> 0 over [0,100]: 1 - 60/100
     assert degrees["glucose"]["low"] == pytest.approx(0.4, abs=1e-12)
     assert degrees["glucose"]["medium"] == pytest.approx(0.6, abs=1e-12)
@@ -196,63 +216,27 @@ def test_fuzzify_hand_computed_three_inputs():
 
 
 def test_rule_strength_examples():
-    degrees = {"u": {"a": 0.6}, "v": {"a": 0.9, "b": 0.0}}
-    assert rule_strength(Rule((("u", "a"), ("v", "a")), "out"), degrees) == 0.6
-    assert rule_strength(Rule((("u", "a"), ("v", "b")), "out"), degrees) == 0.0
-    degrees2 = {"u": {"a": 0.8}, "v": {"a": 0.5}}
-    rule = Rule((("u", "a"), ("v", "a")), "out", weight=0.5)
-    assert rule_strength(rule, degrees2) == 0.25
+    # u=6 gives low/high 0.4/0.6; v=30 gives low/high 0.7/0.3
+    base = two_input_config()
+    rules = (
+        Rule((("u", "high"), ("v", "low")), "negative"),
+        Rule((("u", "high"), ("v", "high")), "positive"),
+        Rule((("u", "low"), ("v", "low")), "negative", weight=0.5),
+        Rule((("v", "high"),), "positive"),  # u unconstrained: degree 1
+    )
+    config = FISConfig(base.inputs, base.output, rules)
+    strengths = CompiledFIS.from_config(config).strength_matrix(
+        [[6.0, 30.0], [10.0, 0.0]]
+    )
+    assert strengths.shape == (2, 4)
+    assert list(strengths[0]) == [0.6, 0.3, 0.2, 0.3]
+    assert list(strengths[1]) == [1.0, 0.0, 0.0, 0.0]
     with pytest.raises(UnknownTerm):
-        rule_strength(Rule((("u", "missing"),), "out"), degrees)
+        FISConfig(base.inputs, base.output,
+                  (Rule((("u", "missing"),), "positive"),))
 
 
-# --- aggregate / centroid -------------------------------------------------------
-
-def test_aggregate_all_zero_and_identity():
-    config = two_input_config()
-    zeros = aggregate(config, [0.0, 0.0])
-    assert np.all(zeros == 0.0)
-    single = FISConfig(
-        config.inputs, config.output,
-        (Rule((("u", "high"),), "positive"),),
-    )
-    samples = aggregate(single, [1.0])
-    grid = np.linspace(0, 1, single.resolution)
-    assert np.array_equal(samples, single.output.term("positive").sample(grid))
-
-
-def test_aggregate_pointwise_oracle():
-    config = two_input_config()
-    strengths = [0.6, 0.3]
-    samples = aggregate(config, strengths)
-    grid = np.linspace(0, 1, config.resolution)
-    for j in range(config.resolution):
-        neg = min(strengths[0], config.output.term("negative").degree(grid[j]))
-        pos = min(strengths[1], config.output.term("positive").degree(grid[j]))
-        assert samples[j] == max(neg, pos)
-
-
-def test_aggregate_permutation_invariant():
-    config = two_input_config()
-    flipped = FISConfig(
-        config.inputs, config.output, tuple(reversed(config.rules)),
-        config.resolution, config.decision_threshold,
-    )
-    a = aggregate(config, [0.6, 0.3])
-    b = aggregate(flipped, [0.3, 0.6])
-    assert np.array_equal(a, b)
-
-
-def test_aggregate_monotone_in_strengths():
-    config = two_input_config()
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        s = rng.uniform(0, 1, 2)
-        bumped = s.copy()
-        i = int(rng.integers(0, 2))
-        bumped[i] = min(1.0, bumped[i] + rng.uniform(0, 0.5))
-        assert np.all(aggregate(config, bumped) >= aggregate(config, s))
-
+# --- centroid ----------------------------------------------------------------------
 
 def test_centroid_symmetry_and_scale():
     grid = np.linspace(0, 1, 1001)
@@ -358,14 +342,14 @@ def test_infer_golden_two_rules():
 
 
 def test_infer_matches_aggregate_centroid_path():
+    # crisp values, not labels: a record with symmetric strengths can sit
+    # on the threshold, where the last bit decides the class
     config = two_input_config()
     rng = np.random.default_rng(17)
     for _ in range(25):
         record = [float(rng.uniform(0, 10)), float(rng.uniform(0, 100))]
-        result = infer(config, record)
-        samples = aggregate(config, list(result.strengths))
-        assert result.crisp == pytest.approx(
-            centroid(samples, 0.0, 1.0), abs=1e-12
+        assert infer(config, record).crisp == pytest.approx(
+            oracle_crisp(config, record), abs=1e-12
         )
 
 
@@ -426,13 +410,11 @@ def test_compiled_grouping_matches_per_rule_definition():
     )
     config = FISConfig((var,), out, rules)
     rng = np.random.default_rng(19)
-    grid = np.linspace(0, 1, config.resolution)
     for _ in range(30):
         record = [float(rng.uniform(0, 10))]
-        result = infer(config, record)
-        samples = aggregate(config, list(result.strengths))
-        direct = centroid(samples, 0.0, 1.0)
-        assert result.crisp == pytest.approx(direct, abs=1e-12)
+        assert infer(config, record).crisp == pytest.approx(
+            oracle_crisp(config, record), abs=1e-12
+        )
 
 
 # --- serialization ----------------------------------------------------------------

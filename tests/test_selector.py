@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gafuzzy.dataset import CostTable, SplitPlan, mask_cost, stratified_split
+from gafuzzy.dataset import CostTable, mask_cost, stratified_split
 from gafuzzy.errors import EmptyMask, LengthMismatch, TooManyFeatures
 from gafuzzy.ga import GAParams
 from gafuzzy.rule_learning import InductionConfig
@@ -13,7 +13,6 @@ from gafuzzy.selector import (
     FitnessEvaluator,
     brute_force_selection,
     derive_seed,
-    fitness,
     load_result,
     run_selection,
     save_result,
@@ -33,12 +32,17 @@ def all_masks(length):
     return [m for m in itertools.product((0, 1), repeat=length) if any(m)]
 
 
+def fresh_fitness(mask, data, costs, fcfg, icfg):
+    """One mask scored by a fresh evaluator, so no cached value is reused."""
+    return FitnessEvaluator(data, costs, fcfg, icfg)(mask)
+
+
 # --- fitness -------------------------------------------------------------------
 
 def test_lambda_zero_equals_cv_accuracy(toy4, toy4_costs):
     fcfg = toy_fcfg(cost_weight=0.0)
     full = (1, 1, 1, 1)
-    value = fitness(full, toy4, toy4_costs, fcfg, ICFG)
+    value = fresh_fitness(full, toy4, toy4_costs, fcfg, ICFG)
     folds = stratified_split(toy4, fcfg.evaluation)
     expected = oracle.fitness(full, toy4, toy4_costs, folds, cost_weight=0.0)
     assert value == pytest.approx(expected, abs=1e-12)
@@ -46,24 +50,24 @@ def test_lambda_zero_equals_cv_accuracy(toy4, toy4_costs):
 
 def test_lambda_one_full_mask_shifts_by_one(toy4, toy4_costs):
     full = (1, 1, 1, 1)
-    base = fitness(full, toy4, toy4_costs, toy_fcfg(cost_weight=0.0), ICFG)
-    shifted = fitness(full, toy4, toy4_costs, toy_fcfg(cost_weight=1.0), ICFG)
+    base = fresh_fitness(full, toy4, toy4_costs, toy_fcfg(cost_weight=0.0), ICFG)
+    shifted = fresh_fitness(full, toy4, toy4_costs, toy_fcfg(cost_weight=1.0), ICFG)
     assert shifted == base - 1.0
 
 
 def test_fitness_validation(toy4, toy4_costs):
     fcfg = toy_fcfg()
     with pytest.raises(EmptyMask):
-        fitness((0, 0, 0, 0), toy4, toy4_costs, fcfg, ICFG)
+        fresh_fitness((0, 0, 0, 0), toy4, toy4_costs, fcfg, ICFG)
     with pytest.raises(LengthMismatch):
-        fitness((1, 0), toy4, toy4_costs, fcfg, ICFG)
+        fresh_fitness((1, 0), toy4, toy4_costs, fcfg, ICFG)
 
 
 def test_fitness_matches_independent_oracle(toy4, toy4_costs):
     fcfg = toy_fcfg()
     folds = stratified_split(toy4, fcfg.evaluation)
     for mask in all_masks(4):
-        ours = fitness(mask, toy4, toy4_costs, fcfg, ICFG)
+        ours = fresh_fitness(mask, toy4, toy4_costs, fcfg, ICFG)
         theirs = oracle.fitness(mask, toy4, toy4_costs, folds,
                                 cost_weight=fcfg.cost_weight)
         assert ours == pytest.approx(theirs, abs=1e-12), mask
@@ -75,36 +79,25 @@ def test_memoized_equals_direct(toy4, toy4_costs):
     for mask in all_masks(4):
         first = evaluator(mask)
         assert first == evaluator(mask)  # cache hit, same value
-        assert first == fitness(mask, toy4, toy4_costs, fcfg, ICFG)
+        assert first == fresh_fitness(mask, toy4, toy4_costs, fcfg, ICFG)
     assert evaluator.evaluations == 15
-
-
-def test_cache_disabled_recomputes(toy4, toy4_costs):
-    fcfg = FitnessConfig(
-        cost_weight=0.3, evaluation=SplitPlan.kfold(5, seed=1), cache=False
-    )
-    evaluator = FitnessEvaluator(toy4, toy4_costs, fcfg, ICFG)
-    a = evaluator((1, 0, 0, 0))
-    b = evaluator((1, 0, 0, 0))
-    assert a == b
-    assert evaluator.evaluations == 2
 
 
 # --- scalarization properties (stubbed accuracy) --------------------------------
 
 def test_fitness_strictly_decreasing_in_cost(toy4, toy4_costs, monkeypatch):
     monkeypatch.setattr(selector, "_cv_accuracy",
-                        lambda mask, data, fcfg, icfg, folds=None: 0.8)
+                        lambda mask, data, fcfg, icfg, folds: 0.8)
     fcfg = toy_fcfg(cost_weight=0.3)
     chain = [(1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)]
-    values = [fitness(m, toy4, toy4_costs, fcfg, ICFG) for m in chain]
+    values = [fresh_fitness(m, toy4, toy4_costs, fcfg, ICFG) for m in chain]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_onemax_reduction_with_stub(toy4, toy4_costs, monkeypatch):
     monkeypatch.setattr(
         selector, "_cv_accuracy",
-        lambda mask, data, fcfg, icfg, folds=None: sum(mask) / len(mask),
+        lambda mask, data, fcfg, icfg, folds: sum(mask) / len(mask),
     )
     fcfg = toy_fcfg(cost_weight=0.0)
     params = GAParams(population_size=20, max_generations=40, seed=3)
@@ -135,7 +128,7 @@ def test_brute_force_guard(toy4, toy4_costs):
 
 def test_brute_force_tie_breaking(toy4, toy4_costs, monkeypatch):
     monkeypatch.setattr(selector, "_cv_accuracy",
-                        lambda mask, data, fcfg, icfg, folds=None: 0.5)
+                        lambda mask, data, fcfg, icfg, folds: 0.5)
     # constant accuracy: lowest cost wins, then the lexicographically
     # smallest bitstring among the single-bit masks
     mask, fit = brute_force_selection(toy4, toy4_costs, toy_fcfg(), ICFG)
