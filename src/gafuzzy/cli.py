@@ -178,8 +178,6 @@ def _impute_columns(cfg: RunConfig, data: ds.Dataset) -> list[str]:
 def _selection_configs(cfg: RunConfig):
     master = cfg.get("run", "seed", "seed", DEFAULT_SEED, int)
     cost_weight = cfg.get("fitness", "lambda", "cost_weight", 0.3, float)
-    if cost_weight < 0:
-        raise ConfigError("lambda must be non-negative")
     folds = cfg.get("fitness", "folds", "folds", 5, int)
     resolution = cfg.get("fis", "resolution", "resolution", 1001, int)
     threshold = cfg.get("fis", "threshold", "threshold", 0.5, float)

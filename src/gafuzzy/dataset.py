@@ -204,8 +204,6 @@ def _read_ini(path: str | Path) -> configparser.ConfigParser:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except FileNotFoundError:
-        raise
     except configparser.DuplicateOptionError as exc:
         raise DuplicateFeature(exc.option) from exc
     except configparser.Error as exc:
@@ -355,8 +353,6 @@ def load_costs(path: str | Path, schema: Schema) -> CostTable:
             raise ConfigError(
                 f"{path}: cost of {feature.name!r} is not a number"
             ) from exc
-        if cost < 0:
-            raise NegativeCost(feature.name, cost)
         entries.append((feature.name, cost))
     return CostTable(tuple(entries))
 

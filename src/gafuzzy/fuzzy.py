@@ -122,6 +122,12 @@ class LinguisticVariable:
     def term_names(self) -> tuple[str, ...]:
         return tuple(t for t, _ in self.terms)
 
+    def degrees(self, values: np.ndarray) -> np.ndarray:
+        """Degree of every term at the values clamped to the universe, (T, N)."""
+        lo, hi = self.universe
+        clamped = np.clip(np.asarray(values, dtype=float), lo, hi)
+        return np.stack([mf.sample(clamped) for _, mf in self.terms])
+
     def term(self, name: str) -> MembershipFunction:
         for t, mf in self.terms:
             if t == name:
@@ -183,6 +189,28 @@ class Inference(NamedTuple):
     strengths: tuple[float, ...]
 
 
+def index_rules(
+    inputs: Sequence[LinguisticVariable],
+    output: LinguisticVariable,
+    antecedents: np.ndarray,
+    weights: np.ndarray,
+    consequents: np.ndarray,
+) -> tuple[Rule, ...]:
+    """Named rules from the index form, the inverse of
+    CompiledFIS.from_config: term index -1 leaves its input unconstrained."""
+    return tuple(
+        Rule(
+            tuple(
+                (var.name, var.term_names[t])
+                for var, t in zip(inputs, map(int, row)) if t >= 0
+            ),
+            output.term_names[int(cls)],
+            float(w),
+        )
+        for row, w, cls in zip(antecedents, weights, consequents)
+    )
+
+
 # --- compiled engine --------------------------------------------------------
 
 
@@ -211,9 +239,7 @@ class CompiledFIS:
         self.decision_threshold = decision_threshold
         lo, hi = output.universe
         self.grid = np.linspace(lo, hi, resolution)
-        self.term_samples = np.stack(
-            [mf.sample(self.grid) for _, mf in output.terms]
-        )
+        self.term_samples = output.degrees(self.grid)
         self.n_rules = self.weights.shape[0]
 
     @classmethod
@@ -241,6 +267,17 @@ class CompiledFIS:
             config.decision_threshold,
         )
 
+    def to_config(self) -> FISConfig:
+        """The named model this engine runs, the inverse of from_config."""
+        rules = index_rules(
+            self.inputs, self.output, self.antecedents, self.weights,
+            self.consequents,
+        )
+        return FISConfig(
+            tuple(self.inputs), self.output, rules, self.resolution,
+            self.decision_threshold,
+        )
+
     def degree_table(self, records: np.ndarray) -> np.ndarray:
         """Clamped membership degrees, shape (m, T_max, N)."""
         records = np.atleast_2d(np.asarray(records, dtype=float))
@@ -252,10 +289,7 @@ class CompiledFIS:
         t_max = max(len(v.terms) for v in self.inputs)
         table = np.ones((len(self.inputs), t_max + 1, n))  # last slot: sentinel 1
         for i, var in enumerate(self.inputs):
-            lo, hi = var.universe
-            col = np.clip(records[:, i], lo, hi)
-            for j, (_, mf) in enumerate(var.terms):
-                table[i, j] = mf.sample(col)
+            table[i, : len(var.terms)] = var.degrees(records[:, i])
         return table
 
     def strength_matrix(self, records: np.ndarray) -> np.ndarray:

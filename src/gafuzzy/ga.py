@@ -165,10 +165,13 @@ def _evaluate(
     if workers <= 1:
         values = [float(fitness_fn(m)) for m in individuals]
     else:
+        # a cache in fitness_fn cannot stop two threads from missing on the
+        # same mask, so each distinct mask goes to the pool once
+        unique = list(dict.fromkeys(individuals))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = [float(v) for v in pool.map(fitness_fn, individuals)]
-    arr = np.asarray(values)
-    if not np.all(np.isfinite(arr)):
+            by_mask = dict(zip(unique, pool.map(fitness_fn, unique)))
+        values = [float(by_mask[m]) for m in individuals]
+    if not np.all(np.isfinite(values)):
         raise ConfigError("fitness function returned a non-finite value")
     return tuple(values)
 
@@ -204,9 +207,10 @@ def evolve(
     children with the best individuals of the previous generation
     (elitism). It stops at max_generations, or once the best fitness has
     not improved for stagnation_window consecutive generations. Fitness
-    evaluations may run on `workers` threads; results are written back by
-    index and no random draw happens off the orchestrating thread, so the
-    outcome does not depend on `workers`.
+    evaluations may run on `workers` threads, which score each distinct
+    mask of a generation once; results are written back by mask and no
+    random draw happens off the orchestrating thread, so for a pure
+    fitness function the outcome does not depend on `workers`.
     """
     rng = np.random.default_rng(params.seed)
     pop = init_population(params, length, rng=rng)

@@ -1,9 +1,12 @@
 """Building a rule base: induction from labelled data, or an expert file.
 
-Induction follows the classic grid-partition recipe: every training record
-proposes the rule made of its maximum-degree term per input, weighted by
-the product of those degrees; conflicting proposals for the same
-antecedent are resolved by keeping the heaviest (earliest on ties).
+Induction follows the classic grid-partition recipe (Wang & Mendel, 1992):
+every training record proposes the rule made of its maximum-degree term
+per input, weighted by the product of those degrees. Conflicting proposals
+for the same antecedent keep the heaviest, the earliest on ties, and the
+surviving rules are ordered by the first record that proposed them.
+`induce_rule_matrix` does this in index form for the CV folds and the final
+model alike; `induce_rules` names its result.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ArityMismatch, ConfigError, EmptyTrainingSet, RuleParseError, UnknownTerm
-from .fuzzy import FISConfig, LinguisticVariable, Rule
+from .fuzzy import FISConfig, LinguisticVariable, Rule, index_rules
 
 
 @dataclass(frozen=True)
@@ -32,31 +35,6 @@ class InductionConfig:
             raise ConfigError("min_rule_weight must lie in [0, 1]")
 
 
-def induce_candidates(
-    records: np.ndarray,
-    labels: np.ndarray,
-    inputs: Sequence[LinguisticVariable],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per record: the index of the strongest term for every input, and the
-    product of those degrees. Ties on degree go to the earlier term.
-
-    Returns (term_indices (N, m), weights (N,)).
-    """
-    records = np.asarray(records, dtype=float)
-    n, m = records.shape
-    if m != len(inputs):
-        raise ArityMismatch(f"{m} columns for {len(inputs)} input variables")
-    term_idx = np.zeros((n, m), dtype=np.int64)
-    weights = np.ones(n)
-    for i, var in enumerate(inputs):
-        lo, hi = var.universe
-        col = np.clip(records[:, i], lo, hi)
-        degrees = np.stack([mf.sample(col) for _, mf in var.terms])  # (T, N)
-        term_idx[:, i] = degrees.argmax(axis=0)
-        weights *= degrees.max(axis=0)
-    return term_idx, weights
-
-
 def induce_rule_matrix(
     records: np.ndarray,
     labels: np.ndarray,
@@ -65,34 +43,33 @@ def induce_rule_matrix(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate-and-filter induction in index form.
 
+    Every record proposes the strongest term of each input (the earlier
+    term on equal degrees), weighted by the product of those degrees.
     Returns (antecedents (R, m), weights (R,), classes (R,)), ordered by the
     first record that proposed each surviving antecedent.
     """
     if len(records) == 0:
         raise EmptyTrainingSet("cannot induce rules from an empty training set")
-    term_idx, weights = induce_candidates(records, labels, inputs)
-    n, m = term_idx.shape
-    sizes = np.array([len(v.terms) for v in inputs], dtype=np.int64)
-    keys = np.zeros(n, dtype=np.int64)
-    stride = 1
-    for i in range(m):
-        keys += term_idx[:, i] * stride
-        stride *= sizes[i]
+    records = np.asarray(records, dtype=float)
+    n, m = records.shape
+    if m != len(inputs):
+        raise ArityMismatch(f"{m} columns for {len(inputs)} input variables")
+    term_idx = np.zeros((n, m), dtype=np.int64)
+    weights = np.ones(n)
+    for i, var in enumerate(inputs):
+        degrees = var.degrees(records[:, i])  # (T, N)
+        term_idx[:, i] = degrees.argmax(axis=0)
+        weights *= degrees.max(axis=0)
 
-    best: dict[int, int] = {}  # antecedent key -> winning record index
-    first_seen: dict[int, int] = {}
-    for r in range(n):
-        k = int(keys[r])
-        if k not in best:
-            best[k] = r
-            first_seen[k] = r
-        elif weights[r] > weights[best[k]]:
-            best[k] = r
-    order = sorted(best, key=lambda k: first_seen[k])
-    rows = [best[k] for k in order]
-    keep = [r for r in rows if weights[r] >= cfg.min_rule_weight]
-    ant = term_idx[keep]
-    return ant, weights[keep], np.asarray(labels, dtype=np.int64)[keep]
+    # group equal antecedents, heaviest first and earliest on ties; the
+    # columns are sort keys themselves, so no combined key can overflow
+    order = np.lexsort((np.arange(n), -weights, *term_idx.T))
+    ants = term_idx[order]
+    starts = np.flatnonzero(np.r_[True, (ants[1:] != ants[:-1]).any(axis=1)])
+    first_seen = np.minimum.reduceat(order, starts)
+    rows = order[starts][np.argsort(first_seen)]
+    keep = rows[weights[rows] >= cfg.min_rule_weight]
+    return term_idx[keep], weights[keep], np.asarray(labels, dtype=np.int64)[keep]
 
 
 def induce_rules(
@@ -113,20 +90,9 @@ def induce_rules(
             f"input variables {names} do not match dataset features "
             f"{list(train.schema.feature_names)}"
         )
-    if len(output.terms) < 2:
-        raise ConfigError("output variable needs one term per class")
-    ant, weights, classes = induce_rule_matrix(
-        train.records, train.labels, inputs, cfg
+    return index_rules(
+        inputs, output, *induce_rule_matrix(train.records, train.labels, inputs, cfg)
     )
-    out_terms = output.term_names
-    rules = []
-    for row, w, cls in zip(ant, weights, classes):
-        antecedent = tuple(
-            (inputs[i].name, inputs[i].term_names[int(t)])
-            for i, t in enumerate(row)
-        )
-        rules.append(Rule(antecedent, out_terms[int(cls)], float(w)))
-    return tuple(rules)
 
 
 # --- expert rule files -------------------------------------------------------

@@ -14,14 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import (
-    CostTable,
-    Dataset,
-    SplitPlan,
-    mask_cost,
-    project,
-    stratified_split,
-)
+from .dataset import CostTable, Dataset, SplitPlan, mask_cost, stratified_split
 from .errors import ConfigError, EmptyMask, LengthMismatch, TooManyFeatures
 from .fuzzy import (
     CompiledFIS,
@@ -40,7 +33,7 @@ from .ga import (
     string_to_mask,
 )
 from .jsonio import read_json, write_json
-from .rule_learning import InductionConfig, induce_rule_matrix, induce_rules
+from .rule_learning import InductionConfig, induce_rule_matrix
 
 BRUTE_FORCE_LIMIT = 16
 
@@ -65,7 +58,7 @@ class FitnessConfig:
 
     def __post_init__(self):
         if self.cost_weight < 0:
-            raise ConfigError("cost weight must be non-negative")
+            raise ConfigError("cost weight (lambda) must be non-negative")
 
     @classmethod
     def from_master_seed(
@@ -128,26 +121,38 @@ def build_input_variables(
     ]
 
 
-def _fold_accuracy(
-    records: np.ndarray,
-    labels: np.ndarray,
+def _masked_columns(
+    data: Dataset, mask: Mask
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The records restricted to the masked features, and their names."""
+    if len(mask) != data.n_features:
+        raise LengthMismatch(
+            f"mask length {len(mask)} != {data.n_features} features"
+        )
+    kept = [i for i, bit in enumerate(mask) if bit]
+    if not kept:
+        raise EmptyMask("cannot select an empty feature set")
+    names = tuple(data.schema.feature_names[i] for i in kept)
+    return data.records[:, kept], names
+
+
+def _fit(
+    x_train: np.ndarray,
     names: Sequence[str],
-    train_idx: np.ndarray,
-    test_idx: np.ndarray,
+    y_train: np.ndarray,
+    output: LinguisticVariable,
     fcfg: "FitnessConfig",
     icfg: InductionConfig,
-    output: LinguisticVariable,
-) -> float:
-    x_train, y_train = records[train_idx], labels[train_idx]
-    x_test, y_test = records[test_idx], labels[test_idx]
+) -> CompiledFIS:
+    """The only place a classifier is trained: partitions spanning the
+    training columns, then rules induced from the training rows. CV folds
+    and the final model both come from here."""
     inputs = build_input_variables(x_train, names, icfg.partitions_per_input)
     ant, weights, classes = induce_rule_matrix(x_train, y_train, inputs, icfg)
-    engine = CompiledFIS(
+    return CompiledFIS(
         inputs, output, ant, weights, classes,
         fcfg.resolution, fcfg.decision_threshold,
     )
-    _, predicted = engine.predict(x_test)
-    return float(np.mean(predicted == y_test))
 
 
 def _cv_accuracy(
@@ -157,15 +162,15 @@ def _cv_accuracy(
     icfg: InductionConfig,
     folds: list[tuple[np.ndarray, np.ndarray]],
 ) -> float:
-    sub = project(data, mask)
-    output = class_output_variable(sub.schema.label_name)
-    accs = [
-        _fold_accuracy(
-            sub.records, sub.labels, sub.schema.feature_names,
-            tr, te, fcfg, icfg, output,
+    records, names = _masked_columns(data, mask)
+    output = class_output_variable(data.schema.label_name)
+    accs = []
+    for train_idx, test_idx in folds:
+        engine = _fit(
+            records[train_idx], names, data.labels[train_idx], output, fcfg, icfg
         )
-        for tr, te in folds
-    ]
+        _, predicted = engine.predict(records[test_idx])
+        accs.append(float(np.mean(predicted == data.labels[test_idx])))
     return float(np.mean(accs))
 
 
@@ -191,19 +196,17 @@ class FitnessEvaluator:
         self.icfg = icfg
         self._folds = stratified_split(data, fcfg.evaluation)
         self._cache: dict[Mask, float] = {}
-        self.evaluations = 0
+
+    @property
+    def evaluations(self) -> int:
+        """Number of distinct masks scored so far."""
+        return len(self._cache)
 
     def __call__(self, mask: Mask) -> float:
         mask = tuple(int(b) for b in mask)
         hit = self._cache.get(mask)
         if hit is not None:
             return hit
-        if len(mask) != self.data.n_features:
-            raise LengthMismatch(
-                f"mask length {len(mask)} != {self.data.n_features} features"
-            )
-        if not any(mask):
-            raise EmptyMask("fitness of the empty mask is undefined")
         accuracy = _cv_accuracy(mask, self.data, self.fcfg, self.icfg, self._folds)
         penalty = (
             self.fcfg.cost_weight
@@ -211,7 +214,6 @@ class FitnessEvaluator:
             / self.costs.total_cost
         )
         value = accuracy - penalty
-        self.evaluations += 1
         self._cache[mask] = value
         return value
 
@@ -224,18 +226,11 @@ def train_final_classifier(
     train_idx: np.ndarray,
 ) -> FISConfig:
     """Fit partitions and rules on the given training rows of the masked data."""
-    sub = project(data, mask)
-    x_train = sub.records[train_idx]
-    y_train = sub.labels[train_idx]
-    inputs = build_input_variables(
-        x_train, sub.schema.feature_names, icfg.partitions_per_input
-    )
-    output = class_output_variable(sub.schema.label_name)
-    train_view = Dataset(sub.schema, x_train, y_train)
-    rules = induce_rules(train_view, inputs, output, icfg)
-    return FISConfig(
-        tuple(inputs), output, rules, fcfg.resolution, fcfg.decision_threshold
-    )
+    records, names = _masked_columns(data, mask)
+    output = class_output_variable(data.schema.label_name)
+    return _fit(
+        records[train_idx], names, data.labels[train_idx], output, fcfg, icfg
+    ).to_config()
 
 
 def holdout_evaluation(
@@ -250,11 +245,13 @@ def holdout_evaluation(
     """
     plan = fcfg.resolved_report_plan()
     (train_idx, test_idx), = stratified_split(data, plan)
-    model = train_final_classifier(data, mask, fcfg, icfg, train_idx)
-    sub = project(data, mask)
-    engine = CompiledFIS.from_config(model)
-    _, predicted = engine.predict(sub.records[test_idx])
-    return model, predicted, sub.labels[test_idx]
+    records, names = _masked_columns(data, mask)
+    output = class_output_variable(data.schema.label_name)
+    engine = _fit(
+        records[train_idx], names, data.labels[train_idx], output, fcfg, icfg
+    )
+    _, predicted = engine.predict(records[test_idx])
+    return engine.to_config(), predicted, data.labels[test_idx]
 
 
 def run_selection(

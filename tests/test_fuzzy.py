@@ -23,6 +23,7 @@ from gafuzzy.fuzzy import (
     save_model,
     uniform_partition,
 )
+from gafuzzy.rule_learning import InductionConfig, induce_rule_matrix
 
 import oracle
 
@@ -446,6 +447,35 @@ def test_model_roundtrip_all_shapes():
         resolution=501, decision_threshold=0.42,
     )
     assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+
+
+def test_engine_config_roundtrip():
+    # a fitted engine: partitions and rules induced from random data
+    rng = np.random.default_rng(23)
+    records = rng.uniform(0.0, 10.0, (60, 3))
+    labels = rng.integers(0, 2, 60)
+    inputs = [uniform_partition(f"x{i}", 0.0, 10.0, 3) for i in range(3)]
+    ant, weights, classes = induce_rule_matrix(
+        records, labels, inputs, InductionConfig()
+    )
+    engine = CompiledFIS(
+        inputs, class_output_variable(), ant, weights, classes, 1001, 0.5
+    )
+    again = CompiledFIS.from_config(engine.to_config())
+    assert np.array_equal(again.antecedents, engine.antecedents)
+    assert np.array_equal(again.weights, engine.weights)
+    assert np.array_equal(again.consequents, engine.consequents)
+
+    # an expert model whose second rule leaves input u unconstrained (-1)
+    base = two_input_config()
+    config = FISConfig(
+        base.inputs, base.output,
+        (base.rules[0], Rule((("v", "high"),), "positive", 0.75)),
+        resolution=501, decision_threshold=0.4,
+    )
+    compiled = CompiledFIS.from_config(config)
+    assert compiled.antecedents[1].tolist() == [-1, 1]
+    assert compiled.to_config() == config
 
 
 def test_model_file_errors(tmp_path):

@@ -110,6 +110,34 @@ def test_antecedents_unique_and_count_bounded():
         assert all(0.0 <= r.weight <= 1.0 for r in rules)
 
 
+def test_rule_matrix_matches_oracle_with_ties():
+    # records drawn from a few grid points: peaks and crossovers give equal
+    # degrees within an input, and repeated points give equal keys and
+    # equal weights across records
+    rng = np.random.default_rng(300)
+    points = np.array([0.0, 2.5, 5.0, 7.5, 10.0])
+    for _ in range(60):
+        n = int(rng.integers(1, 50))
+        m = int(rng.integers(1, 4))
+        k = int(rng.integers(2, 5))
+        min_weight = float(rng.choice([0.0, 0.25, 0.5]))
+        records = rng.choice(points, (n, m))
+        labels = rng.integers(0, 2, n)
+        inputs = [uniform_partition(f"v{i}", 0.0, 10.0, k) for i in range(m)]
+        ant, weights, classes = induce_rule_matrix(
+            records, labels, inputs, InductionConfig(k, min_weight)
+        )
+        expected = [
+            rule for rule in oracle.induce(
+                records, labels, [oracle.variable_params(v) for v in inputs]
+            )
+            if rule[1] >= min_weight
+        ]
+        assert [tuple(row) for row in ant.tolist()] == [e[0] for e in expected]
+        assert weights.tolist() == [e[1] for e in expected]
+        assert classes.tolist() == [e[2] for e in expected]
+
+
 def test_permutation_changes_only_tie_resolution():
     rng = np.random.default_rng(200)
     records = rng.uniform(0, 10, (25, 2))
