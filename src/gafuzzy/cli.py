@@ -264,16 +264,15 @@ def cmd_select(args: argparse.Namespace) -> int:
         workers=workers, on_generation=log, master_seed=master,
     )
 
-    # expert rules, when supplied, replace the induced rules of the final model
+    # expert rules, when supplied, replace the induced rules of the final
+    # model, and the reported accuracy is that of the model saved
     rules_path = cfg.get("paths", "rules", "rules", None, str)
-    model = result.model
     if rules_path:
-        expert = rule_learning.load_expert_rules(rules_path, model)
-        model = fuzzy.FISConfig(
-            model.inputs, model.output, expert,
-            model.resolution, model.decision_threshold,
+        expert = rule_learning.load_expert_rules(rules_path, result.model)
+        result.model, predicted, y_test = selector.holdout_evaluation(
+            data, result.best_mask, fcfg, icfg, expert
         )
-        result.model = model
+        result.accuracy = float(np.mean(predicted == y_test))
 
     full_mask = tuple([1] * data.n_features)
     _, base_pred, base_labels = selector.holdout_evaluation(
@@ -290,7 +289,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     )
 
     selector.save_result(result, out_dir / RESULT_FILE)
-    fuzzy.save_model(model, out_dir / MODEL_FILE)
+    fuzzy.save_model(result.model, out_dir / MODEL_FILE)
     ev.save_baseline(baseline, out_dir / BASELINE_FILE)
     save_trace_csv(result.trace, out_dir / TRACE_FILE)
 
@@ -358,13 +357,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     crisp = engine.crisp_values(strengths)
     labels = (crisp >= model.decision_threshold).astype(int)
     term_names = model.output.term_names
+    texts = [rule_learning.format_rule(r, model.output.name) for r in model.rules]
+    if model.rules:
+        top = strengths.argmax(axis=1)
+        top_strength = strengths[np.arange(len(top)), top]
     for i in range(records.shape[0]):
-        if model.rules and strengths[i].max() > 0:
-            top = int(np.argmax(strengths[i]))
-            top_text = rule_learning.format_rule(
-                model.rules[top], model.output.name
-            )
-            top_part = f"top_rule=[{top_text}] strength={strengths[i][top]:.4f}"
+        if model.rules and top_strength[i] > 0:
+            top_part = f"top_rule=[{texts[top[i]]}] strength={top_strength[i]:.4f}"
         else:
             top_part = "top_rule=none (no rule fired)"
         print(

@@ -4,7 +4,8 @@ Membership functions, linguistic variables and if-then rules, evaluated
 with min conjunction, clip implication, max aggregation and centroid
 defuzzification over a uniform sample grid. A compiled engine backs both
 the single-record API and the batch classifier so the two can never
-disagree.
+disagree. The fitness path builds degree tables once per CV fold; rule
+strengths are a running minimum and the centroid runs in fixed row blocks.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import ArityMismatch, ConfigError, NoRules, UnknownTerm
 from .jsonio import read_json, write_json
 
 COVERAGE_GRID = 129  # sample count for the coverage sanity check
+BLOCK_BYTES = 128 * 1024  # one defuzzification temporary: 16 rows at 1001
 
 
 @dataclass(frozen=True)
@@ -279,36 +281,31 @@ class CompiledFIS:
         )
 
     def degree_table(self, records: np.ndarray) -> np.ndarray:
-        """Clamped membership degrees, shape (m, T_max, N)."""
-        records = np.atleast_2d(np.asarray(records, dtype=float))
-        if records.shape[1] != len(self.inputs):
-            raise ArityMismatch(
-                f"record has {records.shape[1]} values, expected {len(self.inputs)}"
-            )
-        n = records.shape[0]
-        t_max = max(len(v.terms) for v in self.inputs)
-        table = np.ones((len(self.inputs), t_max + 1, n))  # last slot: sentinel 1
-        for i, var in enumerate(self.inputs):
-            table[i, : len(var.terms)] = var.degrees(records[:, i])
-        return table
+        """Clamped membership degrees, shape (m, T_max + 1, N)."""
+        return degree_table(self.inputs, records)
 
     def strength_matrix(self, records: np.ndarray) -> np.ndarray:
         """Rule firing strengths, shape (N, R)."""
-        table = self.degree_table(records)
+        return self.table_strengths(self.degree_table(records))
+
+    def table_strengths(self, table: np.ndarray) -> np.ndarray:
+        """Rule firing strengths, (N, R), from a degree table of this
+        engine's inputs: an exact running minimum, no (R, m, N) gather."""
         if self.n_rules == 0:
             return np.zeros((table.shape[2], 0))
-        m = len(self.inputs)
         idx = np.where(self.antecedents >= 0, self.antecedents, table.shape[1] - 1)
-        gathered = table[np.arange(m)[None, :], idx, :]  # (R, m, N)
-        strengths = self.weights[:, None] * gathered.min(axis=1)
-        return strengths.T
+        weakest = table[0, idx[:, 0]]  # (R, N), a copy
+        for i in range(1, len(self.inputs)):
+            np.minimum(weakest, table[i, idx[:, i]], out=weakest)
+        return (self.weights[:, None] * weakest).T
 
     def crisp_values(self, strengths: np.ndarray) -> np.ndarray:
         """Centroid of the clipped-and-aggregated output, per record."""
         n = strengths.shape[0]
         lo, hi = self.output.universe
+        midpoint = (lo + hi) / 2.0
         if self.n_rules == 0:
-            return np.full(n, (lo + hi) / 2.0)
+            return np.full(n, midpoint)
         n_terms = self.term_samples.shape[0]
         # max over rules then clip per term equals clip per rule then max
         per_term = np.full((n, n_terms), -np.inf)
@@ -316,15 +313,21 @@ class CompiledFIS:
             cols = self.consequents == t
             if np.any(cols):
                 per_term[:, t] = strengths[:, cols].max(axis=1)
-        agg = np.zeros((n, self.resolution))
-        for t in range(n_terms):
-            clipped = np.minimum(per_term[:, t][:, None], self.term_samples[t][None, :])
-            np.maximum(agg, clipped, out=agg)
-        # row-wise pairwise sums keep results independent of the batch size,
-        # so one record through predict() equals the same record in a batch
-        num = (agg * self.grid).sum(axis=1)
-        den = agg.sum(axis=1)
-        midpoint = (lo + hi) / 2.0
+        # row-wise pairwise sums do not depend on the rows summed at once,
+        # so blocks keep the bits and predict() is independent of batch size
+        rows = max(1, BLOCK_BYTES // (8 * self.resolution))
+        agg = np.empty((min(rows, n), self.resolution))
+        scratch = np.empty_like(agg)
+        num, den = np.empty(n), np.empty(n)
+        for start in range(0, n, rows):
+            block = slice(start, min(start + rows, n))
+            a, s = agg[: block.stop - start], scratch[: block.stop - start]
+            a.fill(0.0)
+            for t in range(n_terms):
+                np.minimum(per_term[block, t, None], self.term_samples[t], out=s)
+                np.maximum(a, s, out=a)
+            num[block] = np.multiply(a, self.grid, out=s).sum(axis=1)
+            den[block] = a.sum(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
             crisp = np.where(den > 0.0, num / den, midpoint)
         return crisp
@@ -334,6 +337,23 @@ class CompiledFIS:
         crisp = self.crisp_values(strengths)
         labels = (crisp >= self.decision_threshold).astype(np.int64)
         return crisp, labels
+
+
+def degree_table(inputs: Sequence[LinguisticVariable],
+                 records: np.ndarray) -> np.ndarray:
+    """Degrees of every term of every input at the (N, m) records, clamped
+    to each universe, shape (m, T_max + 1, N). The last slot of every input
+    is a sentinel 1, the degree of an input a rule leaves unconstrained."""
+    records = np.atleast_2d(np.asarray(records, dtype=float))
+    if records.shape[1] != len(inputs):
+        raise ArityMismatch(
+            f"record has {records.shape[1]} values, expected {len(inputs)}"
+        )
+    t_max = max(len(v.terms) for v in inputs)
+    table = np.ones((len(inputs), t_max + 1, records.shape[0]))
+    for i, var in enumerate(inputs):
+        table[i, : len(var.terms)] = var.degrees(records[:, i])
+    return table
 
 
 # --- public operations -------------------------------------------------------

@@ -5,8 +5,8 @@ every training record proposes the rule made of its maximum-degree term
 per input, weighted by the product of those degrees. Conflicting proposals
 for the same antecedent keep the heaviest, the earliest on ties, and the
 surviving rules are ordered by the first record that proposed them.
-`induce_rule_matrix` does this in index form for the CV folds and the final
-model alike; `induce_rules` names its result.
+`induce_rule_matrix` runs `rule_proposals` and `keep_heaviest` in index
+form, as compiled CV splits do per mask; `induce_rules` names its result.
 """
 
 from __future__ import annotations
@@ -35,41 +35,54 @@ class InductionConfig:
             raise ConfigError("min_rule_weight must lie in [0, 1]")
 
 
+def rule_proposals(
+    records: np.ndarray, inputs: Sequence[LinguisticVariable]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each record's strongest term of each input (the earlier term on equal
+    degrees) and its degree, both (N, m)."""
+    terms = np.zeros(records.shape, dtype=np.int64)
+    degrees = np.zeros(records.shape)
+    for i, var in enumerate(inputs):
+        table = var.degrees(records[:, i])  # (T, N)
+        terms[:, i] = table.argmax(axis=0)
+        degrees[:, i] = table.max(axis=0)
+    return terms, degrees
+
+
+def keep_heaviest(terms: np.ndarray, degrees: np.ndarray, labels: np.ndarray,
+                  cfg: InductionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weigh each proposal by the product of its degrees in input order and
+    keep the heaviest per antecedent. Returns (antecedents (R, m), weights
+    (R,), classes (R,)) in order of each antecedent's first proposer."""
+    n = len(terms)
+    weights = np.ones(n)
+    for column in degrees.T:
+        weights *= column
+    # group equal antecedents, heaviest first and earliest on ties; the
+    # columns are sort keys themselves, so no combined key can overflow
+    order = np.lexsort((np.arange(n), -weights, *terms.T))
+    ants = terms[order]
+    starts = np.flatnonzero(np.r_[True, (ants[1:] != ants[:-1]).any(axis=1)])
+    first_seen = np.minimum.reduceat(order, starts)
+    rows = order[starts][np.argsort(first_seen)]
+    keep = rows[weights[rows] >= cfg.min_rule_weight]
+    return terms[keep], weights[keep], np.asarray(labels, dtype=np.int64)[keep]
+
+
 def induce_rule_matrix(
     records: np.ndarray,
     labels: np.ndarray,
     inputs: Sequence[LinguisticVariable],
     cfg: InductionConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate-and-filter induction in index form.
-
-    Every record proposes the strongest term of each input (the earlier
-    term on equal degrees), weighted by the product of those degrees.
-    Returns (antecedents (R, m), weights (R,), classes (R,)), ordered by the
-    first record that proposed each surviving antecedent.
-    """
+    """Candidate-and-filter induction in index form."""
     if len(records) == 0:
         raise EmptyTrainingSet("cannot induce rules from an empty training set")
     records = np.asarray(records, dtype=float)
-    n, m = records.shape
+    m = records.shape[1]
     if m != len(inputs):
         raise ArityMismatch(f"{m} columns for {len(inputs)} input variables")
-    term_idx = np.zeros((n, m), dtype=np.int64)
-    weights = np.ones(n)
-    for i, var in enumerate(inputs):
-        degrees = var.degrees(records[:, i])  # (T, N)
-        term_idx[:, i] = degrees.argmax(axis=0)
-        weights *= degrees.max(axis=0)
-
-    # group equal antecedents, heaviest first and earliest on ties; the
-    # columns are sort keys themselves, so no combined key can overflow
-    order = np.lexsort((np.arange(n), -weights, *term_idx.T))
-    ants = term_idx[order]
-    starts = np.flatnonzero(np.r_[True, (ants[1:] != ants[:-1]).any(axis=1)])
-    first_seen = np.minimum.reduceat(order, starts)
-    rows = order[starts][np.argsort(first_seen)]
-    keep = rows[weights[rows] >= cfg.min_rule_weight]
-    return term_idx[keep], weights[keep], np.asarray(labels, dtype=np.int64)[keep]
+    return keep_heaviest(*rule_proposals(records, inputs), labels, cfg)
 
 
 def induce_rules(

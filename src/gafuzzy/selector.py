@@ -20,7 +20,9 @@ from .fuzzy import (
     CompiledFIS,
     FISConfig,
     LinguisticVariable,
+    Rule,
     class_output_variable,
+    degree_table,
     uniform_partition,
 )
 from .ga import (
@@ -33,7 +35,7 @@ from .ga import (
     string_to_mask,
 )
 from .jsonio import read_json, write_json
-from .rule_learning import InductionConfig, induce_rule_matrix
+from .rule_learning import InductionConfig, keep_heaviest, rule_proposals
 
 BRUTE_FORCE_LIMIT = 16
 
@@ -121,10 +123,8 @@ def build_input_variables(
     ]
 
 
-def _masked_columns(
-    data: Dataset, mask: Mask
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The records restricted to the masked features, and their names."""
+def _kept_columns(data: Dataset, mask: Mask) -> list[int]:
+    """The column indices the mask keeps."""
     if len(mask) != data.n_features:
         raise LengthMismatch(
             f"mask length {len(mask)} != {data.n_features} features"
@@ -132,27 +132,41 @@ def _masked_columns(
     kept = [i for i, bit in enumerate(mask) if bit]
     if not kept:
         raise EmptyMask("cannot select an empty feature set")
-    names = tuple(data.schema.feature_names[i] for i in kept)
-    return data.records[:, kept], names
+    return kept
 
 
-def _fit(
-    x_train: np.ndarray,
-    names: Sequence[str],
-    y_train: np.ndarray,
-    output: LinguisticVariable,
-    fcfg: "FitnessConfig",
-    icfg: InductionConfig,
-) -> CompiledFIS:
-    """The only place a classifier is trained: partitions spanning the
-    training columns, then rules induced from the training rows. CV folds
-    and the final model both come from here."""
-    inputs = build_input_variables(x_train, names, icfg.partitions_per_input)
-    ant, weights, classes = induce_rule_matrix(x_train, y_train, inputs, icfg)
-    return CompiledFIS(
-        inputs, output, ant, weights, classes,
-        fcfg.resolution, fcfg.decision_threshold,
-    )
+class CompiledSplit:
+    """A CV fold, the reporting holdout or the final model's training rows,
+    compiled for every feature from the training rows only. None of it
+    depends on the mask, so fitting a mask slices columns and runs
+    keep-heaviest. This is the only place a classifier is trained."""
+
+    def __init__(self, data: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
+                 fcfg: "FitnessConfig", icfg: InductionConfig):
+        x_train = data.records[train_idx]
+        self.inputs = build_input_variables(
+            x_train, data.schema.feature_names, icfg.partitions_per_input
+        )
+        self.output = class_output_variable(data.schema.label_name)
+        self.terms, self.degrees = rule_proposals(x_train, self.inputs)
+        self.y_train = data.labels[train_idx]
+        self.table = degree_table(self.inputs, data.records[test_idx])
+        self.y_test = data.labels[test_idx]
+        self.fcfg, self.icfg = fcfg, icfg
+
+    def fit(self, kept: list[int]) -> CompiledFIS:
+        ant, weights, classes = keep_heaviest(
+            self.terms[:, kept], self.degrees[:, kept], self.y_train, self.icfg
+        )
+        return CompiledFIS(
+            [self.inputs[i] for i in kept], self.output, ant, weights, classes,
+            self.fcfg.resolution, self.fcfg.decision_threshold,
+        )
+
+    def predict(self, engine: CompiledFIS, kept: list[int]) -> np.ndarray:
+        """Labels of the test rows by an engine over the kept partitions."""
+        crisp = engine.crisp_values(engine.table_strengths(self.table[kept]))
+        return (crisp >= engine.decision_threshold).astype(np.int64)
 
 
 def _cv_accuracy(
@@ -160,17 +174,13 @@ def _cv_accuracy(
     data: Dataset,
     fcfg: "FitnessConfig",
     icfg: InductionConfig,
-    folds: list[tuple[np.ndarray, np.ndarray]],
+    folds: list[CompiledSplit],
 ) -> float:
-    records, names = _masked_columns(data, mask)
-    output = class_output_variable(data.schema.label_name)
-    accs = []
-    for train_idx, test_idx in folds:
-        engine = _fit(
-            records[train_idx], names, data.labels[train_idx], output, fcfg, icfg
-        )
-        _, predicted = engine.predict(records[test_idx])
-        accs.append(float(np.mean(predicted == data.labels[test_idx])))
+    kept = _kept_columns(data, mask)
+    accs = [
+        float(np.mean(fold.predict(fold.fit(kept), kept) == fold.y_test))
+        for fold in folds
+    ]
     return float(np.mean(accs))
 
 
@@ -180,7 +190,7 @@ class FitnessEvaluator:
     cost. This callable is the package's only fitness path.
 
     The split depends only on labels and the plan seed, so the folds are
-    computed once and shared by every mask; values are memoized per mask.
+    compiled once and shared by every mask; values are memoized per mask.
     """
 
     def __init__(
@@ -194,7 +204,8 @@ class FitnessEvaluator:
         self.costs = costs
         self.fcfg = fcfg
         self.icfg = icfg
-        self._folds = stratified_split(data, fcfg.evaluation)
+        folds = stratified_split(data, fcfg.evaluation)
+        self._folds = [CompiledSplit(data, *fold, fcfg, icfg) for fold in folds]
         self._cache: dict[Mask, float] = {}
 
     @property
@@ -226,11 +237,8 @@ def train_final_classifier(
     train_idx: np.ndarray,
 ) -> FISConfig:
     """Fit partitions and rules on the given training rows of the masked data."""
-    records, names = _masked_columns(data, mask)
-    output = class_output_variable(data.schema.label_name)
-    return _fit(
-        records[train_idx], names, data.labels[train_idx], output, fcfg, icfg
-    ).to_config()
+    split = CompiledSplit(data, train_idx, train_idx[:0], fcfg, icfg)
+    return split.fit(_kept_columns(data, mask)).to_config()
 
 
 def holdout_evaluation(
@@ -238,20 +246,20 @@ def holdout_evaluation(
     mask: Mask,
     fcfg: FitnessConfig,
     icfg: InductionConfig,
+    rules: tuple[Rule, ...] | None = None,
 ) -> tuple[FISConfig, np.ndarray, np.ndarray]:
     """Train on the reporting split's training side, score the held-out side.
 
-    Returns (model, predictions, test labels).
+    Given rules, such as an expert rule base, replace the induced ones
+    before scoring. Returns (model, predictions, test labels).
     """
-    plan = fcfg.resolved_report_plan()
-    (train_idx, test_idx), = stratified_split(data, plan)
-    records, names = _masked_columns(data, mask)
-    output = class_output_variable(data.schema.label_name)
-    engine = _fit(
-        records[train_idx], names, data.labels[train_idx], output, fcfg, icfg
-    )
-    _, predicted = engine.predict(records[test_idx])
-    return engine.to_config(), predicted, data.labels[test_idx]
+    kept = _kept_columns(data, mask)
+    (train_idx, test_idx), = stratified_split(data, fcfg.resolved_report_plan())
+    split = CompiledSplit(data, train_idx, test_idx, fcfg, icfg)
+    engine = split.fit(kept)
+    if rules is not None:
+        engine = CompiledFIS.from_config(replace(engine.to_config(), rules=rules))
+    return engine.to_config(), split.predict(engine, kept), split.y_test
 
 
 def run_selection(

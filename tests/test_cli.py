@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from gafuzzy.cli import _packaged, main
+from gafuzzy.dataset import stratified_split
 from gafuzzy.fuzzy import (
     FISConfig,
     LinguisticVariable,
     Rule,
     Triangular,
     class_output_variable,
+    load_model,
+    predict,
     save_model,
 )
+from gafuzzy.selector import FitnessConfig
 
 PIMA_ARGS = [
     "--data", str(_packaged("pima.csv")),
@@ -118,11 +122,14 @@ def test_select_with_impute_and_config_file(tmp_path):
     assert result["provenance"]["master_seed"] == 11
 
 
-def test_select_with_expert_rules(tmp_path):
-    # first run reveals which features get selected for this seed
+EXPERT_ARGV = ["select", *PIMA_ARGS, "--seed", "21", *FAST]
+
+
+def run_with_expert_rules(tmp_path):
+    """A plain run, then the same run with a two-rule expert file over the
+    features it selected; returns both output directories."""
     out = tmp_path / "plain"
-    argv = ["select", *PIMA_ARGS, "--seed", "21", *FAST]
-    assert main([*argv, "--out", str(out)]) == 0
+    assert main([*EXPERT_ARGV, "--out", str(out)]) == 0
     model = json.loads((out / "model.json").read_text())
     names = [v["name"] for v in model["inputs"]]
 
@@ -133,17 +140,39 @@ def test_select_with_expert_rules(tmp_path):
         f"IF {names[0]} IS low THEN outcome IS negative WEIGHT 0.5\n"
     )
     out2 = tmp_path / "expert"
-    assert main([*argv, "--out", str(out2), "--rules", str(rules_file)]) == 0
+    assert main([*EXPERT_ARGV, "--out", str(out2), "--rules", str(rules_file)]) == 0
+    return out, out2
+
+
+def test_select_with_expert_rules(tmp_path):
+    # the first run reveals which features get selected for this seed
+    out, out2 = run_with_expert_rules(tmp_path)
     model2 = json.loads((out2 / "model.json").read_text())
     assert len(model2["rules"]) == 2
     assert model2["rules"][1]["weight"] == 0.5
-    # the selection itself is untouched by the expert rules
-    assert (out / "result.json").read_bytes() == (out2 / "result.json").read_bytes()
+    # the selection itself is untouched by the expert rules; only the
+    # accuracy, which scores the saved model, may differ
+    plain, expert = (json.loads((d / "result.json").read_text()) for d in (out, out2))
+    del plain["accuracy"], expert["accuracy"]
+    assert plain == expert
 
     bad_rules = tmp_path / "bad.rules"
     bad_rules.write_text("IF unicorn IS high THEN outcome IS positive\n")
-    assert main([*argv, "--out", str(tmp_path / "x"),
+    assert main([*EXPERT_ARGV, "--out", str(tmp_path / "x"),
                  "--rules", str(bad_rules)]) == 2
+
+
+def test_expert_rules_accuracy_scores_saved_model(tmp_path, pima_data, capsys):
+    _, out = run_with_expert_rules(tmp_path)
+    result = json.loads((out / "result.json").read_text())
+    plan = FitnessConfig.from_master_seed(21).resolved_report_plan()
+    (_, test_idx), = stratified_split(pima_data, plan)
+    kept = [i for i, bit in enumerate(result["best_mask"]) if bit == "1"]
+    _, labels = predict(load_model(out / "model.json"),
+                        pima_data.records[test_idx][:, kept])
+    accuracy = float(np.mean(labels == pima_data.labels[test_idx]))
+    assert result["accuracy"] == accuracy
+    assert f"holdout accuracy: {accuracy:.4f} " in capsys.readouterr().out
 
 
 def test_flag_overrides_config(tmp_path):
@@ -189,6 +218,29 @@ def test_classify_golden_record(tmp_path, capsys):
     assert "crisp=0.422494" in out
     assert "class=negative (0)" in out
     assert "top_rule=[IF u IS high AND v IS low THEN outcome IS negative]" in out
+
+
+def test_classify_lines_for_fired_unfired_and_empty_models(tmp_path, capsys):
+    # each record names its strongest rule, or says that none fired; a
+    # model without rules fires none and sits on the midpoint
+    model = golden_model(tmp_path)
+    records = tmp_path / "records.csv"
+    records.write_text("u,v\n6,30\n0,100\n10,100\n")
+    assert main(["classify", "--model", str(model), "--data", str(records)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "record 1: crisp=0.422494 class=negative (0) top_rule=[IF u IS high "
+        "AND v IS low THEN outcome IS negative] strength=0.6000",
+        "record 2: crisp=0.500000 class=positive (1) top_rule=none (no rule fired)",
+        "record 3: crisp=0.667000 class=positive (1) top_rule=[IF u IS high "
+        "AND v IS high THEN outcome IS positive] strength=1.0000",
+    ]
+    config = load_model(model)
+    save_model(FISConfig(config.inputs, config.output, ()), model)
+    assert main(["classify", "--model", str(model), "--data", str(records)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"record {i}: crisp=0.500000 class=positive (1) top_rule=none (no rule fired)"
+        for i in (1, 2, 3)
+    ]
 
 
 def test_classify_headerless_and_column_reorder(tmp_path, capsys):

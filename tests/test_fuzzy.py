@@ -6,6 +6,7 @@ import pytest
 
 from gafuzzy.errors import ArityMismatch, ConfigError, NoRules, UnknownTerm
 from gafuzzy.fuzzy import (
+    BLOCK_BYTES,
     CompiledFIS,
     FISConfig,
     Gaussian,
@@ -396,6 +397,32 @@ def test_predict_matches_infer_loop():
         single = infer(config, records[i])
         assert single.crisp == crisp[i]
         assert single.label == labels[i]
+
+
+@pytest.mark.parametrize("resolution, n_out", [(1001, 2), (1001, 3), (501, 2)])
+def test_blocked_centroid_equals_per_row_calls(resolution, n_out):
+    # crisp_values defuzzifies in blocks of rows; every block boundary must
+    # give the bits of one-row calls, including all-zero rows (the midpoint)
+    # and equal class strengths (on the threshold up to rounding)
+    var = uniform_partition("x", 0.0, 10.0, 3)
+    output = uniform_partition("out", 0.0, 1.0, n_out)
+    consequents = np.arange(6) % n_out
+    engine = CompiledFIS(
+        [var], output, np.zeros((6, 1)), np.ones(6), consequents, resolution, 0.5
+    )
+    block = BLOCK_BYTES // (8 * resolution)
+    rng = np.random.default_rng(resolution + n_out)
+    for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+        strengths = rng.uniform(0.0, 1.0, (n, 6))
+        strengths[::4] = 0.0
+        strengths[1::4, 1] = strengths[1::4, 0]  # terms 0 and 1 tie
+        strengths[1::4, 2:] = 0.0
+        whole = engine.crisp_values(strengths)
+        rows = [engine.crisp_values(strengths[i : i + 1]) for i in range(n)]
+        assert whole.shape == (n,)
+        assert whole.tobytes() == np.concatenate([np.empty(0), *rows]).tobytes()
+        if n:
+            assert np.all(whole[::4] == 0.5)
 
 
 def test_compiled_grouping_matches_per_rule_definition():

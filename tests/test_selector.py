@@ -5,17 +5,21 @@ import pytest
 
 from gafuzzy.dataset import CostTable, mask_cost, stratified_split
 from gafuzzy.errors import EmptyMask, LengthMismatch, TooManyFeatures
+from gafuzzy.fuzzy import CompiledFIS, class_output_variable
 from gafuzzy.ga import GAParams
-from gafuzzy.rule_learning import InductionConfig
+from gafuzzy.rule_learning import InductionConfig, induce_rule_matrix
 from gafuzzy import selector
 from gafuzzy.selector import (
     FitnessConfig,
     FitnessEvaluator,
     brute_force_selection,
+    build_input_variables,
     derive_seed,
+    holdout_evaluation,
     load_result,
     run_selection,
     save_result,
+    train_final_classifier,
 )
 
 import oracle
@@ -81,6 +85,59 @@ def test_memoized_equals_direct(toy4, toy4_costs):
         assert first == evaluator(mask)  # cache hit, same value
         assert first == fresh_fitness(mask, toy4, toy4_costs, fcfg, ICFG)
     assert evaluator.evaluations == 15
+
+
+SPLIT_MASKS = [
+    (1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1),
+    (0, 1, 0, 0, 0, 1, 0, 0), (1, 0, 1, 0, 1, 0, 1, 0), (0, 1, 1, 0, 0, 1, 1, 1),
+    (1, 1, 1, 1, 1, 1, 1, 1),
+]
+
+
+def plain_fit(data, mask, train_idx, fcfg):
+    """A classifier trained on the masked training rows by the plain
+    composition of partitions, induction and the engine."""
+    kept = [i for i, bit in enumerate(mask) if bit]
+    x_train = data.records[train_idx][:, kept]
+    names = [data.schema.feature_names[i] for i in kept]
+    inputs = build_input_variables(x_train, names, ICFG.partitions_per_input)
+    ant, weights, classes = induce_rule_matrix(
+        x_train, data.labels[train_idx], inputs, ICFG
+    )
+    output = class_output_variable(data.schema.label_name)
+    return kept, CompiledFIS(inputs, output, ant, weights, classes,
+                             fcfg.resolution, fcfg.decision_threshold)
+
+
+@pytest.mark.parametrize("master", [1, 2, 3])
+def test_compiled_splits_equal_plain_training(master, pima_data, pima_costs):
+    # the per-fold precompute must not change a single bit of any fitness
+    # value, holdout prediction or final model
+    fcfg = FitnessConfig.from_master_seed(master)
+    evaluator = FitnessEvaluator(pima_data, pima_costs, fcfg, ICFG)
+    folds = stratified_split(pima_data, fcfg.evaluation)
+    (hold_train, hold_test), = stratified_split(
+        pima_data, fcfg.resolved_report_plan()
+    )
+    for mask in SPLIT_MASKS:
+        accs = []
+        for train_idx, test_idx in folds:
+            kept, engine = plain_fit(pima_data, mask, train_idx, fcfg)
+            _, predicted = engine.predict(pima_data.records[test_idx][:, kept])
+            accs.append(float(np.mean(predicted == pima_data.labels[test_idx])))
+        penalty = (fcfg.cost_weight * mask_cost(mask, pima_costs)
+                   / pima_costs.total_cost)
+        assert evaluator(mask) == float(np.mean(accs)) - penalty, mask
+
+        kept, engine = plain_fit(pima_data, mask, hold_train, fcfg)
+        model, predicted, labels = holdout_evaluation(pima_data, mask, fcfg, ICFG)
+        assert model == engine.to_config()
+        _, expected = engine.predict(pima_data.records[hold_test][:, kept])
+        assert np.array_equal(predicted, expected)
+        assert np.array_equal(labels, pima_data.labels[hold_test])
+        assert train_final_classifier(
+            pima_data, mask, fcfg, ICFG, hold_train
+        ) == model
 
 
 # --- scalarization properties (stubbed accuracy) --------------------------------
