@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import sys
 from importlib.resources import files
 from pathlib import Path
@@ -96,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="drop induced rules lighter than this (default 0)")
     p_select.add_argument("--rules", help="expert rule file for the final model")
     p_select.add_argument("--workers", type=int,
-                          help="threads for fitness evaluation (default 1)")
+                          help="ignored; kept so that older scripts still run")
 
     p_classify = sub.add_parser(
         "classify", parents=[common], help="classify records with a saved model"
@@ -200,8 +201,7 @@ def _selection_configs(cfg: RunConfig):
             "induction", "min_rule_weight", "min_rule_weight", 0.0, float
         ),
     )
-    workers = cfg.get("run", "workers", "workers", 1, int)
-    return master, params, fcfg, icfg, workers
+    return master, params, fcfg, icfg
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -246,7 +246,7 @@ def _maybe_impute(cfg: RunConfig, data: ds.Dataset,
 def cmd_select(args: argparse.Namespace) -> int:
     cfg = RunConfig(args)
     data, costs = _load_inputs(cfg)
-    master, params, fcfg, icfg, workers = _selection_configs(cfg)
+    master, params, fcfg, icfg = _selection_configs(cfg)
     data = _maybe_impute(cfg, data, fcfg)
 
     out_dir = Path(cfg.get("paths", "out", "out", DEFAULT_OUT, str))
@@ -260,8 +260,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         )
 
     result = selector.run_selection(
-        data, costs, params, fcfg, icfg,
-        workers=workers, on_generation=log, master_seed=master,
+        data, costs, params, fcfg, icfg, on_generation=log, master_seed=master
     )
 
     # expert rules, when supplied, replace the induced rules of the final
@@ -308,6 +307,7 @@ def _read_records_csv(path: Path, input_names: tuple[str, ...]) -> np.ndarray:
 
     With a header, columns are matched by name (any order, extras allowed);
     without one, the column count must equal the model's input count.
+    NaN and infinite values are rejected with their row number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
@@ -319,28 +319,26 @@ def _read_records_csv(path: Path, input_names: tuple[str, ...]) -> np.ndarray:
         rows = rows[1:]
         if not rows:
             raise ConfigError(f"{path}: no data rows after header")
+    columns = range(len(input_names))
+    if header is not None:
+        missing = [n for n in input_names if n not in header]
+        if missing:
+            raise ArityMismatch(f"{path}: header lacks model inputs {missing}")
+        columns = [header.index(n) for n in input_names]
     records = []
     for row_no, row in enumerate(rows, start=2 if header else 1):
-        if header is not None:
-            missing = [n for n in input_names if n not in header]
-            if missing:
-                raise ArityMismatch(
-                    f"{path}: header lacks model inputs {missing}"
-                )
-            try:
-                records.append([float(row[header.index(n)]) for n in input_names])
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"{path} row {row_no}: {exc}") from exc
-        else:
-            if len(row) != len(input_names):
-                raise ArityMismatch(
-                    f"{path} row {row_no}: expected {len(input_names)} values, "
-                    f"got {len(row)}"
-                )
-            try:
-                records.append([float(c) for c in row])
-            except ValueError as exc:
-                raise ConfigError(f"{path} row {row_no}: {exc}") from exc
+        if header is None and len(row) != len(input_names):
+            raise ArityMismatch(
+                f"{path} row {row_no}: expected {len(input_names)} values, "
+                f"got {len(row)}"
+            )
+        try:
+            values = [float(row[c]) for c in columns]
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"{path} row {row_no}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{path} row {row_no}: non-finite value")
+        records.append(values)
     return np.asarray(records)
 
 
@@ -354,8 +352,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     engine = fuzzy.CompiledFIS.from_config(model)
     strengths = engine.strength_matrix(records)
-    crisp = engine.crisp_values(strengths)
-    labels = (crisp >= model.decision_threshold).astype(int)
+    crisp, labels = engine.decide(strengths)
     term_names = model.output.term_names
     texts = [rule_learning.format_rule(r, model.output.name) for r in model.rules]
     if model.rules:

@@ -5,12 +5,14 @@ with min conjunction, clip implication, max aggregation and centroid
 defuzzification over a uniform sample grid. A compiled engine backs both
 the single-record API and the batch classifier so the two can never
 disagree. The fitness path builds degree tables once per CV fold; rule
-strengths are a running minimum and the centroid runs in fixed row blocks.
+strengths are a running minimum and the centroid runs in fixed row blocks
+over an output grid that all engines share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
 
@@ -216,6 +218,20 @@ def index_rules(
 # --- compiled engine --------------------------------------------------------
 
 
+@lru_cache(maxsize=32)
+def output_grid(output: LinguisticVariable,
+                resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The defuzzification grid over the output universe and every output
+    term sampled on it, built once per (variable, resolution) and shared,
+    read-only, by every engine."""
+    lo, hi = output.universe
+    grid = np.linspace(lo, hi, resolution)
+    term_samples = output.degrees(grid)
+    grid.flags.writeable = False
+    term_samples.flags.writeable = False
+    return grid, term_samples
+
+
 class CompiledFIS:
     """Index-based engine, the package's only inference path: infer(),
     predict(), the fitness evaluator and the classify command all run here."""
@@ -239,9 +255,7 @@ class CompiledFIS:
         self.consequents = np.asarray(consequents, dtype=np.int64).reshape(-1)
         self.resolution = resolution
         self.decision_threshold = decision_threshold
-        lo, hi = output.universe
-        self.grid = np.linspace(lo, hi, resolution)
-        self.term_samples = output.degrees(self.grid)
+        self.grid, self.term_samples = output_grid(output, resolution)
         self.n_rules = self.weights.shape[0]
 
     @classmethod
@@ -332,11 +346,15 @@ class CompiledFIS:
             crisp = np.where(den > 0.0, num / den, midpoint)
         return crisp
 
-    def predict(self, records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        strengths = self.strength_matrix(records)
+    def decide(self, strengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(crisp values, class labels) from rule strengths: the package's
+        only decision rule. A record that fires no rule gets the output
+        midpoint, which >= sends to the positive class at threshold 0.5."""
         crisp = self.crisp_values(strengths)
-        labels = (crisp >= self.decision_threshold).astype(np.int64)
-        return crisp, labels
+        return crisp, (crisp >= self.decision_threshold).astype(np.int64)
+
+    def predict(self, records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.decide(self.strength_matrix(records))
 
 
 def degree_table(inputs: Sequence[LinguisticVariable],
@@ -381,9 +399,10 @@ def infer(config: FISConfig, record: Sequence[float]) -> Inference:
     engine = CompiledFIS.from_config(config)
     rec = np.asarray(record, dtype=float)[None, :]
     strengths = engine.strength_matrix(rec)
-    crisp = float(engine.crisp_values(strengths)[0])
-    label = int(crisp >= config.decision_threshold)
-    return Inference(crisp, label, tuple(float(s) for s in strengths[0]))
+    crisp, labels = engine.decide(strengths)
+    return Inference(
+        float(crisp[0]), int(labels[0]), tuple(float(s) for s in strengths[0])
+    )
 
 
 def predict(config: FISConfig, records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,6 @@ orchestrating loop, so a run is a pure function of its parameters.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -158,19 +157,9 @@ def bit_mutation(
 
 
 def _evaluate(
-    fitness_fn: Callable[[Mask], float],
-    individuals: Sequence[Mask],
-    workers: int,
+    fitness_fn: Callable[[Mask], float], individuals: Sequence[Mask]
 ) -> tuple[float, ...]:
-    if workers <= 1:
-        values = [float(fitness_fn(m)) for m in individuals]
-    else:
-        # a cache in fitness_fn cannot stop two threads from missing on the
-        # same mask, so each distinct mask goes to the pool once
-        unique = list(dict.fromkeys(individuals))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            by_mask = dict(zip(unique, pool.map(fitness_fn, unique)))
-        values = [float(by_mask[m]) for m in individuals]
+    values = [float(fitness_fn(m)) for m in individuals]
     if not np.all(np.isfinite(values)):
         raise ConfigError("fitness function returned a non-finite value")
     return tuple(values)
@@ -196,7 +185,6 @@ def evolve(
     params: GAParams,
     length: int,
     fitness_fn: Callable[[Mask], float],
-    workers: int = 1,
     on_generation: Callable[[GenerationStats], None] | None = None,
 ) -> tuple[Mask, float, EvolutionTrace]:
     """Run the full loop and return the best-ever mask, its fitness and the
@@ -206,15 +194,11 @@ def evolve(
     in selection order, crossover then mutate, then overwrite the worst
     children with the best individuals of the previous generation
     (elitism). It stops at max_generations, or once the best fitness has
-    not improved for stagnation_window consecutive generations. Fitness
-    evaluations may run on `workers` threads, which score each distinct
-    mask of a generation once; results are written back by mask and no
-    random draw happens off the orchestrating thread, so for a pure
-    fitness function the outcome does not depend on `workers`.
+    not improved for stagnation_window consecutive generations.
     """
     rng = np.random.default_rng(params.seed)
     pop = init_population(params, length, rng=rng)
-    fits = _evaluate(fitness_fn, pop.individuals, workers)
+    fits = _evaluate(fitness_fn, pop.individuals)
     pop = Population(pop.individuals, fits, 0)
     trace: EvolutionTrace = [_stats(pop)]
     if on_generation:
@@ -240,7 +224,7 @@ def evolve(
             children.append(parents[-1])
         children = [bit_mutation(c, rng, params.mutation_prob) for c in children]
 
-        child_fits = list(_evaluate(fitness_fn, children, workers))
+        child_fits = list(_evaluate(fitness_fn, children))
 
         # elitism: best of the old generation replace the worst children
         old_order = np.lexsort(

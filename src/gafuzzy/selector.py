@@ -165,8 +165,7 @@ class CompiledSplit:
 
     def predict(self, engine: CompiledFIS, kept: list[int]) -> np.ndarray:
         """Labels of the test rows by an engine over the kept partitions."""
-        crisp = engine.crisp_values(engine.table_strengths(self.table[kept]))
-        return (crisp >= engine.decision_threshold).astype(np.int64)
+        return engine.decide(engine.table_strengths(self.table[kept]))[1]
 
 
 def _cv_accuracy(
@@ -268,7 +267,6 @@ def run_selection(
     params: GAParams,
     fcfg: FitnessConfig,
     icfg: InductionConfig,
-    workers: int = 1,
     on_generation=None,
     master_seed: int | None = None,
 ) -> SelectionResult:
@@ -276,8 +274,7 @@ def run_selection(
     a fresh stratified holdout (seeded independently of the CV folds)."""
     evaluator = FitnessEvaluator(data, costs, fcfg, icfg)
     best_mask, best_fit, trace = evolve(
-        params, data.n_features, evaluator, workers=workers,
-        on_generation=on_generation,
+        params, data.n_features, evaluator, on_generation=on_generation
     )
     model, predicted, y_test = holdout_evaluation(data, best_mask, fcfg, icfg)
     accuracy = float(np.mean(predicted == y_test))

@@ -264,6 +264,22 @@ def test_classify_arity_mismatch(tmp_path, capsys):
     assert "expected 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, bad_row", [
+    ("u,v\n6,30\nnan,1\n", 3),
+    ("u,v\n120,inf\n", 2),
+    ("6,30\n-inf,30\n", 2),
+], ids=["nan", "inf", "headerless"])
+def test_classify_rejects_non_finite_values(tmp_path, capsys, rows, bad_row):
+    model = golden_model(tmp_path)
+    records = tmp_path / "records.csv"
+    records.write_text(rows)
+    code = main(["classify", "--model", str(model), "--data", str(records)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"row {bad_row}: non-finite value" in captured.err
+    assert captured.out == ""
+
+
 def test_classify_at_feature_means(tmp_path, capsys, pima_data):
     # train quickly, then classify the per-feature mean record
     out = tmp_path / "out"

@@ -20,6 +20,7 @@ from gafuzzy.fuzzy import (
     config_to_dict,
     infer,
     load_model,
+    output_grid,
     predict,
     save_model,
     uniform_partition,
@@ -423,6 +424,39 @@ def test_blocked_centroid_equals_per_row_calls(resolution, n_out):
         assert whole.tobytes() == np.concatenate([np.empty(0), *rows]).tobytes()
         if n:
             assert np.all(whole[::4] == 0.5)
+
+
+def test_engines_share_one_read_only_output_grid():
+    var = uniform_partition("x", 0.0, 10.0, 3)
+    engines = [
+        CompiledFIS([var], class_output_variable(), np.zeros((1, 1)), [1.0],
+                    [0], 1001, 0.5)
+        for _ in range(2)
+    ]
+    assert engines[0].grid is engines[1].grid
+    assert engines[0].term_samples is engines[1].term_samples
+    grid, samples = output_grid(class_output_variable(), 1001)
+    assert not grid.flags.writeable and not samples.flags.writeable
+    fresh = np.linspace(0.0, 1.0, 1001)
+    assert grid.tobytes() == fresh.tobytes()
+    assert samples.tobytes() == class_output_variable().degrees(fresh).tobytes()
+    assert output_grid(class_output_variable(), 501)[0].shape == (501,)
+
+
+def test_decide_thresholds_crisp_values():
+    config = two_input_config()
+    rng = np.random.default_rng(7)
+    records = np.column_stack([rng.uniform(0, 10, 40), rng.uniform(0, 100, 40)])
+    for threshold in (0.35, 0.5, 0.65):
+        engine = CompiledFIS.from_config(
+            FISConfig(config.inputs, config.output, config.rules,
+                      decision_threshold=threshold)
+        )
+        strengths = engine.strength_matrix(records)
+        crisp, labels = engine.decide(strengths)
+        assert crisp.tobytes() == engine.crisp_values(strengths).tobytes()
+        assert np.array_equal(labels, (crisp >= threshold).astype(np.int64))
+        assert infer(engine.to_config(), records[0]).label == labels[0]
 
 
 def test_compiled_grouping_matches_per_rule_definition():

@@ -77,6 +77,22 @@ def test_fitness_matches_independent_oracle(toy4, toy4_costs):
         assert ours == pytest.approx(theirs, abs=1e-12), mask
 
 
+def test_fitness_matches_oracle_at_non_default_threshold(toy4, toy4_costs):
+    # the fitness path must decide with the configured threshold, not 0.5
+    fcfg = FitnessConfig.from_master_seed(5, decision_threshold=0.35)
+    evaluator = FitnessEvaluator(toy4, toy4_costs, fcfg, ICFG)
+    folds = stratified_split(toy4, fcfg.evaluation)
+    moved = 0
+    for mask in all_masks(4):
+        theirs = oracle.fitness(mask, toy4, toy4_costs, folds,
+                                cost_weight=fcfg.cost_weight, threshold=0.35)
+        assert evaluator(mask) == pytest.approx(theirs, abs=1e-12), mask
+        at_half = oracle.fitness(mask, toy4, toy4_costs, folds,
+                                 cost_weight=fcfg.cost_weight)
+        moved += abs(theirs - at_half) > 1e-12
+    assert moved > 0  # the threshold changes some fitness values
+
+
 def test_memoized_equals_direct(toy4, toy4_costs):
     fcfg = toy_fcfg()
     evaluator = FitnessEvaluator(toy4, toy4_costs, fcfg, ICFG)
@@ -228,12 +244,12 @@ def test_huge_lambda_selects_single_feature(toy4, toy4_costs):
     assert sum(result.best_mask) == 1
 
 
-def test_worker_invariance(toy4, toy4_costs):
+def test_selection_repeatable(toy4, toy4_costs):
     fcfg = toy_fcfg(master=6)
     params = GAParams(population_size=16, max_generations=15,
                       seed=derive_seed(6, "ga"))
-    a = run_selection(toy4, toy4_costs, params, fcfg, ICFG, workers=1)
-    b = run_selection(toy4, toy4_costs, params, fcfg, ICFG, workers=3)
+    a = run_selection(toy4, toy4_costs, params, fcfg, ICFG)
+    b = run_selection(toy4, toy4_costs, params, fcfg, ICFG)
     assert a.best_mask == b.best_mask
     assert a.fitness == b.fitness
     assert a.trace == b.trace
