@@ -39,6 +39,19 @@ BASELINE_FILE = "baseline.json"
 TRACE_FILE = "trace.csv"
 REPORT_FILE = "report.json"
 
+# every [section] key some command reads from a --config file, so one file
+# serves validate, select, classify and report; [run] workers is accepted
+# and ignored, like the --workers flag
+CONFIG_KEYS = {
+    "paths": {"data", "schema", "costs", "out", "rules", "model", "baseline",
+              "result"},
+    "run": {"seed", "impute", "impute_columns", "workers"},
+    "ga": {"population", "pc", "pm", "generations", "stagnation", "elites"},
+    "fitness": {"lambda", "folds"},
+    "fis": {"resolution", "threshold"},
+    "induction": {"partitions", "min_rule_weight"},
+}
+
 
 def _packaged(name: str) -> Path:
     return Path(str(files("gafuzzy").joinpath("data", name)))
@@ -126,8 +139,31 @@ class RunConfig:
             read = self.ini.read(args.config)
             if not read:
                 raise ConfigError(f"config file not found: {args.config}")
+            self._check_keys(args.config)
+
+    def _check_keys(self, path: str) -> None:
+        """Reject a section or key no command reads, so a typo cannot fall
+        back to a default unnoticed. [DEFAULT] keys reach every section."""
+        shared = set(self.ini.defaults())
+        unknown = [
+            f"[DEFAULT] {key}" for key in sorted(shared)
+            if not any(key in keys for keys in CONFIG_KEYS.values())
+        ]
+        for section in self.ini.sections():
+            if section not in CONFIG_KEYS:
+                unknown.append(f"[{section}]")
+                continue
+            unknown += [
+                f"[{section}] {key}" for key in self.ini.options(section)
+                if key not in CONFIG_KEYS[section] and key not in shared
+            ]
+        if unknown:
+            raise ConfigError(
+                f"config file {path}: unknown section or key {', '.join(unknown)}"
+            )
 
     def get(self, section: str, option: str, flag: str | None, default, cast):
+        assert option in CONFIG_KEYS[section], (section, option)
         if flag is not None:
             value = getattr(self.args, flag, None)
             if value is not None:

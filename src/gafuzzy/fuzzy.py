@@ -4,9 +4,17 @@ Membership functions, linguistic variables and if-then rules, evaluated
 with min conjunction, clip implication, max aggregation and centroid
 defuzzification over a uniform sample grid. A compiled engine backs both
 the single-record API and the batch classifier so the two can never
-disagree. The fitness path builds degree tables once per CV fold; rule
-strengths are a running minimum and the centroid runs in fixed row blocks
-over an output grid that all engines share.
+disagree. The fitness path builds degree tables once per CV fold and rule
+strengths are a running minimum.
+
+The centroid is the grid's, sum(agg(x_i) * x_i) / sum(agg(x_i)) over an
+output grid that all engines share, but it is not summed point by point:
+with triangular and trapezoidal output terms the aggregate is linear
+between a few breakpoints, so each run of grid indices between two of them
+is an arithmetic series (Van Leekwijck & Kerre, Defuzzification: criteria
+and classification, FSS 108, 1999). Rows within CLOSE of the decision
+threshold, and outputs with a Gaussian term or a vertical inner edge, are
+summed on the grid, so every label is the grid centroid's.
 """
 
 from __future__ import annotations
@@ -23,6 +31,9 @@ from .jsonio import read_json, write_json
 
 COVERAGE_GRID = 129  # sample count for the coverage sanity check
 BLOCK_BYTES = 128 * 1024  # one defuzzification temporary: 16 rows at 1001
+# closed-form centroids this close to the decision threshold are recomputed
+# by the grid sum, which then decides the label; the two differ by ~1e-15
+CLOSE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -232,6 +243,52 @@ def output_grid(output: LinguisticVariable,
     return grid, term_samples
 
 
+class CentroidPlan(NamedTuple):
+    """What the closed-form centroid of one output needs besides the clip
+    levels of a row: the breakpoints every row shares, and each sloped term
+    edge as its degree-0 x and its signed width to degree 1."""
+
+    fixed: np.ndarray  # (F,) sorted, inside the universe
+    edge_x0: np.ndarray  # (E,)
+    edge_width: np.ndarray  # (E,)
+
+
+@lru_cache(maxsize=32)
+def centroid_plan(output: LinguisticVariable,
+                  resolution: int) -> CentroidPlan | None:
+    """The closed-form plan of an output, or None when its aggregate is not
+    continuous and piecewise linear on the universe: a Gaussian term, or a
+    vertical edge inside the universe."""
+    lo, hi = output.universe
+    points, x0, width = [lo, hi], [], []
+    for _, mf in output.terms:
+        if isinstance(mf, Gaussian):
+            return None
+        a, b = mf.a, mf.b
+        c, d = (mf.b, mf.c) if isinstance(mf, Triangular) else (mf.c, mf.d)
+        if a == b > lo or c == d < hi:
+            return None
+        points += [a, b, c, d]
+        if b > a:
+            x0.append(a)
+            width.append(b - a)
+        if d > c:
+            x0.append(d)
+            width.append(c - d)
+    # two edges of different slopes cross once; where the aggregate does
+    # not switch edges there, the extra breakpoint only splits a range
+    for i in range(len(x0)):
+        for j in range(i + 1, len(x0)):
+            if width[i] != width[j]:
+                points.append((x0[i] * width[j] - x0[j] * width[i])
+                              / (width[j] - width[i]))
+    plan = CentroidPlan(np.unique(np.clip(points, lo, hi)), np.array(x0),
+                        np.array(width))
+    for shared in plan:
+        shared.flags.writeable = False
+    return plan
+
+
 class CompiledFIS:
     """Index-based engine, the package's only inference path: infer(),
     predict(), the fitness evaluator and the classify command all run here."""
@@ -256,6 +313,7 @@ class CompiledFIS:
         self.resolution = resolution
         self.decision_threshold = decision_threshold
         self.grid, self.term_samples = output_grid(output, resolution)
+        self.plan = centroid_plan(output, resolution)
         self.n_rules = self.weights.shape[0]
 
     @classmethod
@@ -314,19 +372,93 @@ class CompiledFIS:
         return (self.weights[:, None] * weakest).T
 
     def crisp_values(self, strengths: np.ndarray) -> np.ndarray:
-        """Centroid of the clipped-and-aggregated output, per record."""
+        """Grid centroid of the clipped-and-aggregated output, per record:
+        in closed form, except rows within CLOSE of the decision threshold
+        and outputs with no closed form, which are summed on the grid."""
+        if self.n_rules == 0 or self.plan is None:
+            return self._grid_crisp_values(strengths)
+        crisp, mass = self._closed_form(self._term_levels(strengths))
+        near = (mass > 0.0) & (np.abs(crisp - self.decision_threshold) <= CLOSE)
+        if np.any(near):
+            crisp[near] = self._grid_crisp_values(strengths[near])
+        return crisp
+
+    def _term_levels(self, strengths: np.ndarray) -> np.ndarray:
+        """Clip level of every output term, (N, T): -inf for a term no rule
+        concludes. Max over rules then clip per term equals clip per rule
+        then max."""
+        per_term = np.full((strengths.shape[0], self.term_samples.shape[0]),
+                           -np.inf)
+        for t in range(per_term.shape[1]):
+            cols = self.consequents == t
+            if np.any(cols):
+                per_term[:, t] = strengths[:, cols].max(axis=1)
+        return per_term
+
+    def _closed_form(self, per_term: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(crisp, 2 * sum of agg) of the grid centroid, per record, summed
+        range by range instead of point by point.
+
+        A row's breakpoints are the plan's fixed ones plus every edge at
+        every clip level. Between two of them the aggregate is linear, so
+        over the grid indices j = f .. f+n-1 in between, with end values
+        v0, v1 read from the grid, 2 sum(agg) = n (v0 + v1) and
+        6 sum(j agg) = n (v0 (3f + n - 2) + v1 (3f + 2n - 1)). Arrays are
+        (point, row) and ranges are added in order, so no row depends on
+        the rows computed with it."""
+        plan, resolution = self.plan, self.resolution
+        lo, hi = self.output.universe
+        step = (hi - lo) / (resolution - 1)
+        # max(0, min(s, mu)) == min(max(s, 0), mu) for mu >= 0
+        levels = np.maximum(per_term.T, 0.0)
+        n_terms, n = levels.shape
+        n_fixed, n_edges = plan.fixed.size, plan.edge_x0.size
+        n_points = n_fixed + n_edges * n_terms
+        rows = max(1, BLOCK_BYTES // (8 * n_points * n_terms))
+        mass, moment = np.empty(n), np.empty(n)
+        for start in range(0, n, rows):
+            block = slice(start, min(start + rows, n))
+            lv = levels[:, block]
+            points = np.empty((n_points, lv.shape[1]))
+            points[:n_fixed] = plan.fixed[:, None]
+            at_level = points[n_fixed:].reshape(n_edges, n_terms, -1)
+            np.multiply(plan.edge_width[:, None, None], lv, out=at_level)
+            at_level += plan.edge_x0[:, None, None]
+            np.clip(points, lo, hi, out=points)
+            points.sort(axis=0)
+            # range k holds the grid indices q_k .. q_k+1 - 1, q = ceil(p) in
+            # grid steps from lo, at most the last index, where the last
+            # range ends; points that round past it leave empty ranges
+            q = np.minimum(np.ceil((points - lo) / step), resolution - 1)
+            ends = np.empty((2, n_points - 1, lv.shape[1]))
+            ends[0] = q[:-1]
+            np.subtract(q[1:], 1.0, out=ends[1])
+            ends[1, -1] = resolution - 1
+            # the grid's own aggregate at both ends: min and max round nothing
+            idx = ends.astype(np.intp)
+            v = np.minimum(lv[0], self.term_samples[0][idx])
+            for t in range(1, n_terms):
+                np.maximum(v, np.minimum(lv[t], self.term_samples[t][idx]), out=v)
+            v0, v1 = v
+            first, count = ends[0], ends[1] - ends[0] + 1.0
+            a = 3.0 * first + count
+            sums = np.stack([count * (v0 + v1),
+                             count * (v0 * (a - 2.0) + v1 * (a + count - 1.0))])
+            mass[block], moment[block] = np.add.accumulate(sums, axis=1)[:, -1]
+        crisp = np.full(n, (lo + hi) / 2.0)
+        fired = mass > 0.0
+        crisp[fired] = lo + step * (moment[fired] / (3.0 * mass[fired]))
+        return crisp, mass
+
+    def _grid_crisp_values(self, strengths: np.ndarray) -> np.ndarray:
+        """The centroid summed point by point over the grid, per record."""
         n = strengths.shape[0]
         lo, hi = self.output.universe
         midpoint = (lo + hi) / 2.0
         if self.n_rules == 0:
             return np.full(n, midpoint)
-        n_terms = self.term_samples.shape[0]
-        # max over rules then clip per term equals clip per rule then max
-        per_term = np.full((n, n_terms), -np.inf)
-        for t in range(n_terms):
-            cols = self.consequents == t
-            if np.any(cols):
-                per_term[:, t] = strengths[:, cols].max(axis=1)
+        per_term = self._term_levels(strengths)
+        n_terms = per_term.shape[1]
         # row-wise pairwise sums do not depend on the rows summed at once,
         # so blocks keep the bits and predict() is independent of batch size
         rows = max(1, BLOCK_BYTES // (8 * self.resolution))

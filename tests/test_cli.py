@@ -175,6 +175,46 @@ def test_expert_rules_accuracy_scores_saved_model(tmp_path, pima_data, capsys):
     assert f"holdout accuracy: {accuracy:.4f} " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("body, named", [
+    ("[ga]\npopulaton = 4\n", "[ga] populaton"),
+    ("[ga]\npopulation = 4\n[genetic]\npopulation = 4\n", "[genetic]"),
+    ("[DEFAULT]\nseeds = 3\n", "[DEFAULT] seeds"),
+])
+def test_config_file_rejects_unknown_keys(tmp_path, capsys, body, named):
+    # a misspelled key or section must not fall back to a default silently
+    config = tmp_path / "run.ini"
+    config.write_text(body)
+    out = tmp_path / "out"
+    for command in ("select", "validate"):
+        code = main([command, *PIMA_ARGS, "--config", str(config), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err and str(config) in err
+    assert not out.exists()
+
+
+def test_one_config_file_serves_every_command(tmp_path):
+    # every key any command reads, plus the ignored [run] workers
+    out = tmp_path / "out"
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"[paths]\nout = {out}\n"
+        "[run]\nseed = 3\nimpute = none\nworkers = 4\n"
+        "[ga]\npopulation = 8\npc = 0.6\npm = 0.05\ngenerations = 2\n"
+        "stagnation = 2\nelites = 1\n"
+        "[fitness]\nlambda = 0.3\nfolds = 3\n"
+        "[fis]\nresolution = 101\nthreshold = 0.5\n"
+        "[induction]\npartitions = 3\nmin_rule_weight = 0.0\n"
+    )
+    argv = [*PIMA_ARGS, "--config", str(config)]
+    assert main(["validate", *argv]) == 0
+    assert main(["select", *argv]) == 0
+    assert main(["report", *argv]) == 0
+    assert main(["classify", *argv]) == 0
+    result = json.loads((out / "result.json").read_text())
+    assert result["provenance"]["ga"]["population_size"] == 8
+
+
 def test_flag_overrides_config(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text("[ga]\npopulation = 16\ngenerations = 5\nstagnation = 4\n")

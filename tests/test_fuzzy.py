@@ -7,6 +7,7 @@ import pytest
 from gafuzzy.errors import ArityMismatch, ConfigError, NoRules, UnknownTerm
 from gafuzzy.fuzzy import (
     BLOCK_BYTES,
+    CLOSE,
     CompiledFIS,
     FISConfig,
     Gaussian,
@@ -15,6 +16,7 @@ from gafuzzy.fuzzy import (
     Trapezoidal,
     Triangular,
     centroid,
+    centroid_plan,
     class_output_variable,
     config_from_dict,
     config_to_dict,
@@ -400,30 +402,130 @@ def test_predict_matches_infer_loop():
         assert single.label == labels[i]
 
 
-@pytest.mark.parametrize("resolution, n_out", [(1001, 2), (1001, 3), (501, 2)])
-def test_blocked_centroid_equals_per_row_calls(resolution, n_out):
-    # crisp_values defuzzifies in blocks of rows; every block boundary must
-    # give the bits of one-row calls, including all-zero rows (the midpoint)
-    # and equal class strengths (on the threshold up to rounding)
-    var = uniform_partition("x", 0.0, 10.0, 3)
-    output = uniform_partition("out", 0.0, 1.0, n_out)
-    consequents = np.arange(6) % n_out
-    engine = CompiledFIS(
-        [var], output, np.zeros((6, 1)), np.ones(6), consequents, resolution, 0.5
+def random_output(seed, n_terms):
+    """2-5 triangular or trapezoidal terms over a universe other than
+    [0, 1]: sorted peaks, feet that may reach past the neighbouring peaks
+    or the universe, and shoulder terms at both ends, vertical or sloped."""
+    rng = np.random.default_rng(seed)
+    lo = float(rng.uniform(-20.0, 20.0))
+    hi = lo + float(rng.uniform(0.5, 30.0))
+    width = hi - lo
+    peaks = np.concatenate([[lo], np.sort(rng.uniform(lo, hi, n_terms - 2)), [hi]])
+    terms = []
+    for i, b in enumerate(peaks):
+        left = peaks[i - 1] if i else lo - rng.choice([0.0, 0.3]) * width
+        right = peaks[i + 1] if i < n_terms - 1 else hi + rng.choice([0.0, 0.3]) * width
+        a = left - rng.uniform(0.0, 0.2) * width if i else min(left, b)
+        d = right + rng.uniform(0.0, 0.2) * width if i < n_terms - 1 else max(right, b)
+        if rng.random() < 0.5:
+            mf = Triangular(float(a), float(b), float(d))
+        else:
+            c = b + rng.uniform(0.0, 0.8) * (right - b)
+            mf = Trapezoidal(float(a), float(b), float(c), float(d))
+        terms.append((f"t{i}", mf))
+    return LinguisticVariable("out", (lo, hi), tuple(terms))
+
+
+def engine_for(output, resolution, threshold=0.5, n_rules=6):
+    """An engine whose strengths are fed directly: rule r concludes output
+    term r mod T."""
+    consequents = np.arange(n_rules) % len(output.terms)
+    return CompiledFIS(
+        [uniform_partition("x", 0.0, 10.0, 3)], output, np.zeros((n_rules, 1)),
+        np.ones(n_rules), consequents, resolution, threshold,
     )
-    block = BLOCK_BYTES // (8 * resolution)
-    rng = np.random.default_rng(resolution + n_out)
-    for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
-        strengths = rng.uniform(0.0, 1.0, (n, 6))
-        strengths[::4] = 0.0
-        strengths[1::4, 1] = strengths[1::4, 0]  # terms 0 and 1 tie
-        strengths[1::4, 2:] = 0.0
+
+
+def strength_rows(rng, n, n_rules=6):
+    """Random strengths, with all-zero rows, rows of equal strengths and
+    rows where only some terms fire."""
+    strengths = rng.uniform(0.0, 1.0, (n, n_rules))
+    strengths[::4] = 0.0
+    strengths[1::4] = strengths[1::4, :1]
+    strengths[2::4, ::2] = 0.0
+    return strengths
+
+
+BLOCK_OUTPUTS = [
+    pytest.param(1001, uniform_partition("out", 0.0, 1.0, 2), id="1001-2"),
+    pytest.param(1001, uniform_partition("out", 0.0, 1.0, 3), id="1001-3"),
+    pytest.param(501, uniform_partition("out", 0.0, 1.0, 2), id="501-2"),
+    pytest.param(1001, random_output(11, 4), id="1001-random4"),
+    pytest.param(501, random_output(12, 5), id="501-random5"),
+    pytest.param(501, random_output(13, 3), id="501-random3"),
+]
+
+
+@pytest.mark.parametrize("resolution, output", BLOCK_OUTPUTS)
+def test_blocked_centroid_equals_per_row_calls(resolution, output):
+    # crisp_values works in blocks of rows, both in closed form and on the
+    # grid; every block boundary must give the bits of one-row calls,
+    # including all-zero rows (the midpoint) and equal strengths
+    engine = engine_for(output, resolution)
+    lo, hi = output.universe
+    grid_block = BLOCK_BYTES // (8 * resolution)
+    plan = centroid_plan(output, resolution)
+    n_terms = len(output.terms)
+    closed_block = BLOCK_BYTES // (
+        8 * n_terms * (plan.fixed.size + plan.edge_x0.size * n_terms)
+    )
+    rng = np.random.default_rng(resolution + n_terms)
+    for n in (0, 1, grid_block - 1, grid_block, grid_block + 1,
+              3 * grid_block + 5, closed_block + 1):
+        strengths = strength_rows(rng, n)
         whole = engine.crisp_values(strengths)
         rows = [engine.crisp_values(strengths[i : i + 1]) for i in range(n)]
         assert whole.shape == (n,)
         assert whole.tobytes() == np.concatenate([np.empty(0), *rows]).tobytes()
         if n:
-            assert np.all(whole[::4] == 0.5)
+            assert np.all(whole[::4] == (lo + hi) / 2.0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_closed_form_centroid_matches_grid(seed):
+    # random outputs, resolutions and strengths: the closed form is within
+    # 1e-12 of the grid sum, gives the grid's labels, and a row at the
+    # threshold gets the grid's own bits
+    rng = np.random.default_rng(seed)
+    output = random_output(seed, int(rng.integers(2, 6)))
+    resolution = (3, 501, 1001)[seed % 3]
+    assert centroid_plan(output, resolution) is not None
+    strengths = strength_rows(rng, 200)
+    grid = engine_for(output, resolution)._grid_crisp_values(strengths)
+    lo, hi = output.universe
+    at = np.flatnonzero(grid != (lo + hi) / 2.0)[:2]  # thresholds at two rows
+    for threshold in (*grid[at], (lo + hi) / 2.0, lo + 0.3 * (hi - lo)):
+        engine = engine_for(output, resolution, threshold)
+        crisp, labels = engine.decide(strengths)
+        assert np.all(np.abs(crisp - grid) <= 1e-12)
+        assert np.array_equal(labels, (grid >= threshold).astype(np.int64))
+        near = np.abs(crisp - threshold) <= CLOSE
+        assert crisp[near].tobytes() == grid[near].tobytes()
+        assert np.all(near[at[grid[at] == threshold]])
+
+
+NO_CLOSED_FORM = [
+    LinguisticVariable("out", (0.0, 1.0), (
+        ("neg", Gaussian(0.2, 0.15)), ("pos", Triangular(0.3, 1.0, 1.0)),
+    )),
+    LinguisticVariable("out", (0.0, 1.0), (
+        ("neg", Triangular(0.0, 0.0, 1.0)), ("pos", Trapezoidal(0.4, 0.4, 1.0, 1.0)),
+    )),
+    LinguisticVariable("out", (0.0, 1.0), (
+        ("neg", Trapezoidal(0.0, 0.0, 0.6, 0.6)), ("pos", Triangular(0.2, 1.0, 1.0)),
+    )),
+]
+
+
+@pytest.mark.parametrize("output", NO_CLOSED_FORM)
+def test_outputs_without_closed_form_use_the_grid(output):
+    # a Gaussian term or a vertical edge inside the universe leaves no
+    # continuous piecewise-linear aggregate: every row is summed on the grid
+    assert centroid_plan(output, 1001) is None
+    engine = engine_for(output, 1001)
+    strengths = strength_rows(np.random.default_rng(3), 60)
+    assert (engine.crisp_values(strengths).tobytes()
+            == engine._grid_crisp_values(strengths).tobytes())
 
 
 def test_engines_share_one_read_only_output_grid():

@@ -5,11 +5,12 @@ import pytest
 
 from gafuzzy.dataset import CostTable, mask_cost, stratified_split
 from gafuzzy.errors import EmptyMask, LengthMismatch, TooManyFeatures
-from gafuzzy.fuzzy import CompiledFIS, class_output_variable
+from gafuzzy.fuzzy import CLOSE, CompiledFIS, class_output_variable
 from gafuzzy.ga import GAParams
 from gafuzzy.rule_learning import InductionConfig, induce_rule_matrix
 from gafuzzy import selector
 from gafuzzy.selector import (
+    CompiledSplit,
     FitnessConfig,
     FitnessEvaluator,
     brute_force_selection,
@@ -154,6 +155,29 @@ def test_compiled_splits_equal_plain_training(master, pima_data, pima_costs):
         assert train_final_classifier(
             pima_data, mask, fcfg, ICFG, hold_train
         ) == model
+
+
+def test_fitness_labels_equal_grid_centroid_at_real_ties(pima_data):
+    # master seed 1's sweep holds test rows whose class strengths tie, so
+    # their centroid sits on the threshold; the closed form must leave
+    # those to the grid sum, and every label must be the grid centroid's
+    fcfg = FitnessConfig.from_master_seed(1)
+    folds = [CompiledSplit(pima_data, *fold, fcfg, ICFG)
+             for fold in stratified_split(pima_data, fcfg.evaluation)]
+    at_threshold = 0
+    for mask in all_masks(pima_data.n_features):
+        kept = [i for i, bit in enumerate(mask) if bit]
+        for fold in folds:
+            engine = fold.fit(kept)
+            grid = engine._grid_crisp_values(
+                engine.table_strengths(fold.table[kept])
+            )
+            expected = (grid >= fcfg.decision_threshold).astype(np.int64)
+            assert np.array_equal(fold.predict(engine, kept), expected), mask
+            at_threshold += np.sum(
+                np.abs(grid - fcfg.decision_threshold) <= CLOSE
+            )
+    assert at_threshold > 0
 
 
 # --- scalarization properties (stubbed accuracy) --------------------------------
