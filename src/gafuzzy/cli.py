@@ -288,10 +288,12 @@ def cmd_select(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.get("paths", "out", "out", DEFAULT_OUT, str))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def log(stats):
+    def log(stats, evaluator):
+        # unique: distinct masks scored so far; hits: calls the cache answered
         print(
             f"gen {stats.generation}: best={stats.best_fitness:.6f} "
-            f"mean={stats.mean_fitness:.6f} mask={mask_to_string(stats.best_mask)}",
+            f"mean={stats.mean_fitness:.6f} mask={mask_to_string(stats.best_mask)} "
+            f"unique={evaluator.evaluations} hits={evaluator.hits}",
             file=sys.stderr,
         )
 

@@ -4,8 +4,9 @@ Membership functions, linguistic variables and if-then rules, evaluated
 with min conjunction, clip implication, max aggregation and centroid
 defuzzification over a uniform sample grid. A compiled engine backs both
 the single-record API and the batch classifier so the two can never
-disagree. The fitness path builds degree tables once per CV fold and rule
-strengths are a running minimum.
+disagree. The fitness path computes rule strengths and per-term clip levels
+of every CV fold itself and labels all their test rows in one call to the
+same decision half (`CompiledFIS.of_levels`).
 
 The centroid is the grid's, sum(agg(x_i) * x_i) / sum(agg(x_i)) over an
 output grid that all engines share, but it is not summed point by point:
@@ -305,16 +306,27 @@ class CompiledFIS:
     ):
         self.inputs = list(inputs)
         self.output = output
-        self.antecedents = np.asarray(antecedents, dtype=np.int64).reshape(
-            -1, len(self.inputs)
-        )
         self.weights = np.asarray(weights, dtype=float).reshape(-1)
+        self.antecedents = np.asarray(antecedents, dtype=np.int64).reshape(
+            self.weights.shape[0], len(self.inputs)
+        )
         self.consequents = np.asarray(consequents, dtype=np.int64).reshape(-1)
         self.resolution = resolution
         self.decision_threshold = decision_threshold
         self.grid, self.term_samples = output_grid(output, resolution)
         self.plan = centroid_plan(output, resolution)
         self.n_rules = self.weights.shape[0]
+
+    @classmethod
+    def of_levels(cls, output: LinguisticVariable, resolution: int,
+                  decision_threshold: float) -> "CompiledFIS":
+        """The decision half of every engine over this output: rule t
+        concludes output term t at weight 1 and constrains no input, so its
+        rule strengths are per-term clip levels, and decide() of an (N, T)
+        level table labels records of many rule bases in one call."""
+        n_terms = len(output.terms)
+        return cls([], output, np.zeros((n_terms, 0)), np.ones(n_terms),
+                   np.arange(n_terms), resolution, decision_threshold)
 
     @classmethod
     def from_config(cls, config: FISConfig) -> "CompiledFIS":
@@ -375,12 +387,13 @@ class CompiledFIS:
         """Grid centroid of the clipped-and-aggregated output, per record:
         in closed form, except rows within CLOSE of the decision threshold
         and outputs with no closed form, which are summed on the grid."""
-        if self.n_rules == 0 or self.plan is None:
-            return self._grid_crisp_values(strengths)
-        crisp, mass = self._closed_form(self._term_levels(strengths))
+        per_term = self._term_levels(strengths)
+        if self.plan is None:
+            return self._grid_crisp_values(per_term)
+        crisp, mass = self._closed_form(per_term)
         near = (mass > 0.0) & (np.abs(crisp - self.decision_threshold) <= CLOSE)
         if np.any(near):
-            crisp[near] = self._grid_crisp_values(strengths[near])
+            crisp[near] = self._grid_crisp_values(per_term[near])
         return crisp
 
     def _term_levels(self, strengths: np.ndarray) -> np.ndarray:
@@ -450,15 +463,12 @@ class CompiledFIS:
         crisp[fired] = lo + step * (moment[fired] / (3.0 * mass[fired]))
         return crisp, mass
 
-    def _grid_crisp_values(self, strengths: np.ndarray) -> np.ndarray:
-        """The centroid summed point by point over the grid, per record."""
-        n = strengths.shape[0]
+    def _grid_crisp_values(self, per_term: np.ndarray) -> np.ndarray:
+        """The centroid summed point by point over the grid, per record,
+        from the (N, T) clip levels of _term_levels."""
+        n, n_terms = per_term.shape
         lo, hi = self.output.universe
         midpoint = (lo + hi) / 2.0
-        if self.n_rules == 0:
-            return np.full(n, midpoint)
-        per_term = self._term_levels(strengths)
-        n_terms = per_term.shape[1]
         # row-wise pairwise sums do not depend on the rows summed at once,
         # so blocks keep the bits and predict() is independent of batch size
         rows = max(1, BLOCK_BYTES // (8 * self.resolution))

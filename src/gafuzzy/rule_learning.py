@@ -5,8 +5,11 @@ every training record proposes the rule made of its maximum-degree term
 per input, weighted by the product of those degrees. Conflicting proposals
 for the same antecedent keep the heaviest, the earliest on ties, and the
 surviving rules are ordered by the first record that proposed them.
-`induce_rule_matrix` runs `rule_proposals` and `keep_heaviest` in index
-form, as compiled CV splits do per mask; `induce_rules` names its result.
+Antecedents are integer cells, so `keep_heaviest` groups them with one
+stable integer sort and no sort on the weights. `induce_rule_matrix` runs
+`rule_proposals` and `keep_heaviest` in index form, as the compiled CV
+folds do per mask with the fold id as one more key; `induce_rules` names
+its result.
 """
 
 from __future__ import annotations
@@ -35,12 +38,20 @@ class InductionConfig:
             raise ConfigError("min_rule_weight must lie in [0, 1]")
 
 
+def index_dtype(n: int) -> np.dtype:
+    """The narrowest signed integer type holding -1 and every index below
+    n: int8 up to 128 terms or folds, int16 past that. Narrow sort keys
+    are sorted by radix; arithmetic on them must widen first."""
+    return np.min_scalar_type(-max(n, 1))
+
+
 def rule_proposals(
     records: np.ndarray, inputs: Sequence[LinguisticVariable]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each record's strongest term of each input (the earlier term on equal
-    degrees) and its degree, both (N, m)."""
-    terms = np.zeros(records.shape, dtype=np.int64)
+    degrees) and its degree, both (N, m); terms are of `index_dtype`."""
+    n_terms = max((len(v.terms) for v in inputs), default=0)
+    terms = np.zeros(records.shape, dtype=index_dtype(n_terms))
     degrees = np.zeros(records.shape)
     for i, var in enumerate(inputs):
         table = var.degrees(records[:, i])  # (T, N)
@@ -49,24 +60,36 @@ def rule_proposals(
     return terms, degrees
 
 
-def keep_heaviest(terms: np.ndarray, degrees: np.ndarray, labels: np.ndarray,
-                  cfg: InductionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weigh each proposal by the product of its degrees in input order and
-    keep the heaviest per antecedent. Returns (antecedents (R, m), weights
-    (R,), classes (R,)) in order of each antecedent's first proposer."""
-    n = len(terms)
-    weights = np.ones(n)
-    for column in degrees.T:
-        weights *= column
-    # group equal antecedents, heaviest first and earliest on ties; the
-    # columns are sort keys themselves, so no combined key can overflow
-    order = np.lexsort((np.arange(n), -weights, *terms.T))
-    ants = terms[order]
-    starts = np.flatnonzero(np.r_[True, (ants[1:] != ants[:-1]).any(axis=1)])
-    first_seen = np.minimum.reduceat(order, starts)
-    rows = order[starts][np.argsort(first_seen)]
-    keep = rows[weights[rows] >= cfg.min_rule_weight]
-    return terms[keep], weights[keep], np.asarray(labels, dtype=np.int64)[keep]
+def keep_heaviest(cells: np.ndarray, weights: np.ndarray,
+                  min_weight: float) -> np.ndarray:
+    """The proposals kept as rules, as indices in order of their cell's
+    first proposer. Proposal j lies in cell cells[:, j], a column of the
+    (k, N) integer key matrix; each cell keeps its heaviest proposal, the
+    earliest on equal weights, unless it is lighter than min_weight."""
+    n = cells.shape[1]
+    # a stable sort on the integer keys alone (the first row is the
+    # primary key) leaves every cell's proposals in index order, so its
+    # first proposer leads and the earliest heaviest is the first at its max
+    order = np.lexsort(cells[::-1])
+    ranked = cells[:, order]
+    starts = np.flatnonzero(
+        np.r_[True, (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)]
+    )
+    w = weights[order]
+    heaviest = np.repeat(np.maximum.reduceat(w, starts), np.diff(np.r_[starts, n]))
+    at_max = np.flatnonzero(w == heaviest)
+    rows = order[at_max[np.searchsorted(at_max, starts)]]
+    rows = rows[np.argsort(order[starts])]
+    return rows[weights[rows] >= min_weight]
+
+
+def proposal_weights(degrees: np.ndarray) -> np.ndarray:
+    """The weight of each proposal, the product of its (m, N) degrees in
+    input order."""
+    weights = degrees[0].copy()
+    for row in degrees[1:]:
+        weights *= row
+    return weights
 
 
 def induce_rule_matrix(
@@ -82,7 +105,10 @@ def induce_rule_matrix(
     m = records.shape[1]
     if m != len(inputs):
         raise ArityMismatch(f"{m} columns for {len(inputs)} input variables")
-    return keep_heaviest(*rule_proposals(records, inputs), labels, cfg)
+    terms, degrees = rule_proposals(records, inputs)
+    weights = proposal_weights(degrees.T)
+    keep = keep_heaviest(terms.T, weights, cfg.min_rule_weight)
+    return terms[keep], weights[keep], np.asarray(labels, dtype=np.int64)[keep]
 
 
 def induce_rules(

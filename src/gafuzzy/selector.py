@@ -17,12 +17,14 @@ import numpy as np
 from .dataset import CostTable, Dataset, SplitPlan, mask_cost, stratified_split
 from .errors import ConfigError, EmptyMask, LengthMismatch, TooManyFeatures
 from .fuzzy import (
+    BLOCK_BYTES,
     CompiledFIS,
     FISConfig,
     LinguisticVariable,
     Rule,
     class_output_variable,
     degree_table,
+    index_rules,
     uniform_partition,
 )
 from .ga import (
@@ -35,7 +37,13 @@ from .ga import (
     string_to_mask,
 )
 from .jsonio import read_json, write_json
-from .rule_learning import InductionConfig, keep_heaviest, rule_proposals
+from .rule_learning import (
+    InductionConfig,
+    index_dtype,
+    keep_heaviest,
+    proposal_weights,
+    rule_proposals,
+)
 
 BRUTE_FORCE_LIMIT = 16
 
@@ -135,37 +143,112 @@ def _kept_columns(data: Dataset, mask: Mask) -> list[int]:
     return kept
 
 
-class CompiledSplit:
-    """A CV fold, the reporting holdout or the final model's training rows,
-    compiled for every feature from the training rows only. None of it
-    depends on the mask, so fitting a mask slices columns and runs
-    keep-heaviest. This is the only place a classifier is trained."""
+class CompiledFolds:
+    """The splits of a plan, compiled together for every feature from each
+    split's training rows only: the K CV folds of the fitness, or the one
+    split of the reporting holdout or of the final model. None of it depends
+    on the mask, so scoring a mask slices columns, groups the proposals of
+    every split in one integer sort, gathers each rule's strengths over its
+    split's test rows and labels all test rows in one decision. This is the
+    only place a classifier is trained or scored on a split."""
 
-    def __init__(self, data: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
+    def __init__(self, data: Dataset, splits: list[tuple[np.ndarray, np.ndarray]],
                  fcfg: "FitnessConfig", icfg: InductionConfig):
-        x_train = data.records[train_idx]
-        self.inputs = build_input_variables(
-            x_train, data.schema.feature_names, icfg.partitions_per_input
-        )
-        self.output = class_output_variable(data.schema.label_name)
-        self.terms, self.degrees = rule_proposals(x_train, self.inputs)
-        self.y_train = data.labels[train_idx]
-        self.table = degree_table(self.inputs, data.records[test_idx])
-        self.y_test = data.labels[test_idx]
+        names = data.schema.feature_names
+        self.n_terms = icfg.partitions_per_input
         self.fcfg, self.icfg = fcfg, icfg
-
-    def fit(self, kept: list[int]) -> CompiledFIS:
-        ant, weights, classes = keep_heaviest(
-            self.terms[:, kept], self.degrees[:, kept], self.y_train, self.icfg
+        self.output = class_output_variable(data.schema.label_name)
+        self.decider = CompiledFIS.of_levels(
+            self.output, fcfg.resolution, fcfg.decision_threshold
         )
-        return CompiledFIS(
-            [self.inputs[i] for i in kept], self.output, ant, weights, classes,
-            self.fcfg.resolution, self.fcfg.decision_threshold,
+        sizes = np.array([len(test_idx) for _, test_idx in splits])
+        width = int(sizes.max())
+        # (feature, split x term slot, test row): slot n_terms of every split
+        # is the sentinel 1 of an input a rule leaves unconstrained, and the
+        # rows past a split's size are zero padding no decision sees
+        table = np.zeros((data.n_features, len(splits), self.n_terms + 1, width))
+        self.inputs, terms, degrees, split_of = [], [], [], []
+        for k, (train_idx, test_idx) in enumerate(splits):
+            x_train = data.records[train_idx]
+            inputs = build_input_variables(x_train, names, self.n_terms)
+            t, d = rule_proposals(x_train, inputs)
+            self.inputs.append(inputs)
+            terms.append(t)
+            degrees.append(d)
+            split_of.append(np.full(len(train_idx), k, dtype=index_dtype(len(splits))))
+            table[:, k, :, : sizes[k]] = degree_table(inputs, data.records[test_idx])
+        # training rows of every split, one after another, as (feature, row)
+        self.terms = np.concatenate(terms).T.copy()
+        self.degrees = np.concatenate(degrees).T.copy()
+        self.split_of = np.concatenate(split_of)
+        self.y_train = np.concatenate([data.labels[tr] for tr, _ in splits])
+        self.table = table.reshape(
+            data.n_features, len(splits) * (self.n_terms + 1), width
         )
+        self.valid = np.arange(width) < sizes[:, None]  # (split, test row)
+        self.y_test = np.concatenate([data.labels[te] for _, te in splits])
+        self.sizes = sizes
 
-    def predict(self, engine: CompiledFIS, kept: list[int]) -> np.ndarray:
-        """Labels of the test rows by an engine over the kept partitions."""
-        return engine.decide(engine.table_strengths(self.table[kept]))[1]
+    def induce(self, kept: list[int]):
+        """The rules of every split over the kept features: (split,
+        antecedents (R, k), weights, classes), each split's rules in order
+        of their first proposer."""
+        cells = np.vstack((self.split_of, self.terms[kept]))
+        weights = proposal_weights(self.degrees[kept])
+        rows = keep_heaviest(cells, weights, self.icfg.min_rule_weight)
+        return (self.split_of[rows].astype(np.intp), cells[1:, rows].T,
+                weights[rows], self.y_train[rows])
+
+    def predict(self, kept: list[int], split: np.ndarray, antecedents: np.ndarray,
+                weights: np.ndarray, classes: np.ndarray) -> np.ndarray:
+        """Labels of the test rows of every split, split after split, by
+        rules over the kept features given as from induce(); antecedent -1
+        leaves an input unconstrained. Strengths are a running minimum of
+        whole-row gathers, and each split's clip levels the maximum over
+        its rules of each class."""
+        n_classes = len(self.output.terms)
+        group = split * n_classes + classes
+        order = np.argsort(group, kind="stable")
+        group, weights = group[order], weights[order]
+        terms = antecedents[order].astype(np.intp)
+        slots = split[order, None] * (self.n_terms + 1) + np.where(
+            terms >= 0, terms, self.n_terms
+        )
+        n_splits, width = self.valid.shape
+        levels = np.zeros((n_splits * n_classes, width))
+        # rules in blocks of one defuzzification temporary, so the gathers
+        # of all splits together take no more memory than one split's did
+        step = max(1, BLOCK_BYTES // (8 * max(width, 1)))
+        for start in range(0, len(group), step):
+            block = slice(start, start + step)
+            strengths = self.table[kept[0], slots[block, 0]]
+            for j in range(1, len(kept)):
+                np.minimum(strengths, self.table[kept[j], slots[block, j]],
+                           out=strengths)
+            strengths *= weights[block, None]
+            ids = group[block]
+            starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+            ids = ids[starts]
+            levels[ids] = np.maximum(
+                levels[ids], np.maximum.reduceat(strengths, starts, axis=0)
+            )
+        per_row = levels.reshape(n_splits, n_classes, width).transpose(0, 2, 1)
+        return self.decider.decide(per_row[self.valid])[1]
+
+    def accuracy(self, kept: list[int]) -> float:
+        """Mean over the splits of the test accuracy of each split's
+        classifier over the kept features."""
+        hits = np.zeros(self.valid.shape, dtype=bool)
+        hits[self.valid] = self.predict(kept, *self.induce(kept)) == self.y_test
+        return float(np.mean(hits.sum(axis=1) / self.sizes))
+
+    def model(self, kept: list[int]) -> FISConfig:
+        """The classifier of the first split over the kept features."""
+        _, antecedents, weights, classes = self.induce(kept)
+        inputs = tuple(self.inputs[0][i] for i in kept)
+        rules = index_rules(inputs, self.output, antecedents, weights, classes)
+        return FISConfig(inputs, self.output, rules, self.fcfg.resolution,
+                         self.fcfg.decision_threshold)
 
 
 def _cv_accuracy(
@@ -173,14 +256,9 @@ def _cv_accuracy(
     data: Dataset,
     fcfg: "FitnessConfig",
     icfg: InductionConfig,
-    folds: list[CompiledSplit],
+    folds: CompiledFolds,
 ) -> float:
-    kept = _kept_columns(data, mask)
-    accs = [
-        float(np.mean(fold.predict(fold.fit(kept), kept) == fold.y_test))
-        for fold in folds
-    ]
-    return float(np.mean(accs))
+    return folds.accuracy(_kept_columns(data, mask))
 
 
 class FitnessEvaluator:
@@ -189,7 +267,8 @@ class FitnessEvaluator:
     cost. This callable is the package's only fitness path.
 
     The split depends only on labels and the plan seed, so the folds are
-    compiled once and shared by every mask; values are memoized per mask.
+    compiled once and shared by every mask, which scores all of them in one
+    batch; values are memoized per mask.
     """
 
     def __init__(
@@ -203,9 +282,11 @@ class FitnessEvaluator:
         self.costs = costs
         self.fcfg = fcfg
         self.icfg = icfg
-        folds = stratified_split(data, fcfg.evaluation)
-        self._folds = [CompiledSplit(data, *fold, fcfg, icfg) for fold in folds]
+        self._folds = CompiledFolds(
+            data, stratified_split(data, fcfg.evaluation), fcfg, icfg
+        )
         self._cache: dict[Mask, float] = {}
+        self.hits = 0  # calls answered from the cache
 
     @property
     def evaluations(self) -> int:
@@ -216,6 +297,7 @@ class FitnessEvaluator:
         mask = tuple(int(b) for b in mask)
         hit = self._cache.get(mask)
         if hit is not None:
+            self.hits += 1
             return hit
         accuracy = _cv_accuracy(mask, self.data, self.fcfg, self.icfg, self._folds)
         penalty = (
@@ -236,8 +318,8 @@ def train_final_classifier(
     train_idx: np.ndarray,
 ) -> FISConfig:
     """Fit partitions and rules on the given training rows of the masked data."""
-    split = CompiledSplit(data, train_idx, train_idx[:0], fcfg, icfg)
-    return split.fit(_kept_columns(data, mask)).to_config()
+    split = CompiledFolds(data, [(train_idx, train_idx[:0])], fcfg, icfg)
+    return split.model(_kept_columns(data, mask))
 
 
 def holdout_evaluation(
@@ -253,12 +335,18 @@ def holdout_evaluation(
     before scoring. Returns (model, predictions, test labels).
     """
     kept = _kept_columns(data, mask)
-    (train_idx, test_idx), = stratified_split(data, fcfg.resolved_report_plan())
-    split = CompiledSplit(data, train_idx, test_idx, fcfg, icfg)
-    engine = split.fit(kept)
+    split = CompiledFolds(
+        data, stratified_split(data, fcfg.resolved_report_plan()), fcfg, icfg
+    )
+    model = split.model(kept)
     if rules is not None:
-        engine = CompiledFIS.from_config(replace(engine.to_config(), rules=rules))
-    return engine.to_config(), split.predict(engine, kept), split.y_test
+        model = replace(model, rules=rules)
+    engine = CompiledFIS.from_config(model)
+    predicted = split.predict(
+        kept, np.zeros(engine.n_rules, dtype=np.intp), engine.antecedents,
+        engine.weights, engine.consequents,
+    )
+    return model, predicted, split.y_test
 
 
 def run_selection(
@@ -271,10 +359,17 @@ def run_selection(
     master_seed: int | None = None,
 ) -> SelectionResult:
     """Evolve a feature mask, then retrain and score the final classifier on
-    a fresh stratified holdout (seeded independently of the CV folds)."""
+    a fresh stratified holdout (seeded independently of the CV folds).
+    on_generation(stats, evaluator), when given, sees each generation once
+    it is scored, with the evaluator's counters up to date."""
     evaluator = FitnessEvaluator(data, costs, fcfg, icfg)
+
+    def report(stats: GenerationStats) -> None:
+        on_generation(stats, evaluator)
+
     best_mask, best_fit, trace = evolve(
-        params, data.n_features, evaluator, on_generation=on_generation
+        params, data.n_features, evaluator,
+        on_generation=report if on_generation else None,
     )
     model, predicted, y_test = holdout_evaluation(data, best_mask, fcfg, icfg)
     accuracy = float(np.mean(predicted == y_test))

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import shutil
 
 import numpy as np
@@ -17,6 +18,7 @@ from gafuzzy.fuzzy import (
     predict,
     save_model,
 )
+from gafuzzy import selector
 from gafuzzy.selector import FitnessConfig
 
 PIMA_ARGS = [
@@ -91,6 +93,37 @@ def test_select_deterministic_and_prints_selection(tmp_path, capsys):
     )
     assert 1 <= n_selected <= 5
     assert "gen 0:" in first.err  # per-generation log line
+
+
+def test_generation_log_counts_unique_masks_and_cache_hits(tmp_path, capsys,
+                                                           monkeypatch):
+    # every gen line carries the distinct masks scored so far and the calls
+    # the cache answered: one call per individual, so they add up to the
+    # population times the generations so far
+    made = []
+
+    class Recording(selector.FitnessEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(selector, "FitnessEvaluator", Recording)
+    argv = ["select", *PIMA_ARGS, "--seed", "3", *FAST, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("gen ")]
+    counts = [
+        tuple(map(int, re.fullmatch(
+            r"gen (\d+): best=\S+ mean=\S+ mask=[01]+ unique=(\d+) hits=(\d+)",
+            line,
+        ).groups()))
+        for line in lines
+    ]
+    assert [gen for gen, _, _ in counts] == list(range(len(counts)))
+    for gen, unique, hits in counts:
+        assert unique + hits == 16 * (gen + 1)
+    assert len(made) == 1 and counts[-1][1] == made[0].evaluations
+    assert counts[-1][2] > 0
 
 
 def test_select_worker_count_invariant(tmp_path):

@@ -436,6 +436,12 @@ def engine_for(output, resolution, threshold=0.5, n_rules=6):
     )
 
 
+def grid_centroids(engine, strengths):
+    """The grid sum of an engine's centroids, the reference of the closed
+    form."""
+    return engine._grid_crisp_values(engine._term_levels(strengths))
+
+
 def strength_rows(rng, n, n_rules=6):
     """Random strengths, with all-zero rows, rows of equal strengths and
     rows where only some terms fire."""
@@ -491,7 +497,7 @@ def test_closed_form_centroid_matches_grid(seed):
     resolution = (3, 501, 1001)[seed % 3]
     assert centroid_plan(output, resolution) is not None
     strengths = strength_rows(rng, 200)
-    grid = engine_for(output, resolution)._grid_crisp_values(strengths)
+    grid = grid_centroids(engine_for(output, resolution), strengths)
     lo, hi = output.universe
     at = np.flatnonzero(grid != (lo + hi) / 2.0)[:2]  # thresholds at two rows
     for threshold in (*grid[at], (lo + hi) / 2.0, lo + 0.3 * (hi - lo)):
@@ -525,7 +531,33 @@ def test_outputs_without_closed_form_use_the_grid(output):
     engine = engine_for(output, 1001)
     strengths = strength_rows(np.random.default_rng(3), 60)
     assert (engine.crisp_values(strengths).tobytes()
-            == engine._grid_crisp_values(strengths).tobytes())
+            == grid_centroids(engine, strengths).tobytes())
+
+
+@pytest.mark.parametrize("output", [
+    class_output_variable(), random_output(14, 3), random_output(15, 5),
+    *NO_CLOSED_FORM,
+])
+def test_level_decider_equals_every_engine(output):
+    # decide() of the per-term clip levels, with 0 for a term no rule
+    # concludes, gives an engine's own crisp bits and labels: with rules on
+    # every term, on one term only and with no rules, and with thresholds
+    # on a row's grid centroid, where the grid sum decides
+    rng = np.random.default_rng(len(output.terms))
+    strengths = strength_rows(rng, 120)
+    grid = grid_centroids(engine_for(output, 1001), strengths)
+    for threshold in (0.5 * sum(output.universe), *grid[2:4]):
+        decider = CompiledFIS.of_levels(output, 1001, threshold)
+        assert decider.n_rules == len(output.terms)
+        for engine in (engine_for(output, 1001, threshold),
+                       engine_for(output, 1001, threshold, n_rules=1),
+                       engine_for(output, 1001, threshold, n_rules=0)):
+            rules = strengths[:, : engine.n_rules]
+            levels = np.maximum(engine._term_levels(rules), 0.0)
+            crisp, labels = decider.decide(levels)
+            expected_crisp, expected_labels = engine.decide(rules)
+            assert crisp.tobytes() == expected_crisp.tobytes()
+            assert np.array_equal(labels, expected_labels)
 
 
 def test_engines_share_one_read_only_output_grid():

@@ -138,6 +138,32 @@ def test_rule_matrix_matches_oracle_with_ties():
         assert classes.tolist() == [e[2] for e in expected]
 
 
+def test_rule_matrix_matches_oracle_past_int8_terms():
+    # 140 terms: term indices past 127 need the int16 keys; records on the
+    # peaks and the crossings give equal degrees and equal weights
+    rng = np.random.default_rng(301)
+    k = 140
+    points = np.arange(0.0, k - 0.5, 0.5)
+    for min_weight in (0.0, 0.5):
+        records = rng.choice(points, (400, 2))
+        records[:40] = records[40:80]  # repeated cells with equal weights
+        labels = rng.integers(0, 2, 400)
+        inputs = [uniform_partition(f"v{i}", 0.0, k - 1.0, k) for i in range(2)]
+        ant, weights, classes = induce_rule_matrix(
+            records, labels, inputs, InductionConfig(k, min_weight)
+        )
+        expected = [
+            rule for rule in oracle.induce(
+                records, labels, [oracle.variable_params(v) for v in inputs]
+            )
+            if rule[1] >= min_weight
+        ]
+        assert max(max(e[0]) for e in expected) >= 128
+        assert [tuple(row) for row in ant.tolist()] == [e[0] for e in expected]
+        assert weights.tolist() == [e[1] for e in expected]
+        assert classes.tolist() == [e[2] for e in expected]
+
+
 def test_permutation_changes_only_tie_resolution():
     rng = np.random.default_rng(200)
     records = rng.uniform(0, 10, (25, 2))

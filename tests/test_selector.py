@@ -3,14 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from gafuzzy.dataset import CostTable, mask_cost, stratified_split
+from gafuzzy.dataset import CostTable, SplitPlan, mask_cost, stratified_split
 from gafuzzy.errors import EmptyMask, LengthMismatch, TooManyFeatures
 from gafuzzy.fuzzy import CLOSE, CompiledFIS, class_output_variable
 from gafuzzy.ga import GAParams
 from gafuzzy.rule_learning import InductionConfig, induce_rule_matrix
 from gafuzzy import selector
 from gafuzzy.selector import (
-    CompiledSplit,
+    CompiledFolds,
     FitnessConfig,
     FitnessEvaluator,
     brute_force_selection,
@@ -111,15 +111,15 @@ SPLIT_MASKS = [
 ]
 
 
-def plain_fit(data, mask, train_idx, fcfg):
+def plain_fit(data, mask, train_idx, fcfg, icfg=ICFG):
     """A classifier trained on the masked training rows by the plain
     composition of partitions, induction and the engine."""
     kept = [i for i, bit in enumerate(mask) if bit]
     x_train = data.records[train_idx][:, kept]
     names = [data.schema.feature_names[i] for i in kept]
-    inputs = build_input_variables(x_train, names, ICFG.partitions_per_input)
+    inputs = build_input_variables(x_train, names, icfg.partitions_per_input)
     ant, weights, classes = induce_rule_matrix(
-        x_train, data.labels[train_idx], inputs, ICFG
+        x_train, data.labels[train_idx], inputs, icfg
     )
     output = class_output_variable(data.schema.label_name)
     return kept, CompiledFIS(inputs, output, ant, weights, classes,
@@ -128,8 +128,8 @@ def plain_fit(data, mask, train_idx, fcfg):
 
 @pytest.mark.parametrize("master", [1, 2, 3])
 def test_compiled_splits_equal_plain_training(master, pima_data, pima_costs):
-    # the per-fold precompute must not change a single bit of any fitness
-    # value, holdout prediction or final model
+    # scoring the folds together must not change a single bit of any
+    # fitness value, holdout prediction or final model
     fcfg = FitnessConfig.from_master_seed(master)
     evaluator = FitnessEvaluator(pima_data, pima_costs, fcfg, ICFG)
     folds = stratified_split(pima_data, fcfg.evaluation)
@@ -157,27 +157,74 @@ def test_compiled_splits_equal_plain_training(master, pima_data, pima_costs):
         ) == model
 
 
+def fold_engines(data, splits, mask, fcfg, icfg=ICFG):
+    """One plain engine per fold, with the fold's kept test records and
+    labels: the fold-by-fold reference of the batched folds."""
+    for train_idx, test_idx in splits:
+        kept, engine = plain_fit(data, mask, train_idx, fcfg, icfg)
+        yield engine, data.records[test_idx][:, kept], data.labels[test_idx]
+
+
+@pytest.mark.parametrize("min_weight", [0.0, 0.9])
+@pytest.mark.parametrize("master", [1, 2, 3])
+def test_batched_fitness_equals_fold_by_fold_reference(master, min_weight,
+                                                       pima_data, pima_costs):
+    # every mask: the folds scored in one batch give the bits of one engine
+    # per fold; at 0.9 some folds keep no rule and fall to the midpoint
+    icfg = InductionConfig(min_rule_weight=min_weight)
+    fcfg = FitnessConfig.from_master_seed(master)
+    evaluator = FitnessEvaluator(pima_data, pima_costs, fcfg, icfg)
+    splits = stratified_split(pima_data, fcfg.evaluation)
+    ruleless = 0
+    for mask in all_masks(pima_data.n_features):
+        accs = []
+        for engine, x_test, y_test in fold_engines(pima_data, splits, mask,
+                                                   fcfg, icfg):
+            ruleless += engine.n_rules == 0
+            accs.append(float(np.mean(engine.predict(x_test)[1] == y_test)))
+        penalty = (fcfg.cost_weight * mask_cost(mask, pima_costs)
+                   / pima_costs.total_cost)
+        assert evaluator(mask) == float(np.mean(accs)) - penalty, mask
+    assert (ruleless > 0) == (min_weight > 0)
+
+
 def test_fitness_labels_equal_grid_centroid_at_real_ties(pima_data):
     # master seed 1's sweep holds test rows whose class strengths tie, so
     # their centroid sits on the threshold; the closed form must leave
     # those to the grid sum, and every label must be the grid centroid's
     fcfg = FitnessConfig.from_master_seed(1)
-    folds = [CompiledSplit(pima_data, *fold, fcfg, ICFG)
-             for fold in stratified_split(pima_data, fcfg.evaluation)]
+    splits = stratified_split(pima_data, fcfg.evaluation)
+    folds = CompiledFolds(pima_data, splits, fcfg, ICFG)
     at_threshold = 0
     for mask in all_masks(pima_data.n_features):
         kept = [i for i, bit in enumerate(mask) if bit]
-        for fold in folds:
-            engine = fold.fit(kept)
-            grid = engine._grid_crisp_values(
-                engine.table_strengths(fold.table[kept])
+        grid = np.concatenate([
+            engine._grid_crisp_values(
+                engine._term_levels(engine.strength_matrix(x_test))
             )
-            expected = (grid >= fcfg.decision_threshold).astype(np.int64)
-            assert np.array_equal(fold.predict(engine, kept), expected), mask
-            at_threshold += np.sum(
-                np.abs(grid - fcfg.decision_threshold) <= CLOSE
-            )
+            for engine, x_test, _ in fold_engines(pima_data, splits, mask, fcfg)
+        ])
+        expected = (grid >= fcfg.decision_threshold).astype(np.int64)
+        assert np.array_equal(folds.predict(kept, *folds.induce(kept)),
+                              expected), mask
+        at_threshold += np.sum(np.abs(grid - fcfg.decision_threshold) <= CLOSE)
     assert at_threshold > 0
+
+
+@pytest.mark.parametrize("folds, partitions", [(130, 3), (5, 128), (5, 140)])
+def test_keys_past_int8(folds, partitions, pima_data, pima_costs):
+    # fold ids, term indices or fold x term slots past what int8 holds
+    fcfg = FitnessConfig(evaluation=SplitPlan.kfold(folds, seed=11))
+    icfg = InductionConfig(partitions_per_input=partitions)
+    evaluator = FitnessEvaluator(pima_data, pima_costs, fcfg, icfg)
+    splits = stratified_split(pima_data, fcfg.evaluation)
+    for mask in SPLIT_MASKS[3:6]:
+        accs = [float(np.mean(engine.predict(x_test)[1] == y_test))
+                for engine, x_test, y_test in fold_engines(pima_data, splits,
+                                                           mask, fcfg, icfg)]
+        penalty = (fcfg.cost_weight * mask_cost(mask, pima_costs)
+                   / pima_costs.total_cost)
+        assert evaluator(mask) == float(np.mean(accs)) - penalty, mask
 
 
 # --- scalarization properties (stubbed accuracy) --------------------------------
