@@ -14,6 +14,7 @@ import configparser
 import csv
 import math
 import sys
+from array import array
 from importlib.resources import files
 from pathlib import Path
 
@@ -341,43 +342,52 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def _read_records_csv(path: Path, input_names: tuple[str, ...]) -> np.ndarray:
-    """Unlabelled records for classification.
+    """Unlabelled records for classification, (N, m).
 
     With a header, columns are matched by name (any order, extras allowed);
     without one, the column count must equal the model's input count.
-    NaN and infinite values are rejected with their row number.
+    NaN and infinite values are rejected with their row number, counting
+    the file's rows, blank ones too, as dataset.load_csv does. The whole
+    file is checked before anything is classified; the values go straight
+    into one float64 buffer, 8 bytes each.
     """
+    width = len(input_names)
+    values = array("d")
+    columns: list[int] | None = None  # set by the first non-blank row
+    header = False
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
-    if not rows:
+        for row_no, row in enumerate(csv.reader(fh), start=1):
+            if not any(c.strip() for c in row):
+                continue
+            if columns is None:
+                columns = list(range(width))
+                if any(not ds._is_number(c) for c in row):
+                    names = [c.strip() for c in row]
+                    missing = [n for n in input_names if n not in names]
+                    if missing:
+                        raise ArityMismatch(
+                            f"{path}: header lacks model inputs {missing}"
+                        )
+                    columns = [names.index(n) for n in input_names]
+                    header = True
+                    continue
+            if not header and len(row) != width:
+                raise ArityMismatch(
+                    f"{path} row {row_no}: expected {width} values, "
+                    f"got {len(row)}"
+                )
+            try:
+                parsed = [float(row[c]) for c in columns]
+            except (ValueError, IndexError) as exc:
+                raise ConfigError(f"{path} row {row_no}: {exc}") from exc
+            if not all(map(math.isfinite, parsed)):
+                raise ConfigError(f"{path} row {row_no}: non-finite value")
+            values.extend(parsed)
+    if columns is None:
         raise ConfigError(f"{path}: no records")
-    header: list[str] | None = None
-    if any(not ds._is_number(c) for c in rows[0]):
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise ConfigError(f"{path}: no data rows after header")
-    columns = range(len(input_names))
-    if header is not None:
-        missing = [n for n in input_names if n not in header]
-        if missing:
-            raise ArityMismatch(f"{path}: header lacks model inputs {missing}")
-        columns = [header.index(n) for n in input_names]
-    records = []
-    for row_no, row in enumerate(rows, start=2 if header else 1):
-        if header is None and len(row) != len(input_names):
-            raise ArityMismatch(
-                f"{path} row {row_no}: expected {len(input_names)} values, "
-                f"got {len(row)}"
-            )
-        try:
-            values = [float(row[c]) for c in columns]
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"{path} row {row_no}: {exc}") from exc
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"{path} row {row_no}: non-finite value")
-        records.append(values)
-    return np.asarray(records)
+    if not values:
+        raise ConfigError(f"{path}: no data rows after header")
+    return np.frombuffer(values).reshape(-1, width)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -389,22 +399,36 @@ def cmd_classify(args: argparse.Namespace) -> int:
     records = _read_records_csv(data_path, model.input_names)
 
     engine = fuzzy.CompiledFIS.from_config(model)
-    strengths = engine.strength_matrix(records)
-    crisp, labels = engine.decide(strengths)
     term_names = model.output.term_names
-    texts = [rule_learning.format_rule(r, model.output.name) for r in model.rules]
-    if model.rules:
-        top = strengths.argmax(axis=1)
-        top_strength = strengths[np.arange(len(top)), top]
-    for i in range(records.shape[0]):
-        if model.rules and top_strength[i] > 0:
-            top_part = f"top_rule=[{texts[top[i]]}] strength={top_strength[i]:.4f}"
+    fired = [
+        f"top_rule=[{rule_learning.format_rule(r, model.output.name)}] strength="
+        for r in model.rules
+    ]
+    unfired = 0
+    for start, strengths, crisp, labels in engine.chunks(records):
+        if model.rules:
+            top = strengths.argmax(axis=1)
+            top_strength = strengths[np.arange(len(top)), top]
         else:
-            top_part = "top_rule=none (no rule fired)"
-        print(
-            f"record {i + 1}: crisp={crisp[i]:.6f} "
-            f"class={term_names[labels[i]]} ({labels[i]}) {top_part}"
-        )
+            top = top_strength = np.zeros(len(crisp), dtype=np.int64)
+        lines = []
+        for i, (c, label, t, s) in enumerate(zip(
+            crisp.tolist(), labels.tolist(), top.tolist(), top_strength.tolist()
+        ), start=start + 1):
+            if s > 0:
+                top_part = f"{fired[t]}{s:.4f}"
+            else:
+                top_part = "top_rule=none (no rule fired)"
+                unfired += 1
+            lines.append(
+                f"record {i}: crisp={c:.6f} "
+                f"class={term_names[label]} ({label}) {top_part}\n"
+            )
+        sys.stdout.write("".join(lines))
+    # a record that fires no rule is not an error, but its class is only the
+    # midpoint's side of the threshold, so say how many there were
+    print(f"classified {len(records)} records, {unfired} fired no rule "
+          f"(crisp at the output midpoint)", file=sys.stderr)
     return 0
 
 

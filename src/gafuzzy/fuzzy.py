@@ -32,6 +32,9 @@ from .jsonio import read_json, write_json
 
 COVERAGE_GRID = 129  # sample count for the coverage sanity check
 BLOCK_BYTES = 128 * 1024  # one defuzzification temporary: 16 rows at 1001
+# the rule strengths and degree table of one chunk of predict() or classify,
+# so their memory does not grow with the record count
+CHUNK_BYTES = 2 * 1024 * 1024
 # closed-form centroids this close to the decision threshold are recomputed
 # by the grid sum, which then decides the label; the two differ by ~1e-15
 CLOSE = 1e-9
@@ -495,8 +498,29 @@ class CompiledFIS:
         crisp = self.crisp_values(strengths)
         return crisp, (crisp >= self.decision_threshold).astype(np.int64)
 
+    @property
+    def chunk_rows(self) -> int:
+        """Records per chunk of chunks(): CHUNK_BYTES over the bytes one
+        record takes in the rule strengths and in the degree table."""
+        t_max = max((len(v.terms) for v in self.inputs), default=0)
+        width = self.n_rules + len(self.inputs) * (t_max + 1)
+        return max(1, CHUNK_BYTES // (8 * max(width, 1)))
+
+    def chunks(self, records: np.ndarray):
+        """(start, strengths, crisp, labels) of each chunk of chunk_rows
+        records of the (N, m) table, in order. Strengths are an exact
+        running minimum and decide() does not depend on the rows decided
+        with it, so every value is the unchunked one. An empty table is
+        one empty chunk."""
+        records = np.atleast_2d(np.asarray(records, dtype=float))
+        rows = self.chunk_rows
+        for start in range(0, max(len(records), 1), rows):
+            strengths = self.strength_matrix(records[start:start + rows])
+            yield (start, strengths, *self.decide(strengths))
+
     def predict(self, records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.decide(self.strength_matrix(records))
+        crisp, labels = zip(*(chunk[2:] for chunk in self.chunks(records)))
+        return np.concatenate(crisp), np.concatenate(labels)
 
 
 def degree_table(inputs: Sequence[LinguisticVariable],

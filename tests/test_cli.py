@@ -1,7 +1,10 @@
+import contextlib
+import itertools
 import json
 import random
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from gafuzzy.cli import _packaged, main
 from gafuzzy.dataset import stratified_split
 from gafuzzy.fuzzy import (
+    CompiledFIS,
     FISConfig,
     LinguisticVariable,
     Rule,
@@ -17,8 +21,10 @@ from gafuzzy.fuzzy import (
     load_model,
     predict,
     save_model,
+    uniform_partition,
 )
-from gafuzzy import selector
+from gafuzzy import fuzzy, selector
+from gafuzzy.rule_learning import format_rule
 from gafuzzy.selector import FitnessConfig
 
 PIMA_ARGS = [
@@ -300,20 +306,29 @@ def test_classify_lines_for_fired_unfired_and_empty_models(tmp_path, capsys):
     records = tmp_path / "records.csv"
     records.write_text("u,v\n6,30\n0,100\n10,100\n")
     assert main(["classify", "--model", str(model), "--data", str(records)]) == 0
-    assert capsys.readouterr().out.splitlines() == [
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
         "record 1: crisp=0.422494 class=negative (0) top_rule=[IF u IS high "
         "AND v IS low THEN outcome IS negative] strength=0.6000",
         "record 2: crisp=0.500000 class=positive (1) top_rule=none (no rule fired)",
         "record 3: crisp=0.667000 class=positive (1) top_rule=[IF u IS high "
         "AND v IS high THEN outcome IS positive] strength=1.0000",
     ]
+    # the no-fire default is counted on stderr, outside the record lines
+    assert captured.err == (
+        "classified 3 records, 1 fired no rule (crisp at the output midpoint)\n"
+    )
     config = load_model(model)
     save_model(FISConfig(config.inputs, config.output, ()), model)
     assert main(["classify", "--model", str(model), "--data", str(records)]) == 0
-    assert capsys.readouterr().out.splitlines() == [
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
         f"record {i}: crisp=0.500000 class=positive (1) top_rule=none (no rule fired)"
         for i in (1, 2, 3)
     ]
+    assert captured.err == (
+        "classified 3 records, 3 fired no rule (crisp at the output midpoint)\n"
+    )
 
 
 def test_classify_headerless_and_column_reorder(tmp_path, capsys):
@@ -341,7 +356,8 @@ def test_classify_arity_mismatch(tmp_path, capsys):
     ("u,v\n6,30\nnan,1\n", 3),
     ("u,v\n120,inf\n", 2),
     ("6,30\n-inf,30\n", 2),
-], ids=["nan", "inf", "headerless"])
+    ("u,v\n\n6,30\n\nnan,1\n", 5),
+], ids=["nan", "inf", "headerless", "blank-lines"])
 def test_classify_rejects_non_finite_values(tmp_path, capsys, rows, bad_row):
     model = golden_model(tmp_path)
     records = tmp_path / "records.csv"
@@ -351,6 +367,121 @@ def test_classify_rejects_non_finite_values(tmp_path, capsys, rows, bad_row):
     captured = capsys.readouterr()
     assert f"row {bad_row}: non-finite value" in captured.err
     assert captured.out == ""
+
+
+# the golden model's chunks hold this many records
+CHUNK = 5
+
+
+@pytest.fixture
+def small_chunks(monkeypatch, tmp_path):
+    """The golden model, with chunks of CHUNK records."""
+    model = golden_model(tmp_path)
+    engine = CompiledFIS.from_config(load_model(model))
+    width = engine.n_rules + 2 * 3  # strengths, then 2 inputs x (2 terms + 1)
+    monkeypatch.setattr(fuzzy, "CHUNK_BYTES", 8 * width * CHUNK)
+    assert engine.chunk_rows == CHUNK
+    return model
+
+
+def golden_records(n):
+    """n records of the golden model; every third fires no rule (u = 0)."""
+    rng = np.random.default_rng(n)
+    records = np.column_stack([rng.uniform(0, 10, n), rng.uniform(0, 100, n)])
+    records[::3, 0] = 0.0
+    return records
+
+
+def csv_rows(records):
+    return [f"{u!r},{v!r}\n" for u, v in records.tolist()]
+
+
+def unchunked_lines(model, records):
+    """classify's stdout, from one strength_matrix and one decide over all
+    the records."""
+    config = load_model(model)
+    engine = CompiledFIS.from_config(config)
+    strengths = engine.strength_matrix(records)
+    crisp, labels = engine.decide(strengths)
+    texts = [format_rule(r, config.output.name) for r in config.rules]
+    lines = []
+    for i, row in enumerate(strengths):
+        top = int(row.argmax())
+        part = (f"top_rule=[{texts[top]}] strength={row[top]:.4f}"
+                if row[top] > 0 else "top_rule=none (no rule fired)")
+        lines.append(
+            f"record {i + 1}: crisp={crisp[i]:.6f} "
+            f"class={config.output.term_names[labels[i]]} ({labels[i]}) {part}\n"
+        )
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_classify_output_does_not_depend_on_chunks(small_chunks, tmp_path,
+                                                   capsys, n):
+    records = golden_records(n)
+    path = tmp_path / "records.csv"
+    path.write_text("u,v\n" + "".join(csv_rows(records)))
+    assert main(["classify", "--model", str(small_chunks), "--data", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == unchunked_lines(small_chunks, records)
+    unfired = captured.out.count("no rule fired")
+    assert captured.err == (
+        f"classified {n} records, {unfired} fired no rule "
+        "(crisp at the output midpoint)\n"
+    )
+
+
+def test_classify_checks_every_chunk_before_printing(small_chunks, tmp_path,
+                                                     capsys):
+    rows = csv_rows(golden_records(2 * CHUNK + 1))
+    rows[-1] = "5,nan\n"  # alone in the third chunk, file row 2 * CHUNK + 2
+    path = tmp_path / "records.csv"
+    path.write_text("u,v\n" + "".join(rows))
+    assert main(["classify", "--model", str(small_chunks), "--data", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"row {2 * CHUNK + 2}: non-finite value" in captured.err
+    assert captured.out == ""
+
+
+class _NullSink:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_classify_memory_is_the_records_plus_one_chunk(tmp_path):
+    # 4 inputs x 3 terms, one rule per antecedent: 81 rules, so that
+    # unchunked strengths alone would take 8 * 81 bytes a record
+    inputs = tuple(uniform_partition(f"x{i}", 0.0, 1.0) for i in range(4))
+    rules = tuple(
+        Rule(tuple((v.name, t) for v, t in zip(inputs, terms)),
+             ("negative", "positive")[k % 2])
+        for k, terms in enumerate(
+            itertools.product(("low", "medium", "high"), repeat=4)
+        )
+    )
+    model = tmp_path / "model.json"
+    save_model(FISConfig(inputs, class_output_variable(), rules), model)
+    n, m = 50_000, len(inputs)
+    records = tmp_path / "records.csv"
+    np.savetxt(records, np.random.default_rng(0).random((n, m)), fmt="%.6f",
+               delimiter=",", header="x0,x1,x2,x3", comments="")
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_NullSink()), \
+                contextlib.redirect_stderr(_NullSink()):
+            code = main(["classify", "--model", str(model), "--data", str(records)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # the parsed records, 8 bytes a value, then one chunk at a time: its
+    # strengths, their running minimum, term levels and text are each about
+    # CHUNK_BYTES, whatever the record count
+    assert peak < 8 * m * n + 6 * fuzzy.CHUNK_BYTES
 
 
 def test_classify_at_feature_means(tmp_path, capsys, pima_data):

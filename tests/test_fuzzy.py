@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gafuzzy import fuzzy
 from gafuzzy.errors import ArityMismatch, ConfigError, NoRules, UnknownTerm
 from gafuzzy.fuzzy import (
     BLOCK_BYTES,
@@ -400,6 +401,28 @@ def test_predict_matches_infer_loop():
         single = infer(config, records[i])
         assert single.crisp == crisp[i]
         assert single.label == labels[i]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 64, None])
+def test_predict_is_bit_identical_whatever_the_chunks(monkeypatch, rows):
+    # random records, ties (v = 50 fires both rules equally, so the row
+    # goes to the grid sum) and records that fire no rule (u = 0)
+    config = two_input_config()
+    engine = CompiledFIS.from_config(config)
+    rng = np.random.default_rng(11)
+    records = np.column_stack([rng.uniform(0, 10, 150), rng.uniform(0, 100, 150)])
+    records[::5, 1] = 50.0
+    records[::7, 0] = 0.0
+    crisp, labels = engine.decide(engine.strength_matrix(records))
+    if rows is not None:
+        width = engine.n_rules + 2 * 3  # strengths, then 2 inputs x (2 terms + 1)
+        monkeypatch.setattr(fuzzy, "CHUNK_BYTES", 8 * width * rows)
+        assert engine.chunk_rows == rows
+    got_crisp, got_labels = engine.predict(records)
+    assert got_crisp.tobytes() == crisp.tobytes()
+    assert got_labels.tobytes() == labels.tobytes()
+    starts = [start for start, *_ in engine.chunks(records)]
+    assert starts == list(range(0, 150, engine.chunk_rows))
 
 
 def random_output(seed, n_terms):
