@@ -407,8 +407,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     unfired = 0
     for start, strengths, crisp, labels in engine.chunks(records):
         if model.rules:
-            top = strengths.argmax(axis=1)
-            top_strength = strengths[np.arange(len(top)), top]
+            top_strength = strengths.max(axis=0)
+            # the rules run in consequent order: at ties, the first in file
+            top = (strengths == top_strength)[engine.file_order].argmax(axis=0)
         else:
             top = top_strength = np.zeros(len(crisp), dtype=np.int64)
         lines = []

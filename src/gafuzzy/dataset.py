@@ -353,8 +353,19 @@ def load_costs(path: str | Path, schema: Schema) -> CostTable:
             raise ConfigError(
                 f"{path}: cost of {feature.name!r} is not a number"
             ) from exc
+        if not np.isfinite(cost):
+            raise ConfigError(
+                f"{path}: cost of {feature.name!r} is {cost}, not a finite number"
+            )
         entries.append((feature.name, cost))
-    return CostTable(tuple(entries))
+    table = CostTable(tuple(entries))
+    # the fitness penalty is a mask's share of the total cost
+    if not 0.0 < table.total_cost < np.inf:
+        raise ConfigError(
+            f"{path}: costs sum to {table.total_cost}; the total must be "
+            "positive and finite"
+        )
+    return table
 
 
 # --- operations ------------------------------------------------------------

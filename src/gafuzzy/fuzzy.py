@@ -2,11 +2,13 @@
 
 Membership functions, linguistic variables and if-then rules, evaluated
 with min conjunction, clip implication, max aggregation and centroid
-defuzzification over a uniform sample grid. A compiled engine backs both
-the single-record API and the batch classifier so the two can never
-disagree. The fitness path computes rule strengths and per-term clip levels
-of every CV fold itself and labels all their test rows in one call to the
-same decision half (`CompiledFIS.of_levels`).
+defuzzification over a uniform sample grid. One kernel turns degrees into
+class levels for every caller: `rule_strengths` gathers each rule's weight
+times the minimum of its clause degrees from a 2-D (slot, record) degree
+table, and `max_by_group` takes the maximum of each class's rules. The
+compiled engine runs it over chunks of records, and the fitness path over
+the test rows of every CV fold at once; both hand the (N, T) class levels
+to the same `CompiledFIS.decide`.
 
 The centroid is the grid's, sum(agg(x_i) * x_i) / sum(agg(x_i)) over an
 output grid that all engines share, but it is not summed point by point:
@@ -293,6 +295,33 @@ def centroid_plan(output: LinguisticVariable,
     return plan
 
 
+def rule_strengths(table: np.ndarray, slots: np.ndarray,
+                   weights: np.ndarray) -> np.ndarray:
+    """Firing strengths, (R, N): row r is weights[r] times the minimum over
+    i of table[slots[r, i]], from a 2-D (slot, record) degree table. An
+    exact running minimum of whole-row gathers, so no (R, m, N) temporary."""
+    weakest = table[slots[:, 0]]  # a copy
+    for i in range(1, slots.shape[1]):
+        np.minimum(weakest, table[slots[:, i]], out=weakest)
+    # a new array, not in place: freeing the minimum after it keeps glibc
+    # from trimming the heap after each classify chunk, which doubled the
+    # page faults of a 20,000-record run
+    return weights[:, None] * weakest
+
+
+def max_by_group(strengths: np.ndarray, groups: np.ndarray,
+                 levels: np.ndarray) -> None:
+    """Raise each levels[g] to the maximum of the (R, N) strengths of the
+    rules of group g: the clip level of a class is the maximum over its
+    rules, and min and max round nothing. Each run of equal groups is one
+    slice of whole rows, so rules sorted by group take one slice a group;
+    at 194 rules and 1,159 records that ran 4x faster than a reduceat."""
+    bounds = np.flatnonzero(np.diff(groups, prepend=-1, append=-1)).tolist()
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        level = levels[groups[start]]
+        np.maximum(level, strengths[start:stop].max(axis=0), out=level)
+
+
 class CompiledFIS:
     """Index-based engine, the package's only inference path: infer(),
     predict(), the fitness evaluator and the classify command all run here."""
@@ -319,17 +348,14 @@ class CompiledFIS:
         self.grid, self.term_samples = output_grid(output, resolution)
         self.plan = centroid_plan(output, resolution)
         self.n_rules = self.weights.shape[0]
-
-    @classmethod
-    def of_levels(cls, output: LinguisticVariable, resolution: int,
-                  decision_threshold: float) -> "CompiledFIS":
-        """The decision half of every engine over this output: rule t
-        concludes output term t at weight 1 and constrains no input, so its
-        rule strengths are per-term clip levels, and decide() of an (N, T)
-        level table labels records of many rule bases in one call."""
-        n_terms = len(output.terms)
-        return cls([], output, np.zeros((n_terms, 0)), np.ones(n_terms),
-                   np.arange(n_terms), resolution, decision_threshold)
+        # rules run sorted by consequent, one max_by_group slice a class:
+        # row j is rule order[j] of the file; slots index the flat table
+        self.order = np.argsort(self.consequents, kind="stable")
+        self.file_order = np.argsort(self.order)
+        self.t_max = max((len(v.terms) for v in self.inputs), default=0)
+        ant = self.antecedents[self.order]
+        self.slots = (np.arange(len(self.inputs)) * (self.t_max + 1)
+                      + np.where(ant >= 0, ant, self.t_max))
 
     @classmethod
     def from_config(cls, config: FISConfig) -> "CompiledFIS":
@@ -371,26 +397,21 @@ class CompiledFIS:
         """Clamped membership degrees, shape (m, T_max + 1, N)."""
         return degree_table(self.inputs, records)
 
+    def _strengths(self, records: np.ndarray) -> np.ndarray:
+        """Rule firing strengths, (R, N), the rules in consequent order."""
+        table = self.degree_table(records).reshape(len(self.inputs)
+                                                   * (self.t_max + 1), -1)
+        return rule_strengths(table, self.slots, self.weights[self.order])
+
     def strength_matrix(self, records: np.ndarray) -> np.ndarray:
-        """Rule firing strengths, shape (N, R)."""
-        return self.table_strengths(self.degree_table(records))
+        """Rule firing strengths, shape (N, R), the rules in file order."""
+        return self._strengths(records)[self.file_order].T
 
-    def table_strengths(self, table: np.ndarray) -> np.ndarray:
-        """Rule firing strengths, (N, R), from a degree table of this
-        engine's inputs: an exact running minimum, no (R, m, N) gather."""
-        if self.n_rules == 0:
-            return np.zeros((table.shape[2], 0))
-        idx = np.where(self.antecedents >= 0, self.antecedents, table.shape[1] - 1)
-        weakest = table[0, idx[:, 0]]  # (R, N), a copy
-        for i in range(1, len(self.inputs)):
-            np.minimum(weakest, table[i, idx[:, i]], out=weakest)
-        return (self.weights[:, None] * weakest).T
-
-    def crisp_values(self, strengths: np.ndarray) -> np.ndarray:
-        """Grid centroid of the clipped-and-aggregated output, per record:
-        in closed form, except rows within CLOSE of the decision threshold
-        and outputs with no closed form, which are summed on the grid."""
-        per_term = self._term_levels(strengths)
+    def crisp_values(self, per_term: np.ndarray) -> np.ndarray:
+        """Grid centroid of the clipped-and-aggregated output, per record,
+        from its (N, T) class clip levels: in closed form, except rows
+        within CLOSE of the decision threshold and outputs with no closed
+        form, which are summed on the grid."""
         if self.plan is None:
             return self._grid_crisp_values(per_term)
         crisp, mass = self._closed_form(per_term)
@@ -398,18 +419,6 @@ class CompiledFIS:
         if np.any(near):
             crisp[near] = self._grid_crisp_values(per_term[near])
         return crisp
-
-    def _term_levels(self, strengths: np.ndarray) -> np.ndarray:
-        """Clip level of every output term, (N, T): -inf for a term no rule
-        concludes. Max over rules then clip per term equals clip per rule
-        then max."""
-        per_term = np.full((strengths.shape[0], self.term_samples.shape[0]),
-                           -np.inf)
-        for t in range(per_term.shape[1]):
-            cols = self.consequents == t
-            if np.any(cols):
-                per_term[:, t] = strengths[:, cols].max(axis=1)
-        return per_term
 
     def _closed_form(self, per_term: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(crisp, 2 * sum of agg) of the grid centroid, per record, summed
@@ -468,7 +477,7 @@ class CompiledFIS:
 
     def _grid_crisp_values(self, per_term: np.ndarray) -> np.ndarray:
         """The centroid summed point by point over the grid, per record,
-        from the (N, T) clip levels of _term_levels."""
+        from the (N, T) clip levels of crisp_values."""
         n, n_terms = per_term.shape
         lo, hi = self.output.universe
         midpoint = (lo + hi) / 2.0
@@ -491,32 +500,35 @@ class CompiledFIS:
             crisp = np.where(den > 0.0, num / den, midpoint)
         return crisp
 
-    def decide(self, strengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(crisp values, class labels) from rule strengths: the package's
-        only decision rule. A record that fires no rule gets the output
-        midpoint, which >= sends to the positive class at threshold 0.5."""
-        crisp = self.crisp_values(strengths)
+    def decide(self, per_term: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(crisp values, class labels) from (N, T) class clip levels: the
+        package's only decision rule. A record that fires no rule gets the
+        output midpoint, which >= sends to the positive class at threshold
+        0.5."""
+        crisp = self.crisp_values(per_term)
         return crisp, (crisp >= self.decision_threshold).astype(np.int64)
 
     @property
     def chunk_rows(self) -> int:
         """Records per chunk of chunks(): CHUNK_BYTES over the bytes one
         record takes in the rule strengths and in the degree table."""
-        t_max = max((len(v.terms) for v in self.inputs), default=0)
-        width = self.n_rules + len(self.inputs) * (t_max + 1)
+        width = self.n_rules + len(self.inputs) * (self.t_max + 1)
         return max(1, CHUNK_BYTES // (8 * max(width, 1)))
 
     def chunks(self, records: np.ndarray):
         """(start, strengths, crisp, labels) of each chunk of chunk_rows
-        records of the (N, m) table, in order. Strengths are an exact
-        running minimum and decide() does not depend on the rows decided
-        with it, so every value is the unchunked one. An empty table is
-        one empty chunk."""
+        records of the (N, m) table, in order, strengths as (R, n) in
+        consequent order. Strengths are an exact running minimum and
+        decide() does not depend on the rows decided with it, so every
+        value is the unchunked one. An empty table is one empty chunk."""
         records = np.atleast_2d(np.asarray(records, dtype=float))
         rows = self.chunk_rows
+        groups = self.consequents[self.order]
         for start in range(0, max(len(records), 1), rows):
-            strengths = self.strength_matrix(records[start:start + rows])
-            yield (start, strengths, *self.decide(strengths))
+            strengths = self._strengths(records[start:start + rows])
+            levels = np.zeros((len(self.output.terms), strengths.shape[1]))
+            max_by_group(strengths, groups, levels)
+            yield (start, strengths, *self.decide(levels.T))
 
     def predict(self, records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         crisp, labels = zip(*(chunk[2:] for chunk in self.chunks(records)))
@@ -564,10 +576,10 @@ def infer(config: FISConfig, record: Sequence[float]) -> Inference:
         raise NoRules("cannot infer with an empty rule base")
     engine = CompiledFIS.from_config(config)
     rec = np.asarray(record, dtype=float)[None, :]
-    strengths = engine.strength_matrix(rec)
-    crisp, labels = engine.decide(strengths)
+    _, strengths, crisp, labels = next(engine.chunks(rec))
     return Inference(
-        float(crisp[0]), int(labels[0]), tuple(float(s) for s in strengths[0])
+        float(crisp[0]), int(labels[0]),
+        tuple(float(s) for s in strengths[engine.file_order, 0]),
     )
 
 

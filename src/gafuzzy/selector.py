@@ -25,6 +25,8 @@ from .fuzzy import (
     class_output_variable,
     degree_table,
     index_rules,
+    max_by_group,
+    rule_strengths,
     uniform_partition,
 )
 from .ga import (
@@ -67,8 +69,11 @@ class FitnessConfig:
     report_plan: SplitPlan | None = None
 
     def __post_init__(self):
-        if self.cost_weight < 0:
-            raise ConfigError("cost weight (lambda) must be non-negative")
+        if not 0.0 <= self.cost_weight < np.inf:
+            raise ConfigError(
+                f"cost weight (lambda) must be finite and non-negative, "
+                f"got {self.cost_weight}"
+            )
 
     @classmethod
     def from_master_seed(
@@ -158,9 +163,9 @@ class CompiledFolds:
         self.n_terms = icfg.partitions_per_input
         self.fcfg, self.icfg = fcfg, icfg
         self.output = class_output_variable(data.schema.label_name)
-        self.decider = CompiledFIS.of_levels(
-            self.output, fcfg.resolution, fcfg.decision_threshold
-        )
+        # the decision of every split's class levels: an engine of no rules
+        self.decider = CompiledFIS([], self.output, np.zeros((0, 0)), [], [],
+                                   fcfg.resolution, fcfg.decision_threshold)
         sizes = np.array([len(test_idx) for _, test_idx in splits])
         width = int(sizes.max())
         # (feature, split x term slot, test row): slot n_terms of every split
@@ -182,8 +187,9 @@ class CompiledFolds:
         self.degrees = np.concatenate(degrees).T.copy()
         self.split_of = np.concatenate(split_of)
         self.y_train = np.concatenate([data.labels[tr] for tr, _ in splits])
+        # flat as (feature x split x term slot, test row) for rule_strengths
         self.table = table.reshape(
-            data.n_features, len(splits) * (self.n_terms + 1), width
+            data.n_features * len(splits) * (self.n_terms + 1), width
         )
         self.valid = np.arange(width) < sizes[:, None]  # (split, test row)
         self.y_test = np.concatenate([data.labels[te] for _, te in splits])
@@ -203,35 +209,25 @@ class CompiledFolds:
                 weights: np.ndarray, classes: np.ndarray) -> np.ndarray:
         """Labels of the test rows of every split, split after split, by
         rules over the kept features given as from induce(); antecedent -1
-        leaves an input unconstrained. Strengths are a running minimum of
-        whole-row gathers, and each split's clip levels the maximum over
-        its rules of each class."""
+        leaves an input unconstrained. Each split's class levels come from
+        the kernel of every engine, with the kept features and the split
+        folded into the slots."""
+        n_splits, width = self.valid.shape
         n_classes = len(self.output.terms)
         group = split * n_classes + classes
         order = np.argsort(group, kind="stable")
         group, weights = group[order], weights[order]
         terms = antecedents[order].astype(np.intp)
-        slots = split[order, None] * (self.n_terms + 1) + np.where(
-            terms >= 0, terms, self.n_terms
-        )
-        n_splits, width = self.valid.shape
+        slots = ((np.asarray(kept) * n_splits + split[order, None])
+                 * (self.n_terms + 1) + np.where(terms >= 0, terms, self.n_terms))
         levels = np.zeros((n_splits * n_classes, width))
         # rules in blocks of one defuzzification temporary, so the gathers
         # of all splits together take no more memory than one split's did
         step = max(1, BLOCK_BYTES // (8 * max(width, 1)))
         for start in range(0, len(group), step):
             block = slice(start, start + step)
-            strengths = self.table[kept[0], slots[block, 0]]
-            for j in range(1, len(kept)):
-                np.minimum(strengths, self.table[kept[j], slots[block, j]],
-                           out=strengths)
-            strengths *= weights[block, None]
-            ids = group[block]
-            starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-            ids = ids[starts]
-            levels[ids] = np.maximum(
-                levels[ids], np.maximum.reduceat(strengths, starts, axis=0)
-            )
+            max_by_group(rule_strengths(self.table, slots[block], weights[block]),
+                         group[block], levels)
         per_row = levels.reshape(n_splits, n_classes, width).transpose(0, 2, 1)
         return self.decider.decide(per_row[self.valid])[1]
 
@@ -249,16 +245,6 @@ class CompiledFolds:
         rules = index_rules(inputs, self.output, antecedents, weights, classes)
         return FISConfig(inputs, self.output, rules, self.fcfg.resolution,
                          self.fcfg.decision_threshold)
-
-
-def _cv_accuracy(
-    mask: Mask,
-    data: Dataset,
-    fcfg: "FitnessConfig",
-    icfg: InductionConfig,
-    folds: CompiledFolds,
-) -> float:
-    return folds.accuracy(_kept_columns(data, mask))
 
 
 class FitnessEvaluator:
@@ -299,7 +285,7 @@ class FitnessEvaluator:
         if hit is not None:
             self.hits += 1
             return hit
-        accuracy = _cv_accuracy(mask, self.data, self.fcfg, self.icfg, self._folds)
+        accuracy = self._folds.accuracy(_kept_columns(self.data, mask))
         penalty = (
             self.fcfg.cost_weight
             * mask_cost(mask, self.costs)

@@ -40,3 +40,14 @@ def toy4():
 @pytest.fixture(scope="session")
 def toy4_costs(toy4):
     return CostTable(tuple((f.name, 1.0) for f in toy4.schema.features))
+
+
+def class_levels(engine, records):
+    """(N, T) clip level of every output term of an engine at the records:
+    the maximum of the file-order strengths of the rules that conclude it,
+    0 where none does. The per-rule reference of the engine's kernel."""
+    strengths = engine.strength_matrix(records)
+    return np.stack([
+        strengths[:, engine.consequents == t].max(axis=1, initial=0.0)
+        for t in range(len(engine.output.terms))
+    ], axis=1)

@@ -27,6 +27,8 @@ from gafuzzy import fuzzy, selector
 from gafuzzy.rule_learning import format_rule
 from gafuzzy.selector import FitnessConfig
 
+from conftest import class_levels
+
 PIMA_ARGS = [
     "--data", str(_packaged("pima.csv")),
     "--schema", str(_packaged("pima.schema")),
@@ -61,6 +63,26 @@ def test_validate_missing_cost_feature(tmp_path, capsys):
     code = main(["validate", *PIMA_ARGS[:4], "--costs", str(costs)])
     assert code == 2
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "select"])
+@pytest.mark.parametrize("glucose, expected", [
+    ("0", "sum to 0"), ("nan", "'glucose'"), ("inf", "'glucose'"),
+], ids=["all-zero", "nan", "inf"])
+def test_bad_costs_exit_2_naming_the_file(tmp_path, capsys, command, glucose,
+                                          expected):
+    names = [line.split("=")[0].strip() for line in
+             _packaged("pima.costs").read_text().splitlines() if "=" in line]
+    costs = tmp_path / "bad.costs"
+    costs.write_text("[costs]\n" + "".join(
+        f"{n} = {glucose if n == 'glucose' else 0}\n" for n in names
+    ))
+    argv = [command, *PIMA_ARGS[:4], "--costs", str(costs)]
+    if command == "select":
+        argv += [*FAST, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(costs) in err and expected in err
 
 
 def test_validate_malformed_csv(tmp_path, capsys):
@@ -143,6 +165,13 @@ def test_select_worker_count_invariant(tmp_path):
 
 def test_select_invalid_lambda(tmp_path, capsys):
     code = main(["select", *PIMA_ARGS, "--lambda", "-1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_select_non_finite_lambda(tmp_path, capsys, value):
+    code = main(["select", *PIMA_ARGS, "--lambda", value, "--out", str(tmp_path)])
     assert code == 2
     assert "lambda" in capsys.readouterr().err
 
@@ -397,12 +426,12 @@ def csv_rows(records):
 
 
 def unchunked_lines(model, records):
-    """classify's stdout, from one strength_matrix and one decide over all
-    the records."""
+    """classify's stdout, from one strength_matrix and one decide of its
+    per-class maximum over all the records."""
     config = load_model(model)
     engine = CompiledFIS.from_config(config)
     strengths = engine.strength_matrix(records)
-    crisp, labels = engine.decide(strengths)
+    crisp, labels = engine.decide(class_levels(engine, records))
     texts = [format_rule(r, config.output.name) for r in config.rules]
     lines = []
     for i, row in enumerate(strengths):
@@ -442,6 +471,29 @@ def test_classify_checks_every_chunk_before_printing(small_chunks, tmp_path,
     captured = capsys.readouterr()
     assert f"row {2 * CHUNK + 2}: non-finite value" in captured.err
     assert captured.out == ""
+
+
+def test_classify_top_rule_at_equal_strengths_is_the_first_in_file(tmp_path,
+                                                                  capsys):
+    # the engine runs its rules sorted by consequent; at equal strengths
+    # the top rule printed is still the first in file order, whether that
+    # is the positive rule (u = 7, v = 30) or the negative one (u = 3, v = 70)
+    config = load_model(golden_model(tmp_path))
+    rules = (
+        Rule((("u", "high"),), "positive"),
+        Rule((("v", "low"),), "negative"),
+        Rule((("u", "low"),), "negative"),
+        Rule((("v", "high"),), "positive"),
+    )
+    model = tmp_path / "interleaved.json"
+    save_model(FISConfig(config.inputs, config.output, rules), model)
+    records = tmp_path / "records.csv"
+    records.write_text("u,v\n7,30\n3,70\n")
+    assert main(["classify", "--model", str(model), "--data", str(records)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    for line, rule in zip(out, (rules[0], rules[2])):
+        assert f"top_rule=[{format_rule(rule, 'outcome')}] strength=0.7000" in line
+    assert len(out) == 2
 
 
 class _NullSink:

@@ -167,6 +167,23 @@ def test_costs_negative(tmp_path):
         load_costs(path, schema)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_costs_non_finite(tmp_path, value):
+    schema = make_schema(2)
+    path = write(tmp_path, "c.ini", f"[costs]\nf0 = 1\nf1 = {value}\n")
+    with pytest.raises(ConfigError, match="c.ini.*'f1'"):
+        load_costs(path, schema)
+
+
+@pytest.mark.parametrize("values", [("0", "0.0"), ("1e308", "1e308")])
+def test_costs_total_must_be_positive_and_finite(tmp_path, values):
+    # fitness divides by the total cost
+    schema = make_schema(2)
+    path = write(tmp_path, "c.ini", "[costs]\nf0 = {}\nf1 = {}\n".format(*values))
+    with pytest.raises(ConfigError, match="c.ini.*sum"):
+        load_costs(path, schema)
+
+
 def test_costs_unknown_feature(tmp_path):
     schema = make_schema(1)
     path = write(tmp_path, "c.ini", "[costs]\nf0 = 1\nghost = 2\n")

@@ -31,6 +31,7 @@ from gafuzzy.fuzzy import (
 from gafuzzy.rule_learning import InductionConfig, induce_rule_matrix
 
 import oracle
+from conftest import class_levels
 
 
 # --- membership degrees --------------------------------------------------------
@@ -413,7 +414,7 @@ def test_predict_is_bit_identical_whatever_the_chunks(monkeypatch, rows):
     records = np.column_stack([rng.uniform(0, 10, 150), rng.uniform(0, 100, 150)])
     records[::5, 1] = 50.0
     records[::7, 0] = 0.0
-    crisp, labels = engine.decide(engine.strength_matrix(records))
+    crisp, labels = engine.decide(class_levels(engine, records))
     if rows is not None:
         width = engine.n_rules + 2 * 3  # strengths, then 2 inputs x (2 terms + 1)
         monkeypatch.setattr(fuzzy, "CHUNK_BYTES", 8 * width * rows)
@@ -449,30 +450,36 @@ def random_output(seed, n_terms):
     return LinguisticVariable("out", (lo, hi), tuple(terms))
 
 
-def engine_for(output, resolution, threshold=0.5, n_rules=6):
-    """An engine whose strengths are fed directly: rule r concludes output
-    term r mod T."""
-    consequents = np.arange(n_rules) % len(output.terms)
+def engine_for(output, resolution, threshold=0.5, n_rules=0):
+    """An engine over the output whose class levels are fed directly, or,
+    given rules, where rule r constrains its input x to term r mod 3 at
+    weight 1 - r / 10 and concludes output term r mod T."""
+    rules = np.arange(n_rules)
     return CompiledFIS(
-        [uniform_partition("x", 0.0, 10.0, 3)], output, np.zeros((n_rules, 1)),
-        np.ones(n_rules), consequents, resolution, threshold,
+        [uniform_partition("x", 0.0, 10.0, 3)], output, (rules % 3)[:, None],
+        1.0 - rules / 10.0, rules % len(output.terms), resolution, threshold,
     )
 
 
-def grid_centroids(engine, strengths):
+def grid_centroids(engine, levels):
     """The grid sum of an engine's centroids, the reference of the closed
     form."""
-    return engine._grid_crisp_values(engine._term_levels(strengths))
+    return engine._grid_crisp_values(levels)
 
 
-def strength_rows(rng, n, n_rules=6):
-    """Random strengths, with all-zero rows, rows of equal strengths and
-    rows where only some terms fire."""
+def level_rows(rng, n, n_terms, n_rules=6):
+    """Class levels of random strengths of rules that conclude term r mod
+    T, with all-zero rows, rows of equal strengths and rows where only some
+    terms fire."""
     strengths = rng.uniform(0.0, 1.0, (n, n_rules))
     strengths[::4] = 0.0
     strengths[1::4] = strengths[1::4, :1]
     strengths[2::4, ::2] = 0.0
-    return strengths
+    levels = np.zeros((n, n_terms))
+    for r in range(n_rules):
+        t = r % n_terms
+        levels[:, t] = np.maximum(levels[:, t], strengths[:, r])
+    return levels
 
 
 BLOCK_OUTPUTS = [
@@ -501,9 +508,9 @@ def test_blocked_centroid_equals_per_row_calls(resolution, output):
     rng = np.random.default_rng(resolution + n_terms)
     for n in (0, 1, grid_block - 1, grid_block, grid_block + 1,
               3 * grid_block + 5, closed_block + 1):
-        strengths = strength_rows(rng, n)
-        whole = engine.crisp_values(strengths)
-        rows = [engine.crisp_values(strengths[i : i + 1]) for i in range(n)]
+        levels = level_rows(rng, n, n_terms)
+        whole = engine.crisp_values(levels)
+        rows = [engine.crisp_values(levels[i : i + 1]) for i in range(n)]
         assert whole.shape == (n,)
         assert whole.tobytes() == np.concatenate([np.empty(0), *rows]).tobytes()
         if n:
@@ -519,13 +526,13 @@ def test_closed_form_centroid_matches_grid(seed):
     output = random_output(seed, int(rng.integers(2, 6)))
     resolution = (3, 501, 1001)[seed % 3]
     assert centroid_plan(output, resolution) is not None
-    strengths = strength_rows(rng, 200)
-    grid = grid_centroids(engine_for(output, resolution), strengths)
+    levels = level_rows(rng, 200, len(output.terms))
+    grid = grid_centroids(engine_for(output, resolution), levels)
     lo, hi = output.universe
     at = np.flatnonzero(grid != (lo + hi) / 2.0)[:2]  # thresholds at two rows
     for threshold in (*grid[at], (lo + hi) / 2.0, lo + 0.3 * (hi - lo)):
         engine = engine_for(output, resolution, threshold)
-        crisp, labels = engine.decide(strengths)
+        crisp, labels = engine.decide(levels)
         assert np.all(np.abs(crisp - grid) <= 1e-12)
         assert np.array_equal(labels, (grid >= threshold).astype(np.int64))
         near = np.abs(crisp - threshold) <= CLOSE
@@ -552,9 +559,9 @@ def test_outputs_without_closed_form_use_the_grid(output):
     # continuous piecewise-linear aggregate: every row is summed on the grid
     assert centroid_plan(output, 1001) is None
     engine = engine_for(output, 1001)
-    strengths = strength_rows(np.random.default_rng(3), 60)
-    assert (engine.crisp_values(strengths).tobytes()
-            == grid_centroids(engine, strengths).tobytes())
+    levels = level_rows(np.random.default_rng(3), 60, len(output.terms))
+    assert (engine.crisp_values(levels).tobytes()
+            == grid_centroids(engine, levels).tobytes())
 
 
 @pytest.mark.parametrize("output", [
@@ -562,25 +569,48 @@ def test_outputs_without_closed_form_use_the_grid(output):
     *NO_CLOSED_FORM,
 ])
 def test_level_decider_equals_every_engine(output):
-    # decide() of the per-term clip levels, with 0 for a term no rule
-    # concludes, gives an engine's own crisp bits and labels: with rules on
-    # every term, on one term only and with no rules, and with thresholds
-    # on a row's grid centroid, where the grid sum decides
-    rng = np.random.default_rng(len(output.terms))
-    strengths = strength_rows(rng, 120)
-    grid = grid_centroids(engine_for(output, 1001), strengths)
+    # decide() of the per-term clip levels of an engine's rules, the
+    # maximum of their file-order strengths with 0 for a term no rule
+    # concludes, by an engine of no rules gives the engine's own crisp bits
+    # and labels: with interleaved consequents on every term, on one term
+    # only and with no rules, and with thresholds on a row's grid centroid,
+    # where the grid sum decides
+    records = np.random.default_rng(len(output.terms)).uniform(0, 10, (120, 1))
+    records[::4] = 5.0  # medium only: a lone rule on low does not fire
+    records[1::4] = 2.5  # low and medium are 0.5 each
+    every_term = engine_for(output, 1001, n_rules=7)
+    grid = grid_centroids(every_term, class_levels(every_term, records))
     for threshold in (0.5 * sum(output.universe), *grid[2:4]):
-        decider = CompiledFIS.of_levels(output, 1001, threshold)
-        assert decider.n_rules == len(output.terms)
-        for engine in (engine_for(output, 1001, threshold),
-                       engine_for(output, 1001, threshold, n_rules=1),
-                       engine_for(output, 1001, threshold, n_rules=0)):
-            rules = strengths[:, : engine.n_rules]
-            levels = np.maximum(engine._term_levels(rules), 0.0)
-            crisp, labels = decider.decide(levels)
-            expected_crisp, expected_labels = engine.decide(rules)
+        decider = engine_for(output, 1001, threshold)
+        assert decider.n_rules == 0
+        for n_rules in (7, 1, 0):
+            engine = engine_for(output, 1001, threshold, n_rules)
+            crisp, labels = decider.decide(class_levels(engine, records))
+            expected_crisp, expected_labels = engine.predict(records)
             assert crisp.tobytes() == expected_crisp.tobytes()
             assert np.array_equal(labels, expected_labels)
+
+
+def test_kernel_equals_per_rule_loops():
+    # rule_strengths is weight x min over the clauses, and max_by_group the
+    # maximum of each group's rules whatever their order: sorted, in runs,
+    # interleaved, or no rules at all
+    rng = np.random.default_rng(23)
+    table = rng.uniform(0.0, 1.0, (12, 40))
+    for n_rules, n_groups in ((30, 4), (9, 1), (0, 3)):
+        slots = rng.integers(0, 12, (n_rules, 3))
+        weights = rng.uniform(0.0, 1.0, n_rules)
+        strengths = fuzzy.rule_strengths(table, slots, weights)
+        for r in range(n_rules):
+            expected = weights[r] * np.minimum.reduce(table[slots[r]])
+            assert strengths[r].tobytes() == expected.tobytes()
+        for groups in (np.sort(rng.integers(0, n_groups, n_rules)),
+                       rng.integers(0, n_groups, n_rules)):
+            levels = np.full((n_groups, 40), 0.25)
+            fuzzy.max_by_group(strengths, groups, levels)
+            for g in range(n_groups):
+                expected = strengths[groups == g].max(axis=0, initial=0.25)
+                assert levels[g].tobytes() == expected.tobytes()
 
 
 def test_engines_share_one_read_only_output_grid():
@@ -609,9 +639,9 @@ def test_decide_thresholds_crisp_values():
             FISConfig(config.inputs, config.output, config.rules,
                       decision_threshold=threshold)
         )
-        strengths = engine.strength_matrix(records)
-        crisp, labels = engine.decide(strengths)
-        assert crisp.tobytes() == engine.crisp_values(strengths).tobytes()
+        levels = class_levels(engine, records)
+        crisp, labels = engine.decide(levels)
+        assert crisp.tobytes() == engine.crisp_values(levels).tobytes()
         assert np.array_equal(labels, (crisp >= threshold).astype(np.int64))
         assert infer(engine.to_config(), records[0]).label == labels[0]
 

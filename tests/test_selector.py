@@ -8,7 +8,6 @@ from gafuzzy.errors import EmptyMask, LengthMismatch, TooManyFeatures
 from gafuzzy.fuzzy import CLOSE, CompiledFIS, class_output_variable
 from gafuzzy.ga import GAParams
 from gafuzzy.rule_learning import InductionConfig, induce_rule_matrix
-from gafuzzy import selector
 from gafuzzy.selector import (
     CompiledFolds,
     FitnessConfig,
@@ -24,6 +23,7 @@ from gafuzzy.selector import (
 )
 
 import oracle
+from conftest import class_levels
 
 
 def toy_fcfg(master=5, cost_weight=0.3):
@@ -199,9 +199,7 @@ def test_fitness_labels_equal_grid_centroid_at_real_ties(pima_data):
     for mask in all_masks(pima_data.n_features):
         kept = [i for i, bit in enumerate(mask) if bit]
         grid = np.concatenate([
-            engine._grid_crisp_values(
-                engine._term_levels(engine.strength_matrix(x_test))
-            )
+            engine._grid_crisp_values(class_levels(engine, x_test))
             for engine, x_test, _ in fold_engines(pima_data, splits, mask, fcfg)
         ])
         expected = (grid >= fcfg.decision_threshold).astype(np.int64)
@@ -230,8 +228,7 @@ def test_keys_past_int8(folds, partitions, pima_data, pima_costs):
 # --- scalarization properties (stubbed accuracy) --------------------------------
 
 def test_fitness_strictly_decreasing_in_cost(toy4, toy4_costs, monkeypatch):
-    monkeypatch.setattr(selector, "_cv_accuracy",
-                        lambda mask, data, fcfg, icfg, folds: 0.8)
+    monkeypatch.setattr(CompiledFolds, "accuracy", lambda folds, kept: 0.8)
     fcfg = toy_fcfg(cost_weight=0.3)
     chain = [(1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)]
     values = [fresh_fitness(m, toy4, toy4_costs, fcfg, ICFG) for m in chain]
@@ -239,10 +236,8 @@ def test_fitness_strictly_decreasing_in_cost(toy4, toy4_costs, monkeypatch):
 
 
 def test_onemax_reduction_with_stub(toy4, toy4_costs, monkeypatch):
-    monkeypatch.setattr(
-        selector, "_cv_accuracy",
-        lambda mask, data, fcfg, icfg, folds: sum(mask) / len(mask),
-    )
+    monkeypatch.setattr(CompiledFolds, "accuracy",
+                        lambda folds, kept: len(kept) / toy4.n_features)
     fcfg = toy_fcfg(cost_weight=0.0)
     params = GAParams(population_size=20, max_generations=40, seed=3)
     result = run_selection(toy4, toy4_costs, params, fcfg, ICFG)
@@ -271,8 +266,7 @@ def test_brute_force_guard(toy4, toy4_costs):
 
 
 def test_brute_force_tie_breaking(toy4, toy4_costs, monkeypatch):
-    monkeypatch.setattr(selector, "_cv_accuracy",
-                        lambda mask, data, fcfg, icfg, folds: 0.5)
+    monkeypatch.setattr(CompiledFolds, "accuracy", lambda folds, kept: 0.5)
     # constant accuracy: lowest cost wins, then the lexicographically
     # smallest bitstring among the single-bit masks
     mask, fit = brute_force_selection(toy4, toy4_costs, toy_fcfg(), ICFG)
