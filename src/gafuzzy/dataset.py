@@ -242,6 +242,8 @@ def load_schema(path: str | Path) -> Schema:
                 raise ConfigError(
                     f"{path}: [{section}] must declare both min and max"
                 ) from exc
+            if not np.all(np.isfinite(value_range)):
+                raise ConfigError(f"{path}: [{section}] min and max must be finite")
         features.append(FeatureSpec(section, index, value_range))
     features.sort(key=lambda f: f.index)
     return Schema(tuple(features), label_name, label_index, positive, negative)

@@ -8,16 +8,18 @@ times the minimum of its clause degrees from a 2-D (slot, record) degree
 table, and `max_by_group` takes the maximum of each class's rules. The
 compiled engine runs it over chunks of records, and the fitness path over
 the test rows of every CV fold at once; both hand the (N, T) class levels
-to the same `CompiledFIS.decide`.
+to the same `CompiledFIS.labels`, the package's only decision.
 
-The centroid is the grid's, sum(agg(x_i) * x_i) / sum(agg(x_i)) over an
-output grid that all engines share, but it is not summed point by point:
-with triangular and trapezoidal output terms the aggregate is linear
-between a few breakpoints, so each run of grid indices between two of them
+The centroid is the grid's, sum(agg(x_i) * x_i) / sum(agg(x_i)), but it is
+not summed point by point: output terms must be triangular or trapezoidal
+with no vertical edge inside the universe, so the aggregate is linear
+between a few breakpoints and each run of grid indices between two of them
 is an arithmetic series (Van Leekwijck & Kerre, Defuzzification: criteria
-and classification, FSS 108, 1999). Rows within CLOSE of the decision
-threshold, and outputs with a Gaussian term or a vertical inner edge, are
-summed on the grid, so every label is the grid centroid's.
+and classification, FSS 108, 1999). On the two-class output at the
+midpoint threshold the label needs no centroid: the exact grid centroid
+reaches the midpoint exactly when the positive level is at least the
+negative one, the single-winner rule of Ishibuchi, Nozaki & Tanaka (FSS 52,
+1992), so ties are decided exactly and not by rounding.
 """
 
 from __future__ import annotations
@@ -33,13 +35,10 @@ from .errors import ArityMismatch, ConfigError, NoRules, UnknownTerm
 from .jsonio import read_json, write_json
 
 COVERAGE_GRID = 129  # sample count for the coverage sanity check
-BLOCK_BYTES = 128 * 1024  # one defuzzification temporary: 16 rows at 1001
+BLOCK_BYTES = 128 * 1024  # one centroid or fold-gather temporary
 # the rule strengths and degree table of one chunk of predict() or classify,
 # so their memory does not grow with the record count
 CHUNK_BYTES = 2 * 1024 * 1024
-# closed-form centroids this close to the decision threshold are recomputed
-# by the grid sum, which then decides the label; the two differ by ~1e-15
-CLOSE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -198,6 +197,7 @@ class FISConfig:
                     raise UnknownTerm(f"rule references unknown variable {var!r}")
                 by_name[var].term(term)  # raises UnknownTerm
             self.output.term(rule.consequent)
+        centroid_plan(self.output)  # raises ConfigError naming the term
 
     @property
     def input_names(self) -> tuple[str, ...]:
@@ -235,20 +235,6 @@ def index_rules(
 # --- compiled engine --------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def output_grid(output: LinguisticVariable,
-                resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """The defuzzification grid over the output universe and every output
-    term sampled on it, built once per (variable, resolution) and shared,
-    read-only, by every engine."""
-    lo, hi = output.universe
-    grid = np.linspace(lo, hi, resolution)
-    term_samples = output.degrees(grid)
-    grid.flags.writeable = False
-    term_samples.flags.writeable = False
-    return grid, term_samples
-
-
 class CentroidPlan(NamedTuple):
     """What the closed-form centroid of one output needs besides the clip
     levels of a row: the breakpoints every row shares, and each sloped term
@@ -260,20 +246,21 @@ class CentroidPlan(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def centroid_plan(output: LinguisticVariable,
-                  resolution: int) -> CentroidPlan | None:
-    """The closed-form plan of an output, or None when its aggregate is not
-    continuous and piecewise linear on the universe: a Gaussian term, or a
-    vertical edge inside the universe."""
+def centroid_plan(output: LinguisticVariable) -> CentroidPlan:
+    """The closed-form plan of an output. A ConfigError names the term when
+    the aggregate would not be continuous and piecewise linear on the
+    universe: a Gaussian term, or a vertical edge inside the universe."""
     lo, hi = output.universe
     points, x0, width = [lo, hi], [], []
-    for _, mf in output.terms:
+    for name, mf in output.terms:
         if isinstance(mf, Gaussian):
-            return None
+            raise ConfigError(f"output term {name!r} is gaussian, not "
+                              "triangular or trapezoidal")
         a, b = mf.a, mf.b
         c, d = (mf.b, mf.c) if isinstance(mf, Triangular) else (mf.c, mf.d)
         if a == b > lo or c == d < hi:
-            return None
+            raise ConfigError(f"output term {name!r} has a vertical edge "
+                              "inside the universe")
         points += [a, b, c, d]
         if b > a:
             x0.append(a)
@@ -345,8 +332,14 @@ class CompiledFIS:
         self.consequents = np.asarray(consequents, dtype=np.int64).reshape(-1)
         self.resolution = resolution
         self.decision_threshold = decision_threshold
-        self.grid, self.term_samples = output_grid(output, resolution)
-        self.plan = centroid_plan(output, resolution)
+        self.plan = centroid_plan(output)
+        lo, hi = output.universe
+        # every output term on the grid, read at the ends of each index range
+        self.term_samples = output.degrees(np.linspace(lo, hi, resolution))
+        # the class output at its midpoint: labels compare the two levels
+        self.by_levels = decision_threshold == (lo + hi) / 2.0 and [
+            mf for _, mf in output.terms
+        ] == [Triangular(lo, lo, hi), Triangular(lo, hi, hi)]
         self.n_rules = self.weights.shape[0]
         # rules run sorted by consequent, one max_by_group slice a class:
         # row j is rule order[j] of the file; slots index the flat table
@@ -409,20 +402,8 @@ class CompiledFIS:
 
     def crisp_values(self, per_term: np.ndarray) -> np.ndarray:
         """Grid centroid of the clipped-and-aggregated output, per record,
-        from its (N, T) class clip levels: in closed form, except rows
-        within CLOSE of the decision threshold and outputs with no closed
-        form, which are summed on the grid."""
-        if self.plan is None:
-            return self._grid_crisp_values(per_term)
-        crisp, mass = self._closed_form(per_term)
-        near = (mass > 0.0) & (np.abs(crisp - self.decision_threshold) <= CLOSE)
-        if np.any(near):
-            crisp[near] = self._grid_crisp_values(per_term[near])
-        return crisp
-
-    def _closed_form(self, per_term: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(crisp, 2 * sum of agg) of the grid centroid, per record, summed
-        range by range instead of point by point.
+        from its (N, T) class clip levels, summed range by range instead of
+        point by point; a record that fires no rule gets the midpoint.
 
         A row's breakpoints are the plan's fixed ones plus every edge at
         every clip level. Between two of them the aggregate is linear, so
@@ -434,8 +415,7 @@ class CompiledFIS:
         plan, resolution = self.plan, self.resolution
         lo, hi = self.output.universe
         step = (hi - lo) / (resolution - 1)
-        # max(0, min(s, mu)) == min(max(s, 0), mu) for mu >= 0
-        levels = np.maximum(per_term.T, 0.0)
+        levels = np.ascontiguousarray(per_term.T)
         n_terms, n = levels.shape
         n_fixed, n_edges = plan.fixed.size, plan.edge_x0.size
         n_points = n_fixed + n_edges * n_terms
@@ -473,40 +453,28 @@ class CompiledFIS:
         crisp = np.full(n, (lo + hi) / 2.0)
         fired = mass > 0.0
         crisp[fired] = lo + step * (moment[fired] / (3.0 * mass[fired]))
-        return crisp, mass
-
-    def _grid_crisp_values(self, per_term: np.ndarray) -> np.ndarray:
-        """The centroid summed point by point over the grid, per record,
-        from the (N, T) clip levels of crisp_values."""
-        n, n_terms = per_term.shape
-        lo, hi = self.output.universe
-        midpoint = (lo + hi) / 2.0
-        # row-wise pairwise sums do not depend on the rows summed at once,
-        # so blocks keep the bits and predict() is independent of batch size
-        rows = max(1, BLOCK_BYTES // (8 * self.resolution))
-        agg = np.empty((min(rows, n), self.resolution))
-        scratch = np.empty_like(agg)
-        num, den = np.empty(n), np.empty(n)
-        for start in range(0, n, rows):
-            block = slice(start, min(start + rows, n))
-            a, s = agg[: block.stop - start], scratch[: block.stop - start]
-            a.fill(0.0)
-            for t in range(n_terms):
-                np.minimum(per_term[block, t, None], self.term_samples[t], out=s)
-                np.maximum(a, s, out=a)
-            num[block] = np.multiply(a, self.grid, out=s).sum(axis=1)
-            den[block] = a.sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            crisp = np.where(den > 0.0, num / den, midpoint)
         return crisp
 
+    def labels(self, per_term: np.ndarray,
+               crisp: np.ndarray | None = None) -> np.ndarray:
+        """Class labels from (N, T) class clip levels in [0, 1], the
+        package's only decision rule. On the class output at its midpoint
+        threshold a row is positive when its positive level is at least its
+        negative one: mirroring the grid about the midpoint swaps the two
+        terms, so that is exactly when the exact grid centroid lies on or
+        above the midpoint, ties and records that fire no rule included.
+        Any other output or threshold labels crisp >= threshold, with crisp
+        from crisp_values unless given."""
+        if self.by_levels:
+            return (per_term[:, 1] >= per_term[:, 0]).astype(np.int64)
+        if crisp is None:
+            crisp = self.crisp_values(per_term)
+        return (crisp >= self.decision_threshold).astype(np.int64)
+
     def decide(self, per_term: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(crisp values, class labels) from (N, T) class clip levels: the
-        package's only decision rule. A record that fires no rule gets the
-        output midpoint, which >= sends to the positive class at threshold
-        0.5."""
+        """(crisp values, class labels) from (N, T) class clip levels."""
         crisp = self.crisp_values(per_term)
-        return crisp, (crisp >= self.decision_threshold).astype(np.int64)
+        return crisp, self.labels(per_term, crisp)
 
     @property
     def chunk_rows(self) -> int:

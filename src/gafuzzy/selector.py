@@ -221,15 +221,15 @@ class CompiledFolds:
         slots = ((np.asarray(kept) * n_splits + split[order, None])
                  * (self.n_terms + 1) + np.where(terms >= 0, terms, self.n_terms))
         levels = np.zeros((n_splits * n_classes, width))
-        # rules in blocks of one defuzzification temporary, so the gathers
-        # of all splits together take no more memory than one split's did
+        # rules in blocks of BLOCK_BYTES, so the gathers of all splits
+        # together take no more memory than one split's did
         step = max(1, BLOCK_BYTES // (8 * max(width, 1)))
         for start in range(0, len(group), step):
             block = slice(start, start + step)
             max_by_group(rule_strengths(self.table, slots[block], weights[block]),
                          group[block], levels)
         per_row = levels.reshape(n_splits, n_classes, width).transpose(0, 2, 1)
-        return self.decider.decide(per_row[self.valid])[1]
+        return self.decider.labels(per_row[self.valid])
 
     def accuracy(self, kept: list[int]) -> float:
         """Mean over the splits of the test accuracy of each split's

@@ -4,9 +4,17 @@ Everything here is written from the definitions in plain Python: its own
 triangular membership arithmetic, its own grid-partition rule induction,
 its own clip/max/centroid inference and its own fitness composition. The
 package types (Dataset, LinguisticVariable) are used only as containers.
+
+A two-class centroid within TIE of the threshold is a tie up to rounding:
+its label is decided again in exact rational arithmetic.
 """
 
+from fractions import Fraction
+from functools import lru_cache
+
 import numpy as np
+
+TIE = 1e-9
 
 
 def tri_degree(x, a, b, c):
@@ -19,6 +27,43 @@ def tri_degree(x, a, b, c):
     if b < x < c:
         return (c - x) / (c - b)
     return 0.0  # x == a < b, or x == c > b
+
+
+def trap_degree(x, a, b, c, d):
+    if x < a or x > d:
+        return 0.0
+    if b <= x <= c:
+        return 1.0
+    if x < b:
+        return (x - a) / (b - a)
+    return (d - x) / (d - c)
+
+
+@lru_cache(maxsize=8)
+def output_samples(output, resolution):
+    """The grid of an output variable (read as a container) and each of
+    its triangular or trapezoidal terms sampled on it, (T, resolution)."""
+    lo, hi = output.universe
+    grid = np.linspace(lo, hi, resolution)
+    corners = [(mf.a, mf.b, mf.c, mf.d) if hasattr(mf, "d")
+               else (mf.a, mf.b, mf.b, mf.c) for _, mf in output.terms]
+    return grid, np.array([[trap_degree(x, *abcd) for x in grid]
+                           for abcd in corners])
+
+
+def grid_centroids(output, resolution, levels):
+    """The centroid of every row of (N, T) clip levels, summed point by
+    point over the output grid; a row of no mass gets the midpoint."""
+    lo, hi = output.universe
+    grid, samples = output_samples(output, resolution)
+    agg = np.zeros((len(levels), resolution))
+    for t in range(len(samples)):
+        agg = np.maximum(agg, np.minimum(levels[:, t, None], samples[t]))
+    den = agg.sum(axis=1)
+    fired = den > 0
+    crisp = np.full(len(levels), (lo + hi) / 2.0)
+    crisp[fired] = (agg[fired] @ grid) / den[fired]
+    return crisp
 
 
 def build_partition_params(lo, hi, n_terms):
@@ -86,8 +131,27 @@ def induce(records, labels, variables):
 OUTPUT_TRIPLES = [(0.0, 0.0, 1.0), (0.0, 1.0, 1.0)]  # negative, positive
 
 
+def exact_label(per_class, resolution=1001, threshold=0.5):
+    """The class of the grid centroid in exact rational arithmetic: grid
+    point i / (n - 1), every level and threshold as the rational value of
+    its float."""
+    levels = [Fraction(s) for s in per_class]
+    if max(levels) <= 0:  # no mass: the midpoint, with no sum to round
+        return int(Fraction(1, 2) >= Fraction(threshold))
+    triples = [tuple(map(Fraction, abc)) for abc in OUTPUT_TRIPLES]
+    num = den = Fraction(0)
+    for i in range(resolution):
+        y = Fraction(i, resolution - 1)
+        mu = max(min(s, tri_degree(y, *abc)) for s, abc in zip(levels, triples))
+        num += y * mu
+        den += mu
+    return int(num / den >= Fraction(threshold))
+
+
 def classify(record, variables, rules, resolution=1001, threshold=0.5):
-    """One record through fuzzify -> fire -> clip/max -> centroid."""
+    """One record through fuzzify -> fire -> clip/max -> centroid, the
+    label decided exactly where the centroid is within TIE of the
+    threshold."""
     degrees = [
         term_degrees(record[i], universe, triples)
         for i, (universe, triples) in enumerate(variables)
@@ -108,6 +172,8 @@ def classify(record, variables, rules, resolution=1001, threshold=0.5):
         num += y * mu
         den += mu
     crisp = num / den if den > 0 else 0.5
+    if abs(crisp - threshold) <= TIE:
+        return crisp, exact_label(per_class, resolution, threshold)
     return crisp, int(crisp >= threshold)
 
 

@@ -85,6 +85,24 @@ def test_bad_costs_exit_2_naming_the_file(tmp_path, capsys, command, glucose,
     assert str(costs) in err and expected in err
 
 
+@pytest.mark.parametrize("bound, value", [
+    ("min", "inf"), ("max", "nan"), ("min", "-inf"),
+])
+def test_validate_rejects_non_finite_schema_range(tmp_path, capsys, bound,
+                                                  value):
+    schema = tmp_path / "bad.schema"
+    text = _packaged("pima.schema").read_text()
+    block = "[glucose]\nindex = 1\nmin = 0\nmax = 199\n"
+    assert block in text
+    default = {"min": "0", "max": "199"}[bound]
+    schema.write_text(text.replace(block, block.replace(
+        f"{bound} = {default}", f"{bound} = {value}")))
+    argv = ["validate", *PIMA_ARGS[:2], "--schema", str(schema), *PIMA_ARGS[4:]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(schema) in err and "[glucose]" in err
+
+
 def test_validate_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     rows = _packaged("pima.csv").read_text().splitlines()
@@ -326,6 +344,25 @@ def test_classify_golden_record(tmp_path, capsys):
     assert "crisp=0.422494" in out
     assert "class=negative (0)" in out
     assert "top_rule=[IF u IS high AND v IS low THEN outcome IS negative]" in out
+
+
+@pytest.mark.parametrize("term, shape", [
+    ("positive", {"shape": "gaussian", "params": [1.0, 0.3]}),
+    ("negative", {"shape": "trapezoidal", "params": [0.0, 0.0, 0.6, 0.6]}),
+], ids=["gaussian", "vertical-edge"])
+def test_classify_rejects_output_terms_without_closed_form(tmp_path, capsys,
+                                                           term, shape):
+    model = golden_model(tmp_path)
+    payload = json.loads(model.read_text())
+    for entry in payload["output"]["terms"]:
+        if entry["name"] == term:
+            entry.update(shape)
+    model.write_text(json.dumps(payload))
+    records = tmp_path / "records.csv"
+    records.write_text("u,v\n6,30\n")
+    assert main(["classify", "--model", str(model), "--data", str(records)]) == 2
+    err = capsys.readouterr().err
+    assert str(model) in err and f"term {term!r}" in err
 
 
 def test_classify_lines_for_fired_unfired_and_empty_models(tmp_path, capsys):

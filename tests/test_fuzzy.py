@@ -8,7 +8,6 @@ from gafuzzy import fuzzy
 from gafuzzy.errors import ArityMismatch, ConfigError, NoRules, UnknownTerm
 from gafuzzy.fuzzy import (
     BLOCK_BYTES,
-    CLOSE,
     CompiledFIS,
     FISConfig,
     Gaussian,
@@ -23,7 +22,6 @@ from gafuzzy.fuzzy import (
     config_to_dict,
     infer,
     load_model,
-    output_grid,
     predict,
     save_model,
     uniform_partition,
@@ -169,8 +167,9 @@ def degrees_of(config, record):
     }
 
 
-def oracle_crisp(config, record):
-    """Crisp output of tests/oracle.classify for a two-class triangular model."""
+def oracle_infer(config, record):
+    """(crisp, label) of tests/oracle.classify for a two-class triangular
+    model."""
     variables = [oracle.variable_params(v) for v in config.inputs]
     rules = [
         (
@@ -181,8 +180,8 @@ def oracle_crisp(config, record):
         )
         for r in config.rules
     ]
-    crisp, _ = oracle.classify(record, variables, rules, config.resolution)
-    return crisp
+    return oracle.classify(record, variables, rules, config.resolution,
+                           config.decision_threshold)
 
 
 def test_fuzzify_peak_and_clamping():
@@ -349,15 +348,16 @@ def test_infer_golden_two_rules():
 
 
 def test_infer_matches_aggregate_centroid_path():
-    # crisp values, not labels: a record with symmetric strengths can sit
-    # on the threshold, where the last bit decides the class
+    # records with symmetric strengths sit on the threshold (draws 2, 9, 10
+    # and 23); their labels are the exact reference's too
     config = two_input_config()
     rng = np.random.default_rng(17)
     for _ in range(25):
         record = [float(rng.uniform(0, 10)), float(rng.uniform(0, 100))]
-        assert infer(config, record).crisp == pytest.approx(
-            oracle_crisp(config, record), abs=1e-12
-        )
+        crisp, label = oracle_infer(config, record)
+        result = infer(config, record)
+        assert result.crisp == pytest.approx(crisp, abs=1e-12)
+        assert result.label == label
 
 
 def test_infer_pure_and_clamped():
@@ -406,8 +406,8 @@ def test_predict_matches_infer_loop():
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 7, 64, None])
 def test_predict_is_bit_identical_whatever_the_chunks(monkeypatch, rows):
-    # random records, ties (v = 50 fires both rules equally, so the row
-    # goes to the grid sum) and records that fire no rule (u = 0)
+    # random records, ties (v = 50 fires both rules equally) and records
+    # that fire no rule (u = 0)
     config = two_input_config()
     engine = CompiledFIS.from_config(config)
     rng = np.random.default_rng(11)
@@ -464,7 +464,7 @@ def engine_for(output, resolution, threshold=0.5, n_rules=0):
 def grid_centroids(engine, levels):
     """The grid sum of an engine's centroids, the reference of the closed
     form."""
-    return engine._grid_crisp_values(levels)
+    return oracle.grid_centroids(engine.output, engine.resolution, levels)
 
 
 def level_rows(rng, n, n_terms, n_rules=6):
@@ -494,20 +494,18 @@ BLOCK_OUTPUTS = [
 
 @pytest.mark.parametrize("resolution, output", BLOCK_OUTPUTS)
 def test_blocked_centroid_equals_per_row_calls(resolution, output):
-    # crisp_values works in blocks of rows, both in closed form and on the
-    # grid; every block boundary must give the bits of one-row calls,
-    # including all-zero rows (the midpoint) and equal strengths
+    # crisp_values works in blocks of rows; every block boundary must give
+    # the bits of one-row calls, including all-zero rows (the midpoint) and
+    # equal strengths
     engine = engine_for(output, resolution)
     lo, hi = output.universe
-    grid_block = BLOCK_BYTES // (8 * resolution)
-    plan = centroid_plan(output, resolution)
+    plan = centroid_plan(output)
     n_terms = len(output.terms)
-    closed_block = BLOCK_BYTES // (
+    block = BLOCK_BYTES // (
         8 * n_terms * (plan.fixed.size + plan.edge_x0.size * n_terms)
     )
     rng = np.random.default_rng(resolution + n_terms)
-    for n in (0, 1, grid_block - 1, grid_block, grid_block + 1,
-              3 * grid_block + 5, closed_block + 1):
+    for n in (0, 1, block - 1, block, block + 1, 2 * block + 5):
         levels = level_rows(rng, n, n_terms)
         whole = engine.crisp_values(levels)
         rows = [engine.crisp_values(levels[i : i + 1]) for i in range(n)]
@@ -520,12 +518,11 @@ def test_blocked_centroid_equals_per_row_calls(resolution, output):
 @pytest.mark.parametrize("seed", range(12))
 def test_closed_form_centroid_matches_grid(seed):
     # random outputs, resolutions and strengths: the closed form is within
-    # 1e-12 of the grid sum, gives the grid's labels, and a row at the
-    # threshold gets the grid's own bits
+    # 1e-12 of the grid sum, and thresholded gives the grid's labels
+    # wherever the two cannot round to different sides
     rng = np.random.default_rng(seed)
     output = random_output(seed, int(rng.integers(2, 6)))
     resolution = (3, 501, 1001)[seed % 3]
-    assert centroid_plan(output, resolution) is not None
     levels = level_rows(rng, 200, len(output.terms))
     grid = grid_centroids(engine_for(output, resolution), levels)
     lo, hi = output.universe
@@ -534,10 +531,9 @@ def test_closed_form_centroid_matches_grid(seed):
         engine = engine_for(output, resolution, threshold)
         crisp, labels = engine.decide(levels)
         assert np.all(np.abs(crisp - grid) <= 1e-12)
-        assert np.array_equal(labels, (grid >= threshold).astype(np.int64))
-        near = np.abs(crisp - threshold) <= CLOSE
-        assert crisp[near].tobytes() == grid[near].tobytes()
-        assert np.all(near[at[grid[at] == threshold]])
+        assert np.array_equal(labels, (crisp >= threshold).astype(np.int64))
+        far = np.abs(grid - threshold) > 1e-9
+        assert np.array_equal(labels[far], grid[far] >= threshold)
 
 
 NO_CLOSED_FORM = [
@@ -553,28 +549,47 @@ NO_CLOSED_FORM = [
 ]
 
 
-@pytest.mark.parametrize("output", NO_CLOSED_FORM)
-def test_outputs_without_closed_form_use_the_grid(output):
+@pytest.mark.parametrize("output, term",
+                         zip(NO_CLOSED_FORM, ("neg", "pos", "neg")))
+def test_outputs_without_closed_form_are_rejected(output, term):
     # a Gaussian term or a vertical edge inside the universe leaves no
-    # continuous piecewise-linear aggregate: every row is summed on the grid
-    assert centroid_plan(output, 1001) is None
-    engine = engine_for(output, 1001)
-    levels = level_rows(np.random.default_rng(3), 60, len(output.terms))
-    assert (engine.crisp_values(levels).tobytes()
-            == grid_centroids(engine, levels).tobytes())
+    # continuous piecewise-linear aggregate, so no closed-form centroid
+    rule = Rule((("x", "low"),), output.term_names[0])
+    for build in (lambda: engine_for(output, 1001),
+                  lambda: FISConfig((uniform_partition("x", 0.0, 10.0, 3),),
+                                    output, (rule,))):
+        with pytest.raises(ConfigError, match=f"term {term!r}"):
+            build()
+
+
+def test_class_ties_are_decided_exactly():
+    # one record at the peak of x's low term fires a negative and a
+    # positive rule at exactly their weights: equal class levels are
+    # positive, and a negative level 1 ulp above the positive one is
+    # negative, the labels of the exact grid centroid
+    var = uniform_partition("x", 0.0, 10.0, 3)
+    pairs = [(w, w) for w in np.linspace(0.01, 1.0, 25)]
+    pairs += [(0.32000000000000006, 0.32), (0.32, 0.32000000000000006)]
+    for negative, positive in pairs:
+        engine = CompiledFIS([var], class_output_variable(), [[0], [0]],
+                             [negative, positive], [0, 1], 1001, 0.5)
+        crisp, labels = engine.predict(np.zeros((1, 1)))
+        assert labels[0] == oracle.exact_label([negative, positive]), negative
+        assert labels[0] == int(positive >= negative)
+        assert abs(crisp[0] - 0.5) <= 1e-12
 
 
 @pytest.mark.parametrize("output", [
     class_output_variable(), random_output(14, 3), random_output(15, 5),
-    *NO_CLOSED_FORM,
+    uniform_partition("out", 0.0, 1.0, 3), random_output(16, 2),
+    random_output(17, 4),
 ])
 def test_level_decider_equals_every_engine(output):
     # decide() of the per-term clip levels of an engine's rules, the
     # maximum of their file-order strengths with 0 for a term no rule
     # concludes, by an engine of no rules gives the engine's own crisp bits
     # and labels: with interleaved consequents on every term, on one term
-    # only and with no rules, and with thresholds on a row's grid centroid,
-    # where the grid sum decides
+    # only and with no rules, and with thresholds on a row's grid centroid
     records = np.random.default_rng(len(output.terms)).uniform(0, 10, (120, 1))
     records[::4] = 5.0  # medium only: a lone rule on low does not fire
     records[1::4] = 2.5  # low and medium are 0.5 each
@@ -613,23 +628,6 @@ def test_kernel_equals_per_rule_loops():
                 assert levels[g].tobytes() == expected.tobytes()
 
 
-def test_engines_share_one_read_only_output_grid():
-    var = uniform_partition("x", 0.0, 10.0, 3)
-    engines = [
-        CompiledFIS([var], class_output_variable(), np.zeros((1, 1)), [1.0],
-                    [0], 1001, 0.5)
-        for _ in range(2)
-    ]
-    assert engines[0].grid is engines[1].grid
-    assert engines[0].term_samples is engines[1].term_samples
-    grid, samples = output_grid(class_output_variable(), 1001)
-    assert not grid.flags.writeable and not samples.flags.writeable
-    fresh = np.linspace(0.0, 1.0, 1001)
-    assert grid.tobytes() == fresh.tobytes()
-    assert samples.tobytes() == class_output_variable().degrees(fresh).tobytes()
-    assert output_grid(class_output_variable(), 501)[0].shape == (501,)
-
-
 def test_decide_thresholds_crisp_values():
     config = two_input_config()
     rng = np.random.default_rng(7)
@@ -642,7 +640,10 @@ def test_decide_thresholds_crisp_values():
         levels = class_levels(engine, records)
         crisp, labels = engine.decide(levels)
         assert crisp.tobytes() == engine.crisp_values(levels).tobytes()
-        assert np.array_equal(labels, (crisp >= threshold).astype(np.int64))
+        # the class output at its midpoint compares the two class levels
+        expected = (levels[:, 1] >= levels[:, 0] if threshold == 0.5
+                    else crisp >= threshold)
+        assert np.array_equal(labels, expected.astype(np.int64))
         assert infer(engine.to_config(), records[0]).label == labels[0]
 
 
@@ -661,9 +662,9 @@ def test_compiled_grouping_matches_per_rule_definition():
     rng = np.random.default_rng(19)
     for _ in range(30):
         record = [float(rng.uniform(0, 10))]
-        assert infer(config, record).crisp == pytest.approx(
-            oracle_crisp(config, record), abs=1e-12
-        )
+        crisp, label = oracle_infer(config, record)
+        assert infer(config, record).crisp == pytest.approx(crisp, abs=1e-12)
+        assert infer(config, record).label == label
 
 
 # --- serialization ----------------------------------------------------------------

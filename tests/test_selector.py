@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from gafuzzy.dataset import CostTable, SplitPlan, mask_cost, stratified_split
+from gafuzzy.dataset import (
+    CostTable, Dataset, SplitPlan, mask_cost, stratified_split,
+)
 from gafuzzy.errors import EmptyMask, LengthMismatch, TooManyFeatures
-from gafuzzy.fuzzy import CLOSE, CompiledFIS, class_output_variable
+from gafuzzy.fuzzy import CompiledFIS, class_output_variable
 from gafuzzy.ga import GAParams
 from gafuzzy.rule_learning import InductionConfig, induce_rule_matrix
 from gafuzzy.selector import (
@@ -23,7 +25,7 @@ from gafuzzy.selector import (
 )
 
 import oracle
-from conftest import class_levels
+from conftest import class_levels, make_schema
 
 
 def toy_fcfg(master=5, cost_weight=0.3):
@@ -188,25 +190,53 @@ def test_batched_fitness_equals_fold_by_fold_reference(master, min_weight,
     assert (ruleless > 0) == (min_weight > 0)
 
 
-def test_fitness_labels_equal_grid_centroid_at_real_ties(pima_data):
-    # master seed 1's sweep holds test rows whose class strengths tie, so
-    # their centroid sits on the threshold; the closed form must leave
-    # those to the grid sum, and every label must be the grid centroid's
-    fcfg = FitnessConfig.from_master_seed(1)
+@pytest.mark.parametrize("master", [1, 2, 3])
+def test_fold_labels_equal_the_exact_grid_centroid(master, pima_data):
+    # every CV test-row label of every mask is the class of the grid
+    # centroid in exact arithmetic: the float grid sum where it is far from
+    # the threshold, rational arithmetic where it is within oracle.TIE.
+    # Master seed 1 holds exact ties and a negative level 1 ulp above the
+    # positive one (mask 10111000)
+    fcfg = FitnessConfig.from_master_seed(master)
     splits = stratified_split(pima_data, fcfg.evaluation)
     folds = CompiledFolds(pima_data, splits, fcfg, ICFG)
-    at_threshold = 0
+    output = class_output_variable()
+    tied = []
     for mask in all_masks(pima_data.n_features):
         kept = [i for i, bit in enumerate(mask) if bit]
-        grid = np.concatenate([
-            engine._grid_crisp_values(class_levels(engine, x_test))
+        levels = np.concatenate([
+            class_levels(engine, x_test)
             for engine, x_test, _ in fold_engines(pima_data, splits, mask, fcfg)
         ])
+        grid = oracle.grid_centroids(output, fcfg.resolution, levels)
         expected = (grid >= fcfg.decision_threshold).astype(np.int64)
+        near = np.abs(grid - fcfg.decision_threshold) <= oracle.TIE
+        for row in np.flatnonzero(near & (levels.max(axis=1) > 0)):
+            expected[row] = oracle.exact_label(levels[row], fcfg.resolution,
+                                               fcfg.decision_threshold)
+            tied.append(tuple(levels[row]))
         assert np.array_equal(folds.predict(kept, *folds.induce(kept)),
                               expected), mask
-        at_threshold += np.sum(np.abs(grid - fcfg.decision_threshold) <= CLOSE)
-    assert at_threshold > 0
+    assert any(neg == pos for neg, pos in tied)
+    if master == 1:
+        assert (0.32000000000000006, 0.32) in tied
+
+
+def test_fitness_decides_class_ties_exactly():
+    # rules (low, low) -> 0 and (medium, low) -> 1 at weight 1 are in every
+    # fold; a test row at (2.5, 3) fires both at min(0.5, 0.4), a tie the
+    # exact centroid sends to the positive class, which is its label, so
+    # every fold scores 1
+    rows = [(0.0, 0.0, 0), (10.0, 10.0, 0), (5.0, 0.0, 1), (2.5, 3.0, 1)]
+    table = np.repeat(np.array(rows), 10, axis=0)
+    data = Dataset(make_schema(2), table[:, :2], table[:, 2].astype(np.int64))
+    costs = CostTable((("f0", 1.0), ("f1", 1.0)))
+    fcfg = toy_fcfg(cost_weight=0.0)
+    assert fresh_fitness((1, 1), data, costs, fcfg, ICFG) == 1.0
+    for engine, x_test, y_test in fold_engines(data, stratified_split(
+            data, fcfg.evaluation), (1, 1), fcfg):
+        tie = x_test[:, 0] == 2.5
+        assert np.all(class_levels(engine, x_test[tie]) == 0.4)
 
 
 @pytest.mark.parametrize("folds, partitions", [(130, 3), (5, 128), (5, 140)])
