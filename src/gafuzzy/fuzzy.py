@@ -10,11 +10,11 @@ compiled engine runs it over chunks of records, and the fitness path over
 the test rows of every CV fold at once; both hand the (N, T) class levels
 to the same `CompiledFIS.labels`, the package's only decision.
 
-The centroid is the grid's, sum(agg(x_i) * x_i) / sum(agg(x_i)), but it is
-not summed point by point: output terms must be triangular or trapezoidal
-with no vertical edge inside the universe, so the aggregate is linear
-between a few breakpoints and each run of grid indices between two of them
-is an arithmetic series (Van Leekwijck & Kerre, Defuzzification: criteria
+Inference has one centroid, the grid's, sum(agg(x_i) * x_i) /
+sum(agg(x_i)), but it is not summed point by point: output terms must be
+triangular or trapezoidal with no vertical edge inside the universe, so the
+aggregate is linear between a few breakpoints and each run of grid indices
+between two of them is an arithmetic series (Van Leekwijck & Kerre, Defuzzification: criteria
 and classification, FSS 108, 1999). On the two-class output at the
 midpoint threshold the label needs no centroid: the exact grid centroid
 reaches the midpoint exactly when the positive level is at least the
@@ -526,7 +526,9 @@ def degree_table(inputs: Sequence[LinguisticVariable],
 def centroid(samples: np.ndarray, lo: float, hi: float) -> float:
     """Center of mass of a sampled membership on the uniform grid [lo, hi].
 
-    Falls back to the universe midpoint when the total mass is zero.
+    Falls back to the universe midpoint when the total mass is zero. A
+    standalone helper for sampled memberships: inference never calls it,
+    its only centroid is the closed form of CompiledFIS.crisp_values.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 3:

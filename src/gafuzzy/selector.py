@@ -151,11 +151,11 @@ def _kept_columns(data: Dataset, mask: Mask) -> list[int]:
 class CompiledFolds:
     """The splits of a plan, compiled together for every feature from each
     split's training rows only: the K CV folds of the fitness, or the one
-    split of the reporting holdout or of the final model. None of it depends
-    on the mask, so scoring a mask slices columns, groups the proposals of
-    every split in one integer sort, gathers each rule's strengths over its
-    split's test rows and labels all test rows in one decision. This is the
-    only place a classifier is trained or scored on a split."""
+    training split of the final model. None of it depends on the mask, so
+    scoring a mask slices columns, groups the proposals of every split in
+    one integer sort, gathers each rule's strengths over its split's test
+    rows and labels all test rows in one decision. This is the only place a
+    classifier is trained, and the only place one is scored on CV folds."""
 
     def __init__(self, data: Dataset, splits: list[tuple[np.ndarray, np.ndarray]],
                  fcfg: "FitnessConfig", icfg: InductionConfig):
@@ -320,19 +320,16 @@ def holdout_evaluation(
     Given rules, such as an expert rule base, replace the induced ones
     before scoring. Returns (model, predictions, test labels).
     """
-    kept = _kept_columns(data, mask)
-    split = CompiledFolds(
-        data, stratified_split(data, fcfg.resolved_report_plan()), fcfg, icfg
-    )
-    model = split.model(kept)
+    (train_idx, test_idx), = stratified_split(data, fcfg.resolved_report_plan())
+    model = train_final_classifier(data, mask, fcfg, icfg, train_idx)
     if rules is not None:
         model = replace(model, rules=rules)
-    engine = CompiledFIS.from_config(model)
-    predicted = split.predict(
-        kept, np.zeros(engine.n_rules, dtype=np.intp), engine.antecedents,
-        engine.weights, engine.consequents,
+    # scored by the engine classify runs, so the accuracy is the saved model's
+    kept = _kept_columns(data, mask)
+    _, predicted = CompiledFIS.from_config(model).predict(
+        data.records[test_idx][:, kept]
     )
-    return model, predicted, split.y_test
+    return model, predicted, data.labels[test_idx]
 
 
 def run_selection(

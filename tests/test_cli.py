@@ -397,6 +397,30 @@ def test_classify_lines_for_fired_unfired_and_empty_models(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("negative, positive, label", [
+    (0.32000000000000006, 0.32, "negative (0)"),
+    (0.32, 0.32000000000000006, "positive (1)"),
+    (0.32, 0.32, "positive (1)"),
+])
+def test_classify_line_at_a_near_tie(tmp_path, capsys, negative, positive,
+                                     label):
+    # the record fires each rule at its weight, so its class levels are the
+    # two weights: the printed crisp value is rounded to the midpoint, and
+    # the class comes from comparing the levels, 1 ulp apart or equal
+    config = load_model(golden_model(tmp_path))
+    rules = (
+        Rule((("u", "high"),), "negative", negative),
+        Rule((("v", "high"),), "positive", positive),
+    )
+    model = tmp_path / "near_tie.json"
+    save_model(FISConfig(config.inputs, config.output, rules), model)
+    records = tmp_path / "records.csv"
+    records.write_text("u,v\n10,100\n")
+    assert main(["classify", "--model", str(model), "--data", str(records)]) == 0
+    line, = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"record 1: crisp=0.500000 class={label} ")
+
+
 def test_classify_headerless_and_column_reorder(tmp_path, capsys):
     model = golden_model(tmp_path)
     headerless = tmp_path / "plain.csv"
