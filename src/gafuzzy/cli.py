@@ -4,6 +4,11 @@ Commands: validate, select, classify, report. One master seed drives every
 stochastic component (GA, CV folds, reporting holdout) through fixed
 labelled derivations, so a run is reproducible from its flags alone.
 
+OPTIONS declares each option once: its [section] key in a --config file,
+its flag, type and help, and for a selection knob the field it fills. The
+parser and CONFIG_KEYS are built from it, a flag overrides the config
+file, and an option neither sets keeps the default of that field.
+
 Exit codes: 0 success, 1 internal error, 2 user/config error.
 """
 
@@ -12,11 +17,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import inspect
 import math
 import sys
 from array import array
 from importlib.resources import files
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,18 +47,76 @@ BASELINE_FILE = "baseline.json"
 TRACE_FILE = "trace.csv"
 REPORT_FILE = "report.json"
 
+
+def _impute_mode(text: str) -> str:
+    """The one check of --impute and [run] impute."""
+    if text not in ("none", "median"):
+        raise argparse.ArgumentTypeError(f"{text!r} is not none or median")
+    return text
+
+
+class Option(NamedTuple):
+    """An option that a flag or [section] key of a --config file sets. The
+    flag's argparse dest is the key; type parses either source; a selection
+    knob fills a field of GAParams, FitnessConfig or InductionConfig, whose
+    default is the knob's."""
+
+    section: str
+    key: str
+    flag: str
+    type: Callable[[str], object]
+    help: str
+    field: str | None = None
+    command: str = "select"  # the command that takes it, or "all"
+
+
+OPTIONS = {opt.key: opt for opt in (
+    Option("paths", "data", "--data", str, "CSV data file", command="all"),
+    Option("paths", "schema", "--schema", str, "schema file (INI)", command="all"),
+    Option("paths", "costs", "--costs", str, "cost table file (INI)", command="all"),
+    Option("run", "seed", "--seed", int, f"master seed (default {DEFAULT_SEED})",
+           command="all"),
+    Option("paths", "out", "--out", str, f"output directory (default {DEFAULT_OUT})",
+           command="all"),
+    Option("run", "impute", "--impute", _impute_mode,
+           "none (default), or median to replace zero anomalies by the "
+           "training-split median", command="all"),
+    Option("run", "impute_columns", "--impute-columns", str,
+           "comma-separated columns for --impute (default: known anomaly columns)",
+           command="all"),
+    Option("fitness", "lambda", "--lambda", float, "cost penalty weight", "cost_weight"),
+    Option("ga", "population", "--pop", int, "population size", "population_size"),
+    Option("ga", "pc", "--pc", float, "crossover probability", "crossover_prob"),
+    Option("ga", "pm", "--pm", float, "per-bit mutation probability", "mutation_prob"),
+    Option("ga", "generations", "--generations", int, "generation cap",
+           "max_generations"),
+    Option("ga", "stagnation", "--stagnation", int,
+           "stop after this many generations with no improvement", "stagnation_window"),
+    Option("ga", "elites", "--elites", int, "elite count", "elite_count"),
+    Option("fitness", "folds", "--folds", int, "CV folds for fitness", "folds"),
+    Option("fis", "threshold", "--threshold", float,
+           "decision threshold on the crisp output", "decision_threshold"),
+    Option("fis", "resolution", "--resolution", int, "defuzzification sample count",
+           "resolution"),
+    Option("induction", "partitions", "--partitions", int, "fuzzy terms per input",
+           "partitions_per_input"),
+    Option("induction", "min_rule_weight", "--min-rule-weight", float,
+           "drop induced rules lighter than this", "min_rule_weight"),
+    Option("paths", "rules", "--rules", str, "expert rule file for the final model"),
+    Option("run", "workers", "--workers", int, "ignored; kept so that old scripts run"),
+    Option("paths", "model", "--model", str, "model file (default <out>/model.json)",
+           command="classify"),
+    Option("paths", "baseline", "--baseline", str,
+           "baseline file (default <out>/baseline.json)", command="report"),
+    Option("paths", "result", "--result", str,
+           "result file (default <out>/result.json)", command="report"),
+)}
+
 # every [section] key some command reads from a --config file, so one file
-# serves validate, select, classify and report; [run] workers is accepted
-# and ignored, like the --workers flag
-CONFIG_KEYS = {
-    "paths": {"data", "schema", "costs", "out", "rules", "model", "baseline",
-              "result"},
-    "run": {"seed", "impute", "impute_columns", "workers"},
-    "ga": {"population", "pc", "pm", "generations", "stagnation", "elites"},
-    "fitness": {"lambda", "folds"},
-    "fis": {"resolution", "threshold"},
-    "induction": {"partitions", "min_rule_weight"},
-}
+# serves every command; [run] workers is accepted and ignored, like --workers
+CONFIG_KEYS = {opt.section: set() for opt in OPTIONS.values()}
+for _opt in OPTIONS.values():
+    CONFIG_KEYS[_opt.section].add(_opt.key)
 
 
 def _packaged(name: str) -> Path:
@@ -67,66 +132,27 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--data", help="CSV data file")
-    common.add_argument("--schema", help="schema file (INI)")
-    common.add_argument("--costs", help="cost table file (INI)")
-    common.add_argument("--config", help="run configuration file (INI)")
-    common.add_argument("--seed", type=int, help="master seed")
-    common.add_argument("--out", help="output directory")
-    common.add_argument(
-        "--impute", choices=["none", "median"],
-        help="replace zero anomalies by the training-split median",
-    )
-    common.add_argument(
-        "--impute-columns",
-        help="comma-separated columns for --impute (default: known anomaly columns)",
-    )
-
-    p_validate = sub.add_parser(
-        "validate", parents=[common], help="check data, schema and cost files"
-    )
-
-    p_select = sub.add_parser(
-        "select", parents=[common], help="run the GA feature selection"
-    )
-    p_select.add_argument("--lambda", dest="cost_weight", type=float,
-                          help="cost penalty weight (default 0.3)")
-    p_select.add_argument("--pop", type=int, help="population size (default 50)")
-    p_select.add_argument("--pc", type=float, help="crossover probability (default 0.6)")
-    p_select.add_argument("--pm", type=float, help="per-bit mutation probability (default 0.05)")
-    p_select.add_argument("--generations", type=int, help="generation cap (default 100)")
-    p_select.add_argument("--stagnation", type=int,
-                          help="stop after this many generations without improvement (default 25)")
-    p_select.add_argument("--elites", type=int, help="elite count (default 1)")
-    p_select.add_argument("--folds", type=int, help="CV folds for fitness (default 5)")
-    p_select.add_argument("--threshold", type=float,
-                          help="decision threshold on the crisp output (default 0.5)")
-    p_select.add_argument("--resolution", type=int,
-                          help="defuzzification sample count (default 1001)")
-    p_select.add_argument("--partitions", type=int,
-                          help="fuzzy terms per input (default 3)")
-    p_select.add_argument("--min-rule-weight", type=float,
-                          help="drop induced rules lighter than this (default 0)")
-    p_select.add_argument("--rules", help="expert rule file for the final model")
-    p_select.add_argument("--workers", type=int,
-                          help="ignored; kept so that older scripts still run")
-
-    p_classify = sub.add_parser(
-        "classify", parents=[common], help="classify records with a saved model"
-    )
-    p_classify.add_argument("--model", help="model file (default <out>/model.json)")
-
-    p_report = sub.add_parser(
-        "report", parents=[common],
-        help="compare baseline and selection runs, emit plot data",
-    )
-    p_report.add_argument("--baseline", help="baseline file (default <out>/baseline.json)")
-    p_report.add_argument("--result", help="result file (default <out>/result.json)")
-
-    for p in (p_validate, p_select, p_classify, p_report):
-        p.set_defaults(parser=p)
+    # a knob's default is that of the parameter it fills
+    defaults = {
+        name: param.default
+        for owner in (GAParams, selector.FitnessConfig, rule_learning.InductionConfig,
+                      selector.FitnessConfig.from_master_seed)
+        for name, param in inspect.signature(owner).parameters.items()
+    }
+    for command, handler, summary in (
+        ("validate", cmd_validate, "check data, schema and cost files"),
+        ("select", cmd_select, "run the GA feature selection"),
+        ("classify", cmd_classify, "classify records with a saved model"),
+        ("report", cmd_report, "compare baseline and selection runs, emit plot data"),
+    ):
+        p = sub.add_parser(command, help=summary)
+        p.set_defaults(handler=handler)
+        p.add_argument("--config", help="run configuration file (INI)")
+        for opt in OPTIONS.values():
+            if opt.command in ("all", command):
+                default = f" (default {defaults[opt.field]})" if opt.field else ""
+                p.add_argument(opt.flag, dest=opt.key, type=opt.type,
+                               help=opt.help + default)
     return parser
 
 
@@ -136,20 +162,17 @@ class RunConfig:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.ini = configparser.ConfigParser(interpolation=None)
-        if getattr(args, "config", None):
-            read = self.ini.read(args.config)
-            if not read:
+        if args.config:
+            if not self.ini.read(args.config):
                 raise ConfigError(f"config file not found: {args.config}")
             self._check_keys(args.config)
 
     def _check_keys(self, path: str) -> None:
         """Reject a section or key no command reads, so a typo cannot fall
-        back to a default unnoticed. [DEFAULT] keys reach every section."""
-        shared = set(self.ini.defaults())
-        unknown = [
-            f"[DEFAULT] {key}" for key in sorted(shared)
-            if not any(key in keys for keys in CONFIG_KEYS.values())
-        ]
+        back to a default unnoticed. [DEFAULT] keys are rejected too: every
+        key belongs to one section."""
+        shared = self.ini.defaults()
+        unknown = [f"[DEFAULT] {key}" for key in shared]
         for section in self.ini.sections():
             if section not in CONFIG_KEYS:
                 unknown.append(f"[{section}]")
@@ -160,84 +183,44 @@ class RunConfig:
             ]
         if unknown:
             raise ConfigError(
-                f"config file {path}: unknown section or key {', '.join(unknown)}"
+                f"config file {path}: no command reads {', '.join(unknown)}"
             )
 
-    def get(self, section: str, option: str, flag: str | None, default, cast):
-        assert option in CONFIG_KEYS[section], (section, option)
-        if flag is not None:
-            value = getattr(self.args, flag, None)
-            if value is not None:
-                return value
-        if self.ini.has_option(section, option):
-            try:
-                return cast(self.ini.get(section, option))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"config [{section}] {option}: {exc}"
-                ) from exc
-        return default
-
-    def path(self, option: str, flag: str, default: Path | None) -> Path:
-        value = self.get("paths", option, flag, None, str)
+    def get(self, section: str, key: str, default=None):
+        """The flag's value, else the config file's, else default."""
+        opt = OPTIONS[key]
+        assert opt.section == section, (section, key)
+        value = getattr(self.args, key, None)
         if value is not None:
-            return Path(value)
-        if default is None:
-            raise ConfigError(f"missing required path: --{flag}")
-        return default
+            return value
+        if not self.ini.has_option(section, key):
+            return default
+        try:
+            return opt.type(self.ini.get(section, key))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"config [{section}] {key}: {exc}") from exc
+
+    def fields(self, *sections: str) -> dict[str, object]:
+        """The knobs of these sections set by flag or config file, by the
+        field each fills; every other field keeps its default."""
+        given = [(opt.field, self.get(opt.section, opt.key))
+                 for opt in OPTIONS.values() if opt.field and opt.section in sections]
+        return {name: value for name, value in given if value is not None}
 
 
 def _load_inputs(cfg: RunConfig):
-    schema_path = cfg.path("schema", "schema", _packaged("pima.schema"))
-    data_path = cfg.path("data", "data", _packaged("pima.csv"))
-    costs_path = cfg.path("costs", "costs", _packaged("pima.costs"))
-    schema = ds.load_schema(schema_path)
-    data = ds.load_csv(data_path, schema)
-    costs = ds.load_costs(costs_path, schema)
-    return data, costs
-
-
-def _impute_columns(cfg: RunConfig, data: ds.Dataset) -> list[str]:
-    raw = cfg.get("run", "impute_columns", "impute_columns", None, str)
-    if raw:
-        names = [c.strip() for c in raw.split(",") if c.strip()]
-        for name in names:
-            if name not in data.schema.feature_names:
-                raise ConfigError(f"--impute-columns: unknown feature {name!r}")
-        return names
-    names = [c for c in DEFAULT_ZERO_COLUMNS if c in data.schema.feature_names]
-    if not names:
-        raise ConfigError(
-            "no default anomaly columns in this schema; pass --impute-columns"
-        )
-    return names
+    path = {key: Path(cfg.get("paths", key, _packaged(name))) for key, name in (
+        ("schema", "pima.schema"), ("data", "pima.csv"), ("costs", "pima.costs"))}
+    schema = ds.load_schema(path["schema"])
+    return ds.load_csv(path["data"], schema), ds.load_costs(path["costs"], schema)
 
 
 def _selection_configs(cfg: RunConfig):
-    master = cfg.get("run", "seed", "seed", DEFAULT_SEED, int)
-    cost_weight = cfg.get("fitness", "lambda", "cost_weight", 0.3, float)
-    folds = cfg.get("fitness", "folds", "folds", 5, int)
-    resolution = cfg.get("fis", "resolution", "resolution", 1001, int)
-    threshold = cfg.get("fis", "threshold", "threshold", 0.5, float)
+    master = cfg.get("run", "seed", DEFAULT_SEED)
     fcfg = selector.FitnessConfig.from_master_seed(
-        master, cost_weight=cost_weight, folds=folds,
-        resolution=resolution, decision_threshold=threshold,
-    )
-    params = GAParams(
-        population_size=cfg.get("ga", "population", "pop", 50, int),
-        crossover_prob=cfg.get("ga", "pc", "pc", 0.6, float),
-        mutation_prob=cfg.get("ga", "pm", "pm", 0.05, float),
-        max_generations=cfg.get("ga", "generations", "generations", 100, int),
-        stagnation_window=cfg.get("ga", "stagnation", "stagnation", 25, int),
-        elite_count=cfg.get("ga", "elites", "elites", 1, int),
-        seed=selector.derive_seed(master, "ga"),
-    )
-    icfg = rule_learning.InductionConfig(
-        partitions_per_input=cfg.get("induction", "partitions", "partitions", 3, int),
-        min_rule_weight=cfg.get(
-            "induction", "min_rule_weight", "min_rule_weight", 0.0, float
-        ),
-    )
+        master, **cfg.fields("fitness", "fis"))
+    params = GAParams(seed=selector.derive_seed(master, "ga"), **cfg.fields("ga"))
+    icfg = rule_learning.InductionConfig(**cfg.fields("induction"))
     return master, params, fcfg, icfg
 
 
@@ -250,17 +233,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print(f"total cost: {costs.total_cost}")
     print(f"{'feature':<16} {'min':>10} {'max':>10} {'mean':>10} "
           f"{'cost':>8} {'zeros':>6}")
+    counts = np.sum(data.records == 0, axis=0).tolist()
+    zeros = dict(zip(data.schema.feature_names, counts))
     for stat in ds.feature_stats(data):
-        zeros = int(np.sum(data.records[:, data.schema.feature_names.index(stat.name)] == 0))
         print(
             f"{stat.name:<16} {stat.min:>10.3f} {stat.max:>10.3f} "
-            f"{stat.mean:>10.3f} {costs.cost_of(stat.name):>8.2f} {zeros:>6}"
+            f"{stat.mean:>10.3f} {costs.cost_of(stat.name):>8.2f} {zeros[stat.name]:>6}"
         )
-    anomalies = [
-        c for c in DEFAULT_ZERO_COLUMNS
-        if c in data.schema.feature_names
-        and np.any(data.records[:, data.schema.feature_names.index(c)] == 0)
-    ]
+    anomalies = [c for c in DEFAULT_ZERO_COLUMNS if zeros.get(c)]
     if anomalies:
         print(f"zero-value anomalies in: {', '.join(anomalies)} "
               f"(consider --impute median)")
@@ -269,14 +249,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _maybe_impute(cfg: RunConfig, data: ds.Dataset,
                   fcfg: selector.FitnessConfig) -> ds.Dataset:
-    mode = cfg.get("run", "impute", "impute", "none", str)
-    if mode == "none":
+    if cfg.get("run", "impute") != "median":
         return data
-    if mode != "median":
-        raise ConfigError(f"unknown impute mode {mode!r}")
-    columns = _impute_columns(cfg, data)
-    plan = fcfg.resolved_report_plan()
-    (train_idx, _), = ds.stratified_split(data, plan)
+    names = data.schema.feature_names
+    raw = cfg.get("run", "impute_columns")
+    if raw:
+        columns = [c.strip() for c in raw.split(",") if c.strip()]
+        for name in columns:
+            if name not in names:
+                raise ConfigError(f"--impute-columns: unknown feature {name!r}")
+    else:
+        columns = [c for c in DEFAULT_ZERO_COLUMNS if c in names]
+        if not columns:
+            raise ConfigError(
+                "no default anomaly columns in this schema; pass --impute-columns"
+            )
+    (train_idx, _), = ds.stratified_split(data, fcfg.resolved_report_plan())
     return ds.impute_zero_medians(data, columns, train_idx)
 
 
@@ -286,7 +274,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     master, params, fcfg, icfg = _selection_configs(cfg)
     data = _maybe_impute(cfg, data, fcfg)
 
-    out_dir = Path(cfg.get("paths", "out", "out", DEFAULT_OUT, str))
+    out_dir = Path(cfg.get("paths", "out", DEFAULT_OUT))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def log(stats, evaluator):
@@ -304,7 +292,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 
     # expert rules, when supplied, replace the induced rules of the final
     # model, and the reported accuracy is that of the model saved
-    rules_path = cfg.get("paths", "rules", "rules", None, str)
+    rules_path = cfg.get("paths", "rules")
     if rules_path:
         expert = rule_learning.load_expert_rules(rules_path, result.model)
         result.model, predicted, y_test = selector.holdout_evaluation(
@@ -392,11 +380,12 @@ def _read_records_csv(path: Path, input_names: tuple[str, ...]) -> np.ndarray:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     cfg = RunConfig(args)
-    out_dir = Path(cfg.get("paths", "out", "out", DEFAULT_OUT, str))
-    model_path = cfg.get("paths", "model", "model", None, str)
-    model = fuzzy.load_model(Path(model_path) if model_path else out_dir / MODEL_FILE)
-    data_path = cfg.path("data", "data", None)
-    records = _read_records_csv(data_path, model.input_names)
+    out_dir = Path(cfg.get("paths", "out", DEFAULT_OUT))
+    model = fuzzy.load_model(Path(cfg.get("paths", "model") or out_dir / MODEL_FILE))
+    data_path = cfg.get("paths", "data")
+    if data_path is None:
+        raise ConfigError("missing required path: --data")
+    records = _read_records_csv(Path(data_path), model.input_names)
 
     engine = fuzzy.CompiledFIS.from_config(model)
     term_names = model.output.term_names
@@ -435,14 +424,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = RunConfig(args)
-    out_dir = Path(cfg.get("paths", "out", "out", DEFAULT_OUT, str))
-    baseline_path = cfg.get("paths", "baseline", "baseline", None, str)
-    result_path = cfg.get("paths", "result", "result", None, str)
+    out_dir = Path(cfg.get("paths", "out", DEFAULT_OUT))
     baseline = ev.load_baseline(
-        Path(baseline_path) if baseline_path else out_dir / BASELINE_FILE
+        Path(cfg.get("paths", "baseline") or out_dir / BASELINE_FILE)
     )
     result = selector.load_result(
-        Path(result_path) if result_path else out_dir / RESULT_FILE
+        Path(cfg.get("paths", "result") or out_dir / RESULT_FILE)
     )
     report = ev.build_report(baseline, result)
     print(ev.format_report(report))
@@ -453,16 +440,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "validate": cmd_validate,
-        "select": cmd_select,
-        "classify": cmd_classify,
-        "report": cmd_report,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (GafuzzyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,8 +41,9 @@ class FeatureSpec:
     value_range: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.value_range is not None and self.value_range[0] > self.value_range[1]:
-            raise ConfigError(f"feature {self.name!r}: min > max in declared range")
+        lo, hi = self.value_range or (0.0, 0.0)  # no declared range
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+            raise ConfigError(f"feature {self.name!r}: range needs finite min <= max")
 
 
 @dataclass(frozen=True)
@@ -242,9 +243,10 @@ def load_schema(path: str | Path) -> Schema:
                 raise ConfigError(
                     f"{path}: [{section}] must declare both min and max"
                 ) from exc
-            if not np.all(np.isfinite(value_range)):
-                raise ConfigError(f"{path}: [{section}] min and max must be finite")
-        features.append(FeatureSpec(section, index, value_range))
+        try:
+            features.append(FeatureSpec(section, index, value_range))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: [{section}] {exc}") from exc
     features.sort(key=lambda f: f.index)
     return Schema(tuple(features), label_name, label_index, positive, negative)
 

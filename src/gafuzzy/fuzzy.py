@@ -673,8 +673,8 @@ def config_from_dict(d: dict) -> FISConfig:
         tuple(_variable_from_dict(v) for v in d["inputs"]),
         _variable_from_dict(d["output"]),
         rules,
-        int(d.get("resolution", 1001)),
-        float(d.get("decision_threshold", 0.5)),
+        int(d.get("resolution", FISConfig.resolution)),
+        float(d.get("decision_threshold", FISConfig.decision_threshold)),
     )
 
 

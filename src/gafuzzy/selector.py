@@ -64,8 +64,8 @@ class FitnessConfig:
     evaluation: SplitPlan = field(
         default_factory=lambda: SplitPlan.kfold(5, seed=0)
     )
-    resolution: int = 1001
-    decision_threshold: float = 0.5
+    resolution: int = FISConfig.resolution
+    decision_threshold: float = FISConfig.decision_threshold
     report_plan: SplitPlan | None = None
 
     def __post_init__(self):
@@ -74,22 +74,20 @@ class FitnessConfig:
                 f"cost weight (lambda) must be finite and non-negative, "
                 f"got {self.cost_weight}"
             )
+        # FISConfig's checks of the settings every model trained here has,
+        # made before any search
+        FISConfig((), class_output_variable("class"), (), self.resolution,
+                  self.decision_threshold)
 
     @classmethod
-    def from_master_seed(
-        cls,
-        master: int,
-        cost_weight: float = 0.3,
-        folds: int = 5,
-        resolution: int = 1001,
-        decision_threshold: float = 0.5,
-    ) -> "FitnessConfig":
+    def from_master_seed(cls, master: int, folds: int = 5,
+                         **fields) -> "FitnessConfig":
+        """The CV plan and reporting holdout of a master seed; fields are
+        any other FitnessConfig fields."""
         return cls(
-            cost_weight=cost_weight,
             evaluation=SplitPlan.kfold(folds, seed=derive_seed(master, "cv")),
-            resolution=resolution,
-            decision_threshold=decision_threshold,
             report_plan=SplitPlan.holdout(0.8, seed=derive_seed(master, "holdout")),
+            **fields,
         )
 
     def resolved_report_plan(self) -> SplitPlan:

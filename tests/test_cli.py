@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gafuzzy.cli import _packaged, main
+from gafuzzy.cli import OPTIONS, _packaged, main
 from gafuzzy.dataset import stratified_split
 from gafuzzy.fuzzy import (
     CompiledFIS,
@@ -86,10 +86,10 @@ def test_bad_costs_exit_2_naming_the_file(tmp_path, capsys, command, glucose,
 
 
 @pytest.mark.parametrize("bound, value", [
-    ("min", "inf"), ("max", "nan"), ("min", "-inf"),
+    ("min", "inf"), ("max", "nan"), ("min", "-inf"), ("max", "-5"),
 ])
-def test_validate_rejects_non_finite_schema_range(tmp_path, capsys, bound,
-                                                  value):
+def test_validate_rejects_bad_schema_range(tmp_path, capsys, bound, value):
+    # non-finite, or min > max: the message names the file and the section
     schema = tmp_path / "bad.schema"
     text = _packaged("pima.schema").read_text()
     block = "[glucose]\nindex = 1\nmin = 0\nmax = 199\n"
@@ -265,6 +265,8 @@ def test_expert_rules_accuracy_scores_saved_model(tmp_path, pima_data, capsys):
     ("[ga]\npopulaton = 4\n", "[ga] populaton"),
     ("[ga]\npopulation = 4\n[genetic]\npopulation = 4\n", "[genetic]"),
     ("[DEFAULT]\nseeds = 3\n", "[DEFAULT] seeds"),
+    # a known key reaches no section from [DEFAULT], so it is rejected too
+    ("[DEFAULT]\npopulation = 4\n", "[DEFAULT] population"),
 ])
 def test_config_file_rejects_unknown_keys(tmp_path, capsys, body, named):
     # a misspelled key or section must not fall back to a default silently
@@ -299,6 +301,50 @@ def test_one_config_file_serves_every_command(tmp_path):
     assert main(["classify", *argv]) == 0
     result = json.loads((out / "result.json").read_text())
     assert result["provenance"]["ga"]["population_size"] == 8
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key, value", [
+    ("resolution", "-1"), ("resolution", "2"), ("threshold", "1.5"),
+])
+def test_fis_settings_are_checked_before_the_search(tmp_path, capsys, source,
+                                                    key, value):
+    out = tmp_path / "out"
+    argv = ["select", *PIMA_ARGS, *FAST, "--out", str(out)]
+    if source == "flag":
+        argv += [f"--{key}", value]
+    else:
+        config = tmp_path / "run.ini"
+        config.write_text(f"[fis]\n{key} = {value}\n")
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "gen " not in err
+    assert not out.exists()
+
+
+def test_seeded_fuzz_of_config_values_exits_2(tmp_path, capsys):
+    # every token is invalid for every numeric selection knob: some do not
+    # parse, the others (-1, and nan, inf, 1e400 as floats) break a range
+    tokens = ["abc", "", "nan", "inf", "-1", "1e400"]
+    knobs = [opt for opt in OPTIONS.values() if opt.field]
+    assert {opt.type for opt in knobs} == {int, float}
+    rng = random.Random(13)
+    out = tmp_path / "out"
+    config = tmp_path / "run.ini"
+    for opt in knobs:
+        for token in rng.sample(tokens, 3):
+            config.write_text(f"[{opt.section}]\n{opt.key} = {token}\n")
+            code = main(["select", *PIMA_ARGS, "--config", str(config),
+                         "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 2, (opt.key, token, err)
+            assert not out.exists()
+            parses = token == "-1" or (opt.type is float
+                                       and token in ("nan", "inf", "1e400"))
+            if not parses:
+                assert f"[{opt.section}] {opt.key}" in err, (opt.key, token, err)
 
 
 def test_flag_overrides_config(tmp_path):
