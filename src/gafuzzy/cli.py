@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import inspect
 import math
 import sys
@@ -336,41 +335,85 @@ def _read_records_csv(path: Path, input_names: tuple[str, ...]) -> np.ndarray:
     without one, the column count must equal the model's input count.
     NaN and infinite values are rejected with their row number, counting
     the file's rows, blank ones too, as dataset.load_csv does. The whole
-    file is checked before anything is classified; the values go straight
-    into one float64 buffer, 8 bytes each.
+    file is checked before anything is classified, and the result is one
+    float64 array, 8 bytes a value. A plain numeric file is parsed in one
+    np.loadtxt pass; any other goes through the row loop, which gives the
+    same array for every file both accept and the row-numbered messages.
     """
+    records = _loadtxt_records(path, input_names)
+    return _csv_records(path, input_names) if records is None else records
+
+
+def _loadtxt_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray | None:
+    """The records of a plain numeric file, parsed in one np.loadtxt pass,
+    or None for the row loop to decide. None comes for a file that is not
+    UTF-8 or holds a quote, a blank first line, a header that lacks a model
+    input or has no rows under it, a first row of the wrong width, a cell
+    np.loadtxt cannot parse (float() takes some, such as 1_000) and a value
+    that is not finite."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    first, _, rest = text.partition("\n")
+    cells = first.split(",")
+    # a quoted cell can hold a comma or a line end, in any column
+    if '"' in text or not any(c.strip() for c in cells):
+        return None
+    usecols = None
+    if not all(map(ds._is_number, cells)):
+        names = [c.strip() for c in cells]
+        # np.loadtxt warns on a header without rows
+        if not rest.strip() or any(n not in names for n in input_names):
+            return None
+        usecols = [names.index(n) for n in input_names]
+    elif len(cells) != len(input_names):
+        return None
+    del text, rest  # np.loadtxt reads the file again; hold no copy meanwhile
+    try:
+        values = np.loadtxt(path, delimiter=",", comments=None, quotechar=None,
+                            usecols=usecols, skiprows=int(usecols is not None),
+                            ndmin=2, encoding="utf-8")
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _csv_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray:
+    """The row loop of _read_records_csv: every file it accepts, and the
+    row-numbered message for every file it rejects."""
     width = len(input_names)
     values = array("d")
     columns: list[int] | None = None  # set by the first non-blank row
     header = False
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not any(c.strip() for c in row):
+    for row_no, row in ds.csv_rows(path):
+        if not any(c.strip() for c in row):
+            continue
+        if columns is None:
+            columns = list(range(width))
+            if any(not ds._is_number(c) for c in row):
+                names = [c.strip() for c in row]
+                missing = [n for n in input_names if n not in names]
+                if missing:
+                    raise ArityMismatch(
+                        f"{path}: header lacks model inputs {missing}"
+                    )
+                columns = [names.index(n) for n in input_names]
+                header = True
                 continue
-            if columns is None:
-                columns = list(range(width))
-                if any(not ds._is_number(c) for c in row):
-                    names = [c.strip() for c in row]
-                    missing = [n for n in input_names if n not in names]
-                    if missing:
-                        raise ArityMismatch(
-                            f"{path}: header lacks model inputs {missing}"
-                        )
-                    columns = [names.index(n) for n in input_names]
-                    header = True
-                    continue
-            if not header and len(row) != width:
-                raise ArityMismatch(
-                    f"{path} row {row_no}: expected {width} values, "
-                    f"got {len(row)}"
-                )
-            try:
-                parsed = [float(row[c]) for c in columns]
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"{path} row {row_no}: {exc}") from exc
-            if not all(map(math.isfinite, parsed)):
-                raise ConfigError(f"{path} row {row_no}: non-finite value")
-            values.extend(parsed)
+        if not header and len(row) != width:
+            raise ArityMismatch(
+                f"{path} row {row_no}: expected {width} values, "
+                f"got {len(row)}"
+            )
+        try:
+            parsed = [float(row[c]) for c in columns]
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"{path} row {row_no}: {exc}") from exc
+        if not all(map(math.isfinite, parsed)):
+            raise ConfigError(f"{path} row {row_no}: non-finite value")
+        values.extend(parsed)
     if columns is None:
         raise ConfigError(f"{path}: no records")
     if not values:
@@ -443,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (GafuzzyError, FileNotFoundError) as exc:
+    except (GafuzzyError, OSError) as exc:  # OSError: an unreadable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit 1

@@ -13,7 +13,7 @@ import csv
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -279,34 +279,42 @@ def load_csv(path: str | Path, schema: Schema) -> Dataset:
     expected_width = max([f.index for f in schema.features] + [schema.label_index]) + 1
     records: list[list[float]] = []
     labels: list[int] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row_no, cells in enumerate(reader, start=1):
-            if not cells or all(c.strip() == "" for c in cells):
-                continue
-            if len(cells) != expected_width:
-                raise WrongColumnCount(row_no, expected_width, len(cells))
-            try:
-                values = [float(cells[f.index]) for f in schema.features]
-                label = _parse_label(cells[schema.label_index], schema, row_no)
-            except (ValueError, UnknownLabel) as exc:
-                if row_no == 1 and not records:
-                    continue  # header row
-                if isinstance(exc, UnknownLabel):
-                    raise
-                bad = next(
-                    f.name for f in schema.features if not _is_number(cells[f.index])
-                )
-                raise MalformedRow(
-                    row_no, f"non-numeric value in feature column {bad!r}"
-                ) from exc
-            if not all(np.isfinite(values)):
-                raise MalformedRow(row_no, "non-finite feature value")
-            records.append(values)
-            labels.append(label)
+    for row_no, cells in csv_rows(path):
+        if not cells or all(c.strip() == "" for c in cells):
+            continue
+        if len(cells) != expected_width:
+            raise WrongColumnCount(row_no, expected_width, len(cells))
+        try:
+            values = [float(cells[f.index]) for f in schema.features]
+            label = _parse_label(cells[schema.label_index], schema, row_no)
+        except (ValueError, UnknownLabel) as exc:
+            if row_no == 1 and not records:
+                continue  # header row
+            if isinstance(exc, UnknownLabel):
+                raise
+            bad = next(
+                f.name for f in schema.features if not _is_number(cells[f.index])
+            )
+            raise MalformedRow(
+                row_no, f"non-numeric value in feature column {bad!r}"
+            ) from exc
+        if not all(np.isfinite(values)):
+            raise MalformedRow(row_no, "non-finite feature value")
+        records.append(values)
+        labels.append(label)
     if not records:
         raise ConfigError(f"{path}: no data rows")
     return Dataset(schema, np.array(records), np.array(labels))
+
+
+def csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """(row number, cells) of each row of a CSV file, blank rows included.
+    A file that is not UTF-8 text raises a ConfigError naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield from enumerate(csv.reader(fh), start=1)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _is_number(cell: str) -> bool:

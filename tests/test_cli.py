@@ -23,7 +23,8 @@ from gafuzzy.fuzzy import (
     save_model,
     uniform_partition,
 )
-from gafuzzy import fuzzy, selector
+from gafuzzy import cli, fuzzy, selector
+from gafuzzy.errors import GafuzzyError
 from gafuzzy.rule_learning import format_rule
 from gafuzzy.selector import FitnessConfig
 
@@ -117,6 +118,38 @@ def test_validate_malformed_csv(tmp_path, capsys):
 def test_missing_data_file(capsys):
     code = main(["validate", "--data", "/nope/missing.csv", *PIMA_ARGS[2:]])
     assert code == 2
+
+
+def input_argv(command, tmp_path, data):
+    """validate with the bundled schema and costs, or classify with the
+    golden model, on this data file."""
+    if command == "validate":
+        return ["validate", "--data", str(data), *PIMA_ARGS[2:]]
+    return ["classify", "--model", str(golden_model(tmp_path)), "--data", str(data)]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("validate", "--data"), ("validate", "--schema"),
+    ("classify", "--data"), ("classify", "--model"),
+])
+def test_directory_as_input_exits_2(tmp_path, capsys, command, flag):
+    argv = input_argv(command, tmp_path, _packaged("pima.csv"))
+    argv[argv.index(flag) + 1] = str(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("validate", _packaged("pima.csv").read_text().replace("\n1,", "\n\xe9,", 1)),
+    ("classify", "u,v\n6,30\n\xe9,1\n"),
+], ids=["validate", "classify"])
+def test_data_that_is_not_utf8_exits_2(tmp_path, capsys, command, text):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(text.encode("latin-1"))
+    assert main(input_argv(command, tmp_path, data)) == 2
+    err = capsys.readouterr().err
+    assert f"{data}: not UTF-8 text" in err
 
 
 # --- select ---------------------------------------------------------------------
@@ -503,6 +536,91 @@ def test_classify_rejects_non_finite_values(tmp_path, capsys, rows, bad_row):
     captured = capsys.readouterr()
     assert f"row {bad_row}: non-finite value" in captured.err
     assert captured.out == ""
+
+
+def corrupt_records(rng):
+    """A small records file for the golden model (inputs u and v) with
+    seeded corruptions, as bytes."""
+    lines = [["u", "v"]] + [
+        [f"{rng.uniform(0, 10):.3f}", f"{rng.uniform(0, 100):.2f}"]
+        for _ in range(rng.randint(1, 5))
+    ]
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            break
+        op = rng.choice([
+            "reorder", "duplicate", "extra", "no-header",
+            "header-only", "short", "long", "trailing-comma", "blank",
+            "quote", "underscore", "comment", "non-finite", "latin-1",
+        ])
+        row = rng.randrange(len(lines))
+        if op == "reorder":
+            lines = [cells[::-1] for cells in lines]
+        elif op == "duplicate":
+            lines = [cells + cells[:1] for cells in lines]
+        elif op == "extra":
+            at = rng.randint(0, 2)
+            lines = [cells[:at] + [rng.choice(["w", "0.5", '"1,2,3,4"', '"\n5,6,"'])]
+                     + cells[at:] for cells in lines]
+        elif op == "no-header":
+            lines = lines[1:]
+        elif op == "header-only":
+            lines = lines[:1]
+        elif op == "short" and lines[row]:
+            lines[row] = lines[row][:-1]
+        elif op in ("long", "trailing-comma"):
+            lines[row] = lines[row] + ["7" if op == "long" else ""]
+        elif op == "blank":
+            lines.insert(row, rng.choice([[], ["  "], ["", "", "", ""]]))
+        elif lines[row]:
+            cell = rng.randrange(len(lines[row]))
+            lines[row][cell] = {
+                "quote": f'"{lines[row][cell]}"', "underscore": "1_000",
+                "comment": "#" + lines[row][cell],
+                "non-finite": rng.choice(["nan", "inf", "-inf"]),
+                "latin-1": "\xe9",
+            }[op]
+    end = rng.choice(["\n", "\r\n", "\r"])
+    text = "".join(",".join(cells) + end for cells in lines)
+    if rng.random() < 0.2:
+        text = text.removesuffix(end)
+    bom = "\ufeff" if rng.random() < 0.1 else ""
+    return (bom + text).encode("utf-8").replace(b"\xc3\xa9", b"\xe9")
+
+
+def test_seeded_fuzz_of_classify_records(tmp_path, capsys):
+    # the one-pass parse accepts a file only with the row loop's array, and
+    # classify exits 0, or 2 naming the file, whatever the file holds
+    model = golden_model(tmp_path)
+    names = load_model(model).input_names
+    path = tmp_path / "records.csv"
+    rng = random.Random(14)
+    seen = {"one pass": 0, "row loop": 0, "rejected": 0}
+    for _ in range(300):
+        data = corrupt_records(rng)
+        path.write_bytes(data)
+        try:
+            expected = cli._csv_records(path, names)
+        except GafuzzyError:
+            expected = None
+        records = cli._loadtxt_records(path, names)
+        if records is not None:
+            assert expected is not None, data
+            assert records.shape == expected.shape, data
+            assert records.tobytes() == expected.tobytes(), data
+        seen["rejected" if expected is None
+             else "row loop" if records is None else "one pass"] += 1
+        code = main(["classify", "--model", str(model), "--data", str(path)])
+        err = capsys.readouterr().err
+        assert code == (0 if expected is not None else 2), (data, err)
+        if code == 2:
+            assert str(path) in err, (data, err)
+    assert min(seen.values()) > 30, seen
+    for data in (b"", b"u,v\n", b"u,v\r\n\r\n"):
+        path.write_bytes(data)
+        assert cli._loadtxt_records(path, names) is None
+        assert main(["classify", "--model", str(model), "--data", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
 
 # the golden model's chunks hold this many records
