@@ -15,11 +15,8 @@ Exit codes: 0 success, 1 internal error, 2 user/config error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import inspect
-import math
 import sys
-from array import array
 from importlib.resources import files
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -29,7 +26,7 @@ import numpy as np
 from . import dataset as ds
 from . import evaluation as ev
 from . import fuzzy, rule_learning, selector
-from .errors import ArityMismatch, ConfigError, GafuzzyError
+from .errors import ConfigError, GafuzzyError
 from .ga import GAParams, mask_to_string, save_trace_csv
 
 DEFAULT_SEED = 1
@@ -160,30 +157,23 @@ class RunConfig:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.ini = configparser.ConfigParser(interpolation=None)
-        if args.config:
-            if not self.ini.read(args.config):
-                raise ConfigError(f"config file not found: {args.config}")
-            self._check_keys(args.config)
-
-    def _check_keys(self, path: str) -> None:
-        """Reject a section or key no command reads, so a typo cannot fall
-        back to a default unnoticed. [DEFAULT] keys are rejected too: every
-        key belongs to one section."""
-        shared = self.ini.defaults()
-        unknown = [f"[DEFAULT] {key}" for key in shared]
-        for section in self.ini.sections():
-            if section not in CONFIG_KEYS:
-                unknown.append(f"[{section}]")
-                continue
-            unknown += [
-                f"[{section}] {key}" for key in self.ini.options(section)
-                if key not in CONFIG_KEYS[section] and key not in shared
-            ]
-        if unknown:
-            raise ConfigError(
-                f"config file {path}: no command reads {', '.join(unknown)}"
-            )
+        self.ini = None
+        if not args.config:
+            return
+        with ds.reading(args.config):
+            self.ini = ini = ds._read_ini(args.config)
+            # reject a section or key no command reads, so a typo cannot fall back
+            # to a default unnoticed, and [DEFAULT] keys: each key has one section
+            shared = ini.defaults()
+            unknown = [f"[DEFAULT] {key}" for key in shared]
+            for section in ini.sections():
+                if section not in CONFIG_KEYS:
+                    unknown.append(f"[{section}]")
+                    continue
+                unknown += [f"[{section}] {key}" for key in ini.options(section)
+                            if key not in CONFIG_KEYS[section] and key not in shared]
+            if unknown:
+                raise ConfigError(f"no command reads {', '.join(unknown)}")
 
     def get(self, section: str, key: str, default=None):
         """The flag's value, else the config file's, else default."""
@@ -192,12 +182,13 @@ class RunConfig:
         value = getattr(self.args, key, None)
         if value is not None:
             return value
-        if not self.ini.has_option(section, key):
+        if self.ini is None or not self.ini.has_option(section, key):
             return default
-        try:
-            return opt.type(self.ini.get(section, key))
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ConfigError(f"config [{section}] {key}: {exc}") from exc
+        with ds.reading(self.args.config):
+            try:
+                return opt.type(self.ini.get(section, key))
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
     def fields(self, *sections: str) -> dict[str, object]:
         """The knobs of these sections set by flag or config file, by the
@@ -328,99 +319,6 @@ def cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_records_csv(path: Path, input_names: tuple[str, ...]) -> np.ndarray:
-    """Unlabelled records for classification, (N, m).
-
-    With a header, columns are matched by name (any order, extras allowed);
-    without one, the column count must equal the model's input count.
-    NaN and infinite values are rejected with their row number, counting
-    the file's rows, blank ones too, as dataset.load_csv does. The whole
-    file is checked before anything is classified, and the result is one
-    float64 array, 8 bytes a value. A plain numeric file is parsed in one
-    np.loadtxt pass; any other goes through the row loop, which gives the
-    same array for every file both accept and the row-numbered messages.
-    """
-    records = _loadtxt_records(path, input_names)
-    return _csv_records(path, input_names) if records is None else records
-
-
-def _loadtxt_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray | None:
-    """The records of a plain numeric file, parsed in one np.loadtxt pass,
-    or None for the row loop to decide. None comes for a file that is not
-    UTF-8 or holds a quote, a blank first line, a header that lacks a model
-    input or has no rows under it, a first row of the wrong width, a cell
-    np.loadtxt cannot parse (float() takes some, such as 1_000) and a value
-    that is not finite."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
-    first, _, rest = text.partition("\n")
-    cells = first.split(",")
-    # a quoted cell can hold a comma or a line end, in any column
-    if '"' in text or not any(c.strip() for c in cells):
-        return None
-    usecols = None
-    if not all(map(ds._is_number, cells)):
-        names = [c.strip() for c in cells]
-        # np.loadtxt warns on a header without rows
-        if not rest.strip() or any(n not in names for n in input_names):
-            return None
-        usecols = [names.index(n) for n in input_names]
-    elif len(cells) != len(input_names):
-        return None
-    del text, rest  # np.loadtxt reads the file again; hold no copy meanwhile
-    try:
-        values = np.loadtxt(path, delimiter=",", comments=None, quotechar=None,
-                            usecols=usecols, skiprows=int(usecols is not None),
-                            ndmin=2, encoding="utf-8")
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
-
-
-def _csv_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray:
-    """The row loop of _read_records_csv: every file it accepts, and the
-    row-numbered message for every file it rejects."""
-    width = len(input_names)
-    values = array("d")
-    columns: list[int] | None = None  # set by the first non-blank row
-    header = False
-    for row_no, row in ds.csv_rows(path):
-        if not any(c.strip() for c in row):
-            continue
-        if columns is None:
-            columns = list(range(width))
-            if any(not ds._is_number(c) for c in row):
-                names = [c.strip() for c in row]
-                missing = [n for n in input_names if n not in names]
-                if missing:
-                    raise ArityMismatch(
-                        f"{path}: header lacks model inputs {missing}"
-                    )
-                columns = [names.index(n) for n in input_names]
-                header = True
-                continue
-        if not header and len(row) != width:
-            raise ArityMismatch(
-                f"{path} row {row_no}: expected {width} values, "
-                f"got {len(row)}"
-            )
-        try:
-            parsed = [float(row[c]) for c in columns]
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"{path} row {row_no}: {exc}") from exc
-        if not all(map(math.isfinite, parsed)):
-            raise ConfigError(f"{path} row {row_no}: non-finite value")
-        values.extend(parsed)
-    if columns is None:
-        raise ConfigError(f"{path}: no records")
-    if not values:
-        raise ConfigError(f"{path}: no data rows after header")
-    return np.frombuffer(values).reshape(-1, width)
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     cfg = RunConfig(args)
     out_dir = Path(cfg.get("paths", "out", DEFAULT_OUT))
@@ -428,7 +326,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     data_path = cfg.get("paths", "data")
     if data_path is None:
         raise ConfigError("missing required path: --data")
-    records = _read_records_csv(Path(data_path), model.input_names)
+    records = ds.load_records(Path(data_path), model.input_names)
 
     engine = fuzzy.CompiledFIS.from_config(model)
     term_names = model.output.term_names

@@ -1,9 +1,9 @@
 """Tabular dataset loading, validation, cost accounting and splitting.
 
-The data model is deliberately small: a Schema describes the feature
-columns and the label column of a CSV file, a Dataset holds the validated
-numeric table, and a CostTable prices each feature. Schema and cost files
-use INI syntax (see the README for the grammar).
+A Schema describes the feature columns and the label column of a CSV file,
+a Dataset holds the validated numeric table, and a CostTable prices each
+feature. Every file a user writes (data, records, schema, costs, a config,
+expert rules) is decoded here, and its errors named: see reading().
 """
 
 from __future__ import annotations
@@ -11,6 +11,9 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
+import math
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -18,10 +21,12 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    ArityMismatch,
     ClassTooSmall,
     ConfigError,
     DuplicateFeature,
     EmptyMask,
+    GafuzzyError,
     LengthMismatch,
     MalformedRow,
     MissingFeature,
@@ -200,55 +205,69 @@ class SplitPlan:
 # --- file loading ----------------------------------------------------------
 
 
+@contextmanager
+def reading(path: str | Path) -> Iterator[None]:
+    """The one boundary for errors about a user file: text that is not UTF-8
+    and INI or CSV syntax errors become a ConfigError naming the file, and a
+    GafuzzyError gets the path before its message, keeping its attributes."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except (configparser.Error, csv.Error) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    except GafuzzyError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def read_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:
+    """The lines of a user file, decoded as UTF-8, for reading(path)."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        yield from fh
+
+
 def _read_ini(path: str | Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(strict=True, interpolation=None)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except configparser.DuplicateOptionError as exc:
-        raise DuplicateFeature(exc.option) from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    parser.read_file(read_lines(path), source=str(path))
     return parser
 
 
 def load_schema(path: str | Path) -> Schema:
     """Read a schema file: a [label] section plus one section per feature."""
-    parser = _read_ini(path)
-    if "label" not in parser:
-        raise ConfigError(f"{path}: missing [label] section")
-    lab = parser["label"]
-    try:
-        label_name = lab["name"]
-        label_index = int(lab["index"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{path}: [label] needs 'name' and integer 'index'") from exc
-    positive = lab.get("positive", "1")
-    negative = lab.get("negative", "0")
-
-    features = []
-    for section in parser.sections():
-        if section == "label":
-            continue
-        sec = parser[section]
+    with reading(path):
+        parser = _read_ini(path)
+        if "label" not in parser:
+            raise ConfigError("missing [label] section")
+        lab = parser["label"]
         try:
-            index = int(sec["index"])
+            label_name = lab["name"]
+            label_index = int(lab["index"])
         except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{path}: [{section}] needs integer 'index'") from exc
-        value_range = None
-        if "min" in sec or "max" in sec:
+            raise ConfigError("[label] needs 'name' and integer 'index'") from exc
+
+        features = []
+        for section in parser.sections():
+            if section == "label":
+                continue
+            sec = parser[section]
             try:
-                value_range = (float(sec["min"]), float(sec["max"]))
+                index = int(sec["index"])
             except (KeyError, ValueError) as exc:
-                raise ConfigError(
-                    f"{path}: [{section}] must declare both min and max"
-                ) from exc
-        try:
-            features.append(FeatureSpec(section, index, value_range))
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: [{section}] {exc}") from exc
-    features.sort(key=lambda f: f.index)
-    return Schema(tuple(features), label_name, label_index, positive, negative)
+                raise ConfigError(f"[{section}] needs integer 'index'") from exc
+            value_range = None
+            if "min" in sec or "max" in sec:
+                try:
+                    value_range = (float(sec["min"]), float(sec["max"]))
+                except (KeyError, ValueError) as exc:
+                    raise ConfigError(
+                        f"[{section}] must declare both min and max") from exc
+            try:
+                features.append(FeatureSpec(section, index, value_range))
+            except ConfigError as exc:
+                raise ConfigError(f"[{section}] {exc}") from exc
+        return Schema(tuple(sorted(features, key=lambda f: f.index)), label_name,
+                      label_index, lab.get("positive", "1"), lab.get("negative", "0"))
 
 
 def _parse_label(cell: str, schema: Schema, row: int) -> int:
@@ -279,42 +298,38 @@ def load_csv(path: str | Path, schema: Schema) -> Dataset:
     expected_width = max([f.index for f in schema.features] + [schema.label_index]) + 1
     records: list[list[float]] = []
     labels: list[int] = []
-    for row_no, cells in csv_rows(path):
-        if not cells or all(c.strip() == "" for c in cells):
-            continue
-        if len(cells) != expected_width:
-            raise WrongColumnCount(row_no, expected_width, len(cells))
-        try:
-            values = [float(cells[f.index]) for f in schema.features]
-            label = _parse_label(cells[schema.label_index], schema, row_no)
-        except (ValueError, UnknownLabel) as exc:
-            if row_no == 1 and not records:
-                continue  # header row
-            if isinstance(exc, UnknownLabel):
-                raise
-            bad = next(
-                f.name for f in schema.features if not _is_number(cells[f.index])
-            )
-            raise MalformedRow(
-                row_no, f"non-numeric value in feature column {bad!r}"
-            ) from exc
-        if not all(np.isfinite(values)):
-            raise MalformedRow(row_no, "non-finite feature value")
-        records.append(values)
-        labels.append(label)
-    if not records:
-        raise ConfigError(f"{path}: no data rows")
-    return Dataset(schema, np.array(records), np.array(labels))
+    with reading(path):
+        for row_no, cells in csv_rows(path):
+            if len(cells) != expected_width:
+                raise WrongColumnCount(row_no, expected_width, len(cells))
+            try:
+                values = [float(cells[f.index]) for f in schema.features]
+                label = _parse_label(cells[schema.label_index], schema, row_no)
+            except (ValueError, UnknownLabel) as exc:
+                if row_no == 1 and not records:
+                    continue  # header row
+                if isinstance(exc, UnknownLabel):
+                    raise
+                bad = next(
+                    f.name for f in schema.features if not _is_number(cells[f.index])
+                )
+                raise MalformedRow(
+                    row_no, f"non-numeric value in feature column {bad!r}"
+                ) from exc
+            if not all(np.isfinite(values)):
+                raise MalformedRow(row_no, "non-finite feature value")
+            records.append(values)
+            labels.append(label)
+        if not records:
+            raise ConfigError("no data rows")
+        return Dataset(schema, np.array(records), np.array(labels))
 
 
 def csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    """(row number, cells) of each row of a CSV file, blank rows included.
-    A file that is not UTF-8 text raises a ConfigError naming it."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            yield from enumerate(csv.reader(fh), start=1)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    """(row number, cells) of each non-blank row of a CSV file, numbered
+    among all its rows; read them inside reading(path)."""
+    rows = enumerate(csv.reader(read_lines(path, newline="")), start=1)
+    return ((row_no, cells) for row_no, cells in rows if any(map(str.strip, cells)))
 
 
 def _is_number(cell: str) -> bool:
@@ -323,6 +338,94 @@ def _is_number(cell: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def load_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray:
+    """Unlabelled records for classification, (N, m).
+
+    With a header, columns are matched by name (any order, extras allowed);
+    without one, the column count must equal the model's input count.
+    NaN and infinite values are rejected with their row number, counting
+    the file's rows, blank ones too, as load_csv does. The whole file is
+    checked before anything is classified, and the result is one float64
+    array, 8 bytes a value. A plain numeric file is parsed in one np.loadtxt
+    pass; any other goes through the row loop, which gives the same array
+    for every file both accept and the row-numbered messages.
+    """
+    records = _loadtxt_records(path, input_names)
+    return _csv_records(path, input_names) if records is None else records
+
+
+def _loadtxt_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray | None:
+    """The records of a plain numeric file, parsed in one np.loadtxt pass,
+    or None for the row loop to decide. None comes for a file that is not
+    UTF-8 or holds a quote, a blank first line, a header that lacks a model
+    input or has no rows under it, a first row of the wrong width, a cell
+    np.loadtxt cannot parse (float() takes some, such as 1_000) and a value
+    that is not finite."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    first, _, rest = text.partition("\n")
+    cells = first.split(",")
+    # a quoted cell can hold a comma or a line end, in any column
+    if '"' in text or not any(c.strip() for c in cells):
+        return None
+    usecols = None
+    if not all(map(_is_number, cells)):
+        names = [c.strip() for c in cells]
+        # np.loadtxt warns on a header without rows
+        if not rest.strip() or any(n not in names for n in input_names):
+            return None
+        usecols = [names.index(n) for n in input_names]
+    elif len(cells) != len(input_names):
+        return None
+    del text, rest  # np.loadtxt reads the file again; hold no copy meanwhile
+    try:
+        values = np.loadtxt(path, delimiter=",", comments=None, quotechar=None,
+                            usecols=usecols, skiprows=int(usecols is not None),
+                            ndmin=2, encoding="utf-8")
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _csv_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray:
+    """The row loop of load_records: every file it accepts, and the
+    row-numbered message for every file it rejects."""
+    width = len(input_names)
+    values = array("d")
+    columns: list[int] | None = None  # set by the first row
+    header = False
+    with reading(path):
+        for row_no, row in csv_rows(path):
+            if columns is None:
+                columns = list(range(width))
+                if any(not _is_number(c) for c in row):
+                    names = [c.strip() for c in row]
+                    missing = [n for n in input_names if n not in names]
+                    if missing:
+                        raise ArityMismatch(f"header lacks model inputs {missing}")
+                    columns = [names.index(n) for n in input_names]
+                    header = True
+                    continue
+            if not header and len(row) != width:
+                raise ArityMismatch(f"row {row_no}: expected {width} values, "
+                                    f"got {len(row)}")
+            try:
+                parsed = [float(row[c]) for c in columns]
+            except (ValueError, IndexError) as exc:
+                raise ConfigError(f"row {row_no}: {exc}") from exc
+            if not all(map(math.isfinite, parsed)):
+                raise ConfigError(f"row {row_no}: non-finite value")
+            values.extend(parsed)
+        if columns is None:
+            raise ConfigError("no records")
+        if not values:
+            raise ConfigError("no data rows after header")
+    return np.frombuffer(values).reshape(-1, width)
 
 
 def save_csv(data: Dataset, path: str | Path) -> None:
@@ -348,36 +451,35 @@ def save_csv(data: Dataset, path: str | Path) -> None:
 
 def load_costs(path: str | Path, schema: Schema) -> CostTable:
     """Read a [costs] file and check it covers the schema exactly."""
-    parser = _read_ini(path)
-    if "costs" not in parser:
-        raise ConfigError(f"{path}: missing [costs] section")
-    raw = dict(parser["costs"])
-    for name in raw:
-        if name not in schema.feature_names:
-            raise UnknownFeature(name)
-    entries = []
-    for feature in schema.features:
-        if feature.name not in raw:
-            raise MissingFeature(feature.name)
+    with reading(path):
         try:
-            cost = float(raw[feature.name])
-        except ValueError as exc:
-            raise ConfigError(
-                f"{path}: cost of {feature.name!r} is not a number"
-            ) from exc
-        if not np.isfinite(cost):
-            raise ConfigError(
-                f"{path}: cost of {feature.name!r} is {cost}, not a finite number"
-            )
-        entries.append((feature.name, cost))
-    table = CostTable(tuple(entries))
-    # the fitness penalty is a mask's share of the total cost
-    if not 0.0 < table.total_cost < np.inf:
-        raise ConfigError(
-            f"{path}: costs sum to {table.total_cost}; the total must be "
-            "positive and finite"
-        )
-    return table
+            parser = _read_ini(path)
+        except configparser.DuplicateOptionError as exc:
+            raise DuplicateFeature(exc.option) from exc
+        if "costs" not in parser:
+            raise ConfigError("missing [costs] section")
+        raw = dict(parser["costs"])
+        for name in raw:
+            if name not in schema.feature_names:
+                raise UnknownFeature(name)
+        entries = []
+        for feature in schema.features:
+            if feature.name not in raw:
+                raise MissingFeature(feature.name)
+            try:
+                cost = float(raw[feature.name])
+            except ValueError as exc:
+                raise ConfigError(f"cost of {feature.name!r} is not a number") from exc
+            if not np.isfinite(cost):
+                raise ConfigError(
+                    f"cost of {feature.name!r} is {cost}, not a finite number")
+            entries.append((feature.name, cost))
+        table = CostTable(tuple(entries))
+        # the fitness penalty is a mask's share of the total cost
+        if not 0.0 < table.total_cost < np.inf:
+            raise ConfigError(f"costs sum to {table.total_cost}; the total must be "
+                              "positive and finite")
+        return table
 
 
 # --- operations ------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, read_lines, reading
 from .errors import ArityMismatch, ConfigError, EmptyTrainingSet, RuleParseError, UnknownTerm
 from .fuzzy import FISConfig, LinguisticVariable, Rule, index_rules
 
@@ -185,8 +185,8 @@ def parse_rule_line(line: str, line_no: int, config: FISConfig) -> Rule:
 def load_expert_rules(path: str | Path, config: FISConfig) -> tuple[Rule, ...]:
     """Parse a rule file (one rule per line, # comments and blanks allowed)."""
     rules = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with reading(path):
+        for line_no, line in enumerate(read_lines(path), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

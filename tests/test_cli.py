@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import itertools
 import json
 import random
@@ -23,7 +24,7 @@ from gafuzzy.fuzzy import (
     save_model,
     uniform_partition,
 )
-from gafuzzy import cli, fuzzy, selector
+from gafuzzy import dataset as ds, fuzzy, selector
 from gafuzzy.errors import GafuzzyError
 from gafuzzy.rule_learning import format_rule
 from gafuzzy.selector import FitnessConfig
@@ -150,6 +151,164 @@ def test_data_that_is_not_utf8_exits_2(tmp_path, capsys, command, text):
     assert main(input_argv(command, tmp_path, data)) == 2
     err = capsys.readouterr().err
     assert f"{data}: not UTF-8 text" in err
+
+
+def packaged_with(name, old, new):
+    """A bundled file's bytes with the first old replaced by new."""
+    data = _packaged(name).read_bytes()
+    assert old in data
+    return data.replace(old, new, 1)
+
+
+def argv_with(command, flag, path, out):
+    """command on the bundled files, with path given for flag; select runs
+    a tiny search."""
+    argv = [command, *PIMA_ARGS]
+    if command == "select":
+        argv += ["--pop", "4", "--generations", "1", "--out", str(out)]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(path)
+    else:
+        argv += [flag, str(path)]
+    return argv
+
+
+@pytest.mark.parametrize("flag, data", [
+    ("--config", b"population = 8\n"),
+    ("--config", b"[ga]\npopulation = 8\npopulation = 9\n"),
+    ("--config", b"[ga]\npopulation = 8\n[ga]\npc = 0.5\n"),
+    ("--config", b"[ga]\n\n  population\n"),
+    ("--config", b"[ga]\npopulation = 8\xff\n"),
+    ("--schema", packaged_with("pima.schema", b"glucose", b"gluc\xffose")),
+    ("--costs", packaged_with("pima.costs", b"glucose", b"gluc\xffose")),
+    ("--rules", b"IF glucose IS high THEN outcome IS positive\xff\n"),
+], ids=["config-no-section", "config-duplicate-key", "config-duplicate-section",
+        "config-indented-line", "config-not-utf8", "schema-not-utf8",
+        "costs-not-utf8", "rules-not-utf8"])
+def test_malformed_user_file_exits_2_naming_it(tmp_path, capsys, flag, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    command = "select" if flag == "--rules" else "validate"
+    assert main(argv_with(command, flag, path, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err[err.index("error: "):].startswith(f"error: {path}: "), err
+    assert "feature" not in err  # a config key is no feature
+
+
+def pima_rows(row, cell, value):
+    """The bundled data with one cell of one row (1 is the header) replaced."""
+    lines = _packaged("pima.csv").read_text().splitlines(keepends=True)
+    cells = lines[row - 1].split(",")
+    cells[cell] = value
+    lines[row - 1] = ",".join(cells)
+    return "".join(lines).encode()
+
+
+FIELD_LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize("command, flag, data, message", [
+    ("validate", "--data", pima_rows(4, -1, "maybe\n"), "row 4: unknown label 'maybe'"),
+    ("validate", "--costs", packaged_with("pima.costs", b"insulin = 18.0\n", b""),
+     "feature 'insulin' missing from file"),
+    ("validate", "--costs", packaged_with("pima.costs", b"age", b"age = 1\npregnancies"),
+     "feature 'pregnancies' listed more than once"),
+    ("select", "--rules", b"IF unicorn IS high THEN outcome IS positive\n",
+     "line 1: unknown variable 'unicorn'"),
+    ("validate", "--data", pima_rows(2, 1, "1" * (FIELD_LIMIT + 1)),
+     f"field larger than field limit ({FIELD_LIMIT})"),
+    ("classify", "--data", b"u,v\n6,30\n" + b"1" * (FIELD_LIMIT + 1) + b",30\n",
+     f"field larger than field limit ({FIELD_LIMIT})"),
+], ids=["data-label", "costs-missing", "costs-duplicate", "rules-variable",
+        "data-long-cell", "records-long-cell"])
+def test_rejection_names_the_file(tmp_path, capsys, command, flag, data, message):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    if command == "classify":
+        argv = input_argv(command, tmp_path, path)
+    else:
+        argv = argv_with(command, flag, path, tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err[err.index("error: "):] == f"error: {path}: {message}\n"
+
+
+def corrupt(rng, data):
+    """data, the bytes of a user file, with one to three seeded corruptions
+    of a byte, a line, a cell or a key."""
+    for _ in range(rng.randint(1, 3)):
+        lines = data.split(b"\n")
+        at = rng.randrange(len(lines))
+        line = lines[at]
+        op = rng.choice(["byte", "drop-byte", "drop-line", "repeat-line",
+                         "indent", "cell", "key", "truncate"])
+        if op in ("byte", "drop-byte") and line:
+            i = rng.randrange(len(line))
+            new = rng.choice([b"\xff", b"\xe9", b",", b"=", b"[", b"]", b"#",
+                              b'"', b" ", b"\n", b"\x00", b"-", b"9"])
+            lines[at] = line[:i] + (new if op == "byte" else b"") + line[i + 1:]
+        elif op == "drop-line":
+            del lines[at]
+        elif op == "repeat-line":
+            lines.insert(at, line)
+        elif op == "indent":
+            lines[at] = b"  " + line
+        elif op == "cell":
+            token = rng.choice([b"", b"abc", b"nan", b"inf", b"-1", b"1e400",
+                                b"1_0", b'"7"', b"0"])
+            key, eq, _ = line.partition(b"=")
+            if eq:
+                lines[at] = key + eq + b" " + token
+            else:
+                cells = line.split(b",")
+                cells[rng.randrange(len(cells))] = token
+                lines[at] = b",".join(cells)
+        elif op == "key" and line:
+            # rename a key or section, or the header's name of a column
+            i = rng.randrange(len(line.partition(b"=")[0]))
+            lines[at] = line[:i] + rng.choice([b"x", b"_", b"A", b""]) + line[i + 1:]
+        elif op == "truncate":
+            lines = lines[:at]
+        data = b"\n".join(lines)
+    return data
+
+
+def test_seeded_fuzz_of_user_files(tmp_path, capsys):
+    # whatever a data, schema, cost, config or expert rule file holds, the
+    # command exits 0, or 2 naming one of the files it was given
+    files = {
+        "--data": _packaged("pima.csv").read_bytes(),
+        "--schema": _packaged("pima.schema").read_bytes(),
+        "--costs": _packaged("pima.costs").read_bytes(),
+        "--config": b"[run]\nseed = 3\nimpute = none\n[ga]\npopulation = 8\n"
+                    b"pc = 0.6\n[fitness]\nlambda = 0.3\n[fis]\nthreshold = 0.5\n",
+    }
+    out = tmp_path / "out"
+    assert main(argv_with("select", "--seed", "4", out)) == 0
+    names = load_model(out / "model.json").input_names
+    files["--rules"] = (
+        f"# rules over the selected features\n"
+        f"IF {names[0]} IS high AND {names[-1]} IS low THEN outcome IS positive\n"
+        f"IF {names[0]} IS low THEN outcome IS negative WEIGHT 0.5\n"
+    ).encode()
+    rng = random.Random(15)
+    codes = []
+    for draw in range(90):
+        flag = "--rules" if draw % 15 == 0 else rng.choice(sorted(set(files) - {"--rules"}))
+        path = tmp_path / f"input{flag.replace('-', '.')}"
+        data = corrupt(rng, files[flag])
+        path.write_bytes(data)
+        argv = argv_with("select" if flag == "--rules" else "validate", flag, path, out)
+        if flag == "--rules":
+            argv += ["--seed", "4"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2), (flag, data, err)
+        if code == 2:
+            named = [argv[i + 1] for i, arg in enumerate(argv) if arg in files]
+            assert any(name in err for name in named), (flag, data, err)
+        codes.append(code)
+    assert 10 < codes.count(2) < 80, codes
 
 
 # --- select ---------------------------------------------------------------------
@@ -600,10 +759,10 @@ def test_seeded_fuzz_of_classify_records(tmp_path, capsys):
         data = corrupt_records(rng)
         path.write_bytes(data)
         try:
-            expected = cli._csv_records(path, names)
+            expected = ds._csv_records(path, names)
         except GafuzzyError:
             expected = None
-        records = cli._loadtxt_records(path, names)
+        records = ds._loadtxt_records(path, names)
         if records is not None:
             assert expected is not None, data
             assert records.shape == expected.shape, data
@@ -618,7 +777,7 @@ def test_seeded_fuzz_of_classify_records(tmp_path, capsys):
     assert min(seen.values()) > 30, seen
     for data in (b"", b"u,v\n", b"u,v\r\n\r\n"):
         path.write_bytes(data)
-        assert cli._loadtxt_records(path, names) is None
+        assert ds._loadtxt_records(path, names) is None
         assert main(["classify", "--model", str(model), "--data", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
 

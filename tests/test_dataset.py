@@ -76,6 +76,19 @@ def test_malformed_row_names_row_number(tmp_path):
     assert "2" in str(exc.value)
 
 
+def test_errors_name_the_file_and_keep_their_fields(tmp_path):
+    path = write(tmp_path, "bad.csv", "1,2,0\nabc,4,1\n")
+    with pytest.raises(MalformedRow) as exc:
+        load_csv(path, make_schema(2))
+    assert exc.value.row == 2
+    assert str(exc.value) == f"{path}: row 2: non-numeric value in feature column 'f0'"
+    path = write(tmp_path, "c.ini", "[costs]\nf0 = 1\nf1 = 2\nf0 = 3\n")
+    with pytest.raises(DuplicateFeature) as exc:
+        load_costs(path, make_schema(2))
+    assert exc.value.name == "f0"
+    assert str(exc.value) == f"{path}: feature 'f0' listed more than once"
+
+
 def test_wrong_column_count(tmp_path):
     path = write(tmp_path, "wide.csv", "1,2,0\n1,2,3,0\n")
     with pytest.raises(WrongColumnCount) as exc:

@@ -248,6 +248,15 @@ def test_unknown_term_reports_line(tmp_path):
     assert "line 2" in str(exc.value)
 
 
+def test_rule_file_errors_name_the_file(tmp_path):
+    path = tmp_path / "rules.txt"
+    path.write_text("# comment\nglucose high gives positive\n")
+    with pytest.raises(RuleParseError) as exc:
+        load_expert_rules(path, fis_for_rules())
+    assert exc.value.line == 2
+    assert str(exc.value).startswith(f"{path}: line 2: cannot parse rule")
+
+
 def test_unknown_variable_and_output_term():
     config = fis_for_rules()
     with pytest.raises(UnknownTerm):
