@@ -263,6 +263,9 @@ def cmd_select(args: argparse.Namespace) -> int:
     data, costs = _load_inputs(cfg)
     master, params, fcfg, icfg = _selection_configs(cfg)
     data = _maybe_impute(cfg, data, fcfg)
+    # a rule file is parsed before the search, its names checked after it
+    rules_path = cfg.get("paths", "rules")
+    rule_lines = rule_learning.read_expert_rules(rules_path) if rules_path else None
 
     out_dir = Path(cfg.get("paths", "out", DEFAULT_OUT))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -282,9 +285,8 @@ def cmd_select(args: argparse.Namespace) -> int:
 
     # expert rules, when supplied, replace the induced rules of the final
     # model, and the reported accuracy is that of the model saved
-    rules_path = cfg.get("paths", "rules")
     if rules_path:
-        expert = rule_learning.load_expert_rules(rules_path, result.model)
+        expert = rule_learning.load_expert_rules(rules_path, result.model, rule_lines)
         result.model, predicted, y_test = selector.holdout_evaluation(
             data, result.best_mask, fcfg, icfg, expert
         )

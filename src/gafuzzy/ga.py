@@ -81,11 +81,11 @@ class GenerationStats:
 EvolutionTrace = list[GenerationStats]
 
 
-def _repair_zero(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    if not bits.any():
-        bits = bits.copy()
-        bits[int(rng.integers(0, bits.size))] = 1
-    return bits
+def _repair_zero(bits: Mask, rng: np.random.Generator) -> Mask:
+    if any(bits):
+        return bits
+    i = int(rng.integers(0, len(bits)))
+    return bits[:i] + (1,) + bits[i + 1:]
 
 
 def init_population(
@@ -97,10 +97,8 @@ def init_population(
     if rng is None:
         rng = np.random.default_rng(params.seed)
     raw = rng.integers(0, 2, size=(params.population_size, length), dtype=np.int64)
-    individuals = []
-    for row in raw:
-        individuals.append(tuple(int(b) for b in _repair_zero(row, rng)))
-    return Population(tuple(individuals), None, 0)
+    individuals = tuple(_repair_zero(tuple(row.tolist()), rng) for row in raw)
+    return Population(individuals, None, 0)
 
 
 def roulette_select(
@@ -138,8 +136,7 @@ def two_point_crossover(
     length = len(a)
     if length < 3 or rng.random() >= crossover_prob:
         return a, b
-    cuts = np.sort(rng.choice(np.arange(1, length), size=2, replace=False))
-    p, q = int(cuts[0]), int(cuts[1])
+    p, q = sorted((rng.choice(length - 1, size=2, replace=False) + 1).tolist())
     child_a = a[:p] + b[p:q] + a[q:]
     child_b = b[:p] + a[p:q] + b[q:]
     return child_a, child_b
@@ -149,11 +146,8 @@ def bit_mutation(
     mask: Mask, rng: np.random.Generator, mutation_prob: float
 ) -> Mask:
     """Independent per-bit flips; an all-zero result is repaired."""
-    bits = np.asarray(mask, dtype=np.int64)
-    flips = rng.random(bits.size) < mutation_prob
-    bits = np.where(flips, 1 - bits, bits)
-    bits = _repair_zero(bits, rng)
-    return tuple(int(b) for b in bits)
+    flips = (rng.random(len(mask)) < mutation_prob).tolist()
+    return _repair_zero(tuple(int(b) ^ f for b, f in zip(mask, flips)), rng)
 
 
 def _evaluate(

@@ -5,11 +5,12 @@ every training record proposes the rule made of its maximum-degree term
 per input, weighted by the product of those degrees. Conflicting proposals
 for the same antecedent keep the heaviest, the earliest on ties, and the
 surviving rules are ordered by the first record that proposed them.
-Antecedents are integer cells, so `keep_heaviest` groups them with one
-stable integer sort and no sort on the weights. `induce_rule_matrix` runs
+Antecedents are integer cells, so `keep_heaviest` fuses each proposal's
+cell and index into one int64 key and groups them with one sort of unique
+keys, with no sort on the weights. `induce_rule_matrix` runs
 `rule_proposals` and `keep_heaviest` in index form, as the compiled CV
-folds do per mask with the fold id as one more key; `induce_rules` names
-its result.
+folds do per mask with the fold id as the leading digit; `induce_rules`
+names its result.
 """
 
 from __future__ import annotations
@@ -38,20 +39,14 @@ class InductionConfig:
             raise ConfigError("min_rule_weight must lie in [0, 1]")
 
 
-def index_dtype(n: int) -> np.dtype:
-    """The narrowest signed integer type holding -1 and every index below
-    n: int8 up to 128 terms or folds, int16 past that. Narrow sort keys
-    are sorted by radix; arithmetic on them must widen first."""
-    return np.min_scalar_type(-max(n, 1))
-
-
 def rule_proposals(
     records: np.ndarray, inputs: Sequence[LinguisticVariable]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each record's strongest term of each input (the earlier term on equal
-    degrees) and its degree, both (N, m); terms are of `index_dtype`."""
+    degrees) and its degree, both (N, m), terms of the narrowest unsigned
+    type that holds them."""
     n_terms = max((len(v.terms) for v in inputs), default=0)
-    terms = np.zeros(records.shape, dtype=index_dtype(n_terms))
+    terms = np.zeros(records.shape, dtype=np.min_scalar_type(n_terms))
     degrees = np.zeros(records.shape)
     for i, var in enumerate(inputs):
         table = var.degrees(records[:, i])  # (T, N)
@@ -60,23 +55,36 @@ def rule_proposals(
     return terms, degrees
 
 
-def keep_heaviest(cells: np.ndarray, weights: np.ndarray,
-                  min_weight: float) -> np.ndarray:
+def keep_heaviest(cells: Sequence[np.ndarray], radices: Sequence[int],
+                  weights: np.ndarray, min_weight: float) -> np.ndarray:
     """The proposals kept as rules, as indices in order of their cell's
-    first proposer. Proposal j lies in cell cells[:, j], a column of the
-    (k, N) integer key matrix; each cell keeps its heaviest proposal, the
-    earliest on equal weights, unless it is lighter than min_weight."""
-    n = cells.shape[1]
-    # a stable sort on the integer keys alone (the first row is the
-    # primary key) leaves every cell's proposals in index order, so its
-    # first proposer leads and the earliest heaviest is the first at its max
-    order = np.lexsort(cells[::-1])
-    ranked = cells[:, order]
-    starts = np.flatnonzero(
-        np.r_[True, (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)]
-    )
+    first proposer. Proposal j lies in the cell of digits cells[i][j], each
+    below radices[i]; each cell keeps its heaviest proposal, the earliest on
+    equal weights, unless it is lighter than min_weight.
+    The digits, then j, make one unique int64 key per proposal, so one sort
+    leaves every cell's proposals in index order: its first proposer leads
+    and the earliest heaviest is the first at its max. A digit that would
+    carry the key past int64 first re-ranks the key so far to 0, 1, ...
+    with np.unique, which keeps its order."""
+    n = len(weights)
+    shift = max(n - 1, 1).bit_length()  # bits of the proposal index
+    key, bound = np.zeros(n, dtype=np.int64), 1
+    for digits, radix in zip(cells, radices):
+        if bound * radix > 2**63 >> shift:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = len(distinct)
+        key *= radix
+        key += digits
+        bound *= radix
+    ranked = np.sort((key << shift) | np.arange(n))
+    order = ranked & ((1 << shift) - 1)
+    ranked >>= shift
+    edges = np.ones(n + 1, dtype=bool)  # where a cell starts or all end
+    np.not_equal(ranked[1:], ranked[:-1], out=edges[1:n])
+    bounds = np.flatnonzero(edges)
+    starts = bounds[:-1]
     w = weights[order]
-    heaviest = np.repeat(np.maximum.reduceat(w, starts), np.diff(np.r_[starts, n]))
+    heaviest = np.repeat(np.maximum.reduceat(w, starts), bounds[1:] - starts)
     at_max = np.flatnonzero(w == heaviest)
     rows = order[at_max[np.searchsorted(at_max, starts)]]
     rows = rows[np.argsort(order[starts])]
@@ -107,7 +115,8 @@ def induce_rule_matrix(
         raise ArityMismatch(f"{m} columns for {len(inputs)} input variables")
     terms, degrees = rule_proposals(records, inputs)
     weights = proposal_weights(degrees.T)
-    keep = keep_heaviest(terms.T, weights, cfg.min_rule_weight)
+    keep = keep_heaviest(terms.T, [len(v.terms) for v in inputs], weights,
+                         cfg.min_rule_weight)
     return terms[keep], weights[keep], np.asarray(labels, dtype=np.int64)[keep]
 
 
@@ -144,7 +153,8 @@ _RULE_RE = re.compile(
 _CLAUSE_RE = re.compile(r"^\s*(?P<var>\S+)\s+IS\s+(?P<term>\S+)\s*$", re.IGNORECASE)
 
 
-def parse_rule_line(line: str, line_no: int, config: FISConfig) -> Rule:
+def _parse_rule(line: str, line_no: int) -> tuple[str, Rule]:
+    """The output variable and the rule of one line, names unchecked."""
     match = _RULE_RE.match(line)
     if not match:
         raise RuleParseError(line_no, f"cannot parse rule: {line.strip()!r}")
@@ -160,38 +170,46 @@ def parse_rule_line(line: str, line_no: int, config: FISConfig) -> Rule:
             weight = float(match.group("weight"))
         except ValueError:
             raise RuleParseError(line_no, "weight is not a number") from None
-    if match.group("outvar") != config.output.name:
-        raise UnknownTerm(
-            f"line {line_no}: unknown output variable {match.group('outvar')!r}"
-        )
-    by_name = {v.name: v for v in config.inputs}
-    for var, term in clauses:
-        if var not in by_name:
-            raise UnknownTerm(f"line {line_no}: unknown variable {var!r}")
-        if term not in by_name[var].term_names:
-            raise UnknownTerm(
-                f"line {line_no}: variable {var!r} has no term {term!r}"
-            )
-    if match.group("outterm") not in config.output.term_names:
-        raise UnknownTerm(
-            f"line {line_no}: output has no term {match.group('outterm')!r}"
-        )
     try:
-        return Rule(tuple(clauses), match.group("outterm"), weight)
+        return match["outvar"], Rule(tuple(clauses), match["outterm"], weight)
     except ConfigError as exc:
         raise RuleParseError(line_no, str(exc)) from exc
 
 
-def load_expert_rules(path: str | Path, config: FISConfig) -> tuple[Rule, ...]:
-    """Parse a rule file (one rule per line, # comments and blanks allowed)."""
-    rules = []
+def parse_rule_line(line: str, line_no: int, config: FISConfig) -> Rule:
+    outvar, rule = _parse_rule(line, line_no)
+    if outvar != config.output.name:
+        raise UnknownTerm(f"line {line_no}: unknown output variable {outvar!r}")
+    by_name = {v.name: v for v in config.inputs}
+    for var, term in rule.antecedent:
+        if var not in by_name:
+            raise UnknownTerm(f"line {line_no}: unknown variable {var!r}")
+        if term not in by_name[var].term_names:
+            raise UnknownTerm(f"line {line_no}: variable {var!r} has no term {term!r}")
+    if rule.consequent not in config.output.term_names:
+        raise UnknownTerm(f"line {line_no}: output has no term {rule.consequent!r}")
+    return rule
+
+
+def read_expert_rules(path: str | Path) -> list[tuple[int, str]]:
+    """The numbered rules of a rule file (one rule per line, # comments and
+    blanks allowed), each decoded and parsed; load_expert_rules checks
+    their names against a model."""
     with reading(path):
-        for line_no, line in enumerate(read_lines(path), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            rules.append(parse_rule_line(stripped, line_no, config))
-    return tuple(rules)
+        lines = [(no, line.strip()) for no, line in enumerate(read_lines(path), 1)]
+        lines = [(no, text) for no, text in lines if text and not text.startswith("#")]
+        for no, text in lines:
+            _parse_rule(text, no)
+    return lines
+
+
+def load_expert_rules(path: str | Path, config: FISConfig,
+                      lines: list[tuple[int, str]] | None = None) -> tuple[Rule, ...]:
+    """The rules of a rule file checked against the variables and terms of
+    config; lines is read_expert_rules(path), read here unless given."""
+    lines = read_expert_rules(path) if lines is None else lines
+    with reading(path):
+        return tuple(parse_rule_line(text, no, config) for no, text in lines)
 
 
 def format_rule(rule: Rule, output_name: str) -> str:

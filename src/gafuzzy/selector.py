@@ -41,7 +41,6 @@ from .ga import (
 from .jsonio import read_json, write_json
 from .rule_learning import (
     InductionConfig,
-    index_dtype,
     keep_heaviest,
     proposal_weights,
     rule_proposals,
@@ -150,8 +149,8 @@ class CompiledFolds:
     """The splits of a plan, compiled together for every feature from each
     split's training rows only: the K CV folds of the fitness, or the one
     training split of the final model. None of it depends on the mask, so
-    scoring a mask slices columns, groups the proposals of every split in
-    one integer sort, gathers each rule's strengths over its split's test
+    scoring a mask slices columns, groups the proposals of every split by
+    one int64 key each, gathers each rule's strengths over its split's test
     rows and labels all test rows in one decision. This is the only place a
     classifier is trained, and the only place one is scored on CV folds."""
 
@@ -164,12 +163,13 @@ class CompiledFolds:
         # the decision of every split's class levels: an engine of no rules
         self.decider = CompiledFIS([], self.output, np.zeros((0, 0)), [], [],
                                    fcfg.resolution, fcfg.decision_threshold)
-        sizes = np.array([len(test_idx) for _, test_idx in splits])
-        width = int(sizes.max())
+        self.sizes = np.array([len(test_idx) for _, test_idx in splits])
+        width = int(self.sizes.max())
         # (feature, split x term slot, test row): slot n_terms of every split
-        # is the sentinel 1 of an input a rule leaves unconstrained, and the
-        # rows past a split's size are zero padding no decision sees
+        # is the sentinel 1 of an unconstrained input, and the rows past a
+        # split's size are zero padding, labelled -1 so that no label matches
         table = np.zeros((data.n_features, len(splits), self.n_terms + 1, width))
+        self.y_test = np.full((len(splits), width), -1)
         self.inputs, terms, degrees, split_of = [], [], [], []
         for k, (train_idx, test_idx) in enumerate(splits):
             x_train = data.records[train_idx]
@@ -178,47 +178,47 @@ class CompiledFolds:
             self.inputs.append(inputs)
             terms.append(t)
             degrees.append(d)
-            split_of.append(np.full(len(train_idx), k, dtype=index_dtype(len(splits))))
-            table[:, k, :, : sizes[k]] = degree_table(inputs, data.records[test_idx])
+            split_of.append(np.full(len(train_idx), k))
+            table[:, k, :, : len(test_idx)] = degree_table(inputs,
+                                                           data.records[test_idx])
+            self.y_test[k, : len(test_idx)] = data.labels[test_idx]
         # training rows of every split, one after another, as (feature, row)
         self.terms = np.concatenate(terms).T.copy()
         self.degrees = np.concatenate(degrees).T.copy()
         self.split_of = np.concatenate(split_of)
         self.y_train = np.concatenate([data.labels[tr] for tr, _ in splits])
+        # each training row's (class, split) group, and its table row of
+        # each feature, as (row, feature)
+        self.group_of = self.y_train * len(splits) + self.split_of
+        self.slot_of = np.add.outer(self.split_of,
+                                    np.arange(data.n_features) * len(splits))
+        self.slot_of *= self.n_terms + 1
+        self.slot_of += self.terms.T
         # flat as (feature x split x term slot, test row) for rule_strengths
-        self.table = table.reshape(
-            data.n_features * len(splits) * (self.n_terms + 1), width
-        )
-        self.valid = np.arange(width) < sizes[:, None]  # (split, test row)
-        self.y_test = np.concatenate([data.labels[te] for _, te in splits])
-        self.sizes = sizes
+        self.table = table.reshape(np.prod(table.shape[:3]), width)
 
-    def induce(self, kept: list[int]):
-        """The rules of every split over the kept features: (split,
-        antecedents (R, k), weights, classes), each split's rules in order
-        of their first proposer."""
-        cells = np.vstack((self.split_of, self.terms[kept]))
+    def induce(self, kept: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The rules of every split over the kept features, as (training
+        rows, weights), each split's rules in order of their first
+        proposer."""
         weights = proposal_weights(self.degrees[kept])
-        rows = keep_heaviest(cells, weights, self.icfg.min_rule_weight)
-        return (self.split_of[rows].astype(np.intp), cells[1:, rows].T,
-                weights[rows], self.y_train[rows])
+        rows = keep_heaviest([self.split_of, *(self.terms[i] for i in kept)],
+                             [len(self.sizes)] + [self.n_terms] * len(kept),
+                             weights, self.icfg.min_rule_weight)
+        return rows, weights[rows]
 
-    def predict(self, kept: list[int], split: np.ndarray, antecedents: np.ndarray,
-                weights: np.ndarray, classes: np.ndarray) -> np.ndarray:
-        """Labels of the test rows of every split, split after split, by
-        rules over the kept features given as from induce(); antecedent -1
-        leaves an input unconstrained. Each split's class levels come from
-        the kernel of every engine, with the kept features and the split
-        folded into the slots."""
-        n_splits, width = self.valid.shape
-        n_classes = len(self.output.terms)
-        group = split * n_classes + classes
+    def predict(self, kept: list[int], rows: np.ndarray,
+                weights: np.ndarray) -> np.ndarray:
+        """Labels of every split's test rows, padding rows included, as
+        (split, test row), by rules over the kept features given as from
+        induce(). The class levels come from the kernel of every engine,
+        with each rule's split folded into its slots."""
+        n_splits, width = self.y_test.shape
+        group = self.group_of[rows]
         order = np.argsort(group, kind="stable")
-        group, weights = group[order], weights[order]
-        terms = antecedents[order].astype(np.intp)
-        slots = ((np.asarray(kept) * n_splits + split[order, None])
-                 * (self.n_terms + 1) + np.where(terms >= 0, terms, self.n_terms))
-        levels = np.zeros((n_splits * n_classes, width))
+        group, weights, rows = group[order], weights[order], rows[order]
+        slots = self.slot_of[rows[:, None], kept]
+        levels = np.zeros((len(self.output.terms) * n_splits, width))
         # rules in blocks of BLOCK_BYTES, so the gathers of all splits
         # together take no more memory than one split's did
         step = max(1, BLOCK_BYTES // (8 * max(width, 1)))
@@ -226,21 +226,21 @@ class CompiledFolds:
             block = slice(start, start + step)
             max_by_group(rule_strengths(self.table, slots[block], weights[block]),
                          group[block], levels)
-        per_row = levels.reshape(n_splits, n_classes, width).transpose(0, 2, 1)
-        return self.decider.labels(per_row[self.valid])
+        per_row = levels.reshape(-1, n_splits * width).T  # (split x row, class)
+        return self.decider.labels(per_row).reshape(n_splits, width)
 
     def accuracy(self, kept: list[int]) -> float:
         """Mean over the splits of the test accuracy of each split's
         classifier over the kept features."""
-        hits = np.zeros(self.valid.shape, dtype=bool)
-        hits[self.valid] = self.predict(kept, *self.induce(kept)) == self.y_test
+        hits = self.predict(kept, *self.induce(kept)) == self.y_test
         return float(np.mean(hits.sum(axis=1) / self.sizes))
 
     def model(self, kept: list[int]) -> FISConfig:
         """The classifier of the first split over the kept features."""
-        _, antecedents, weights, classes = self.induce(kept)
+        rows, weights = self.induce(kept)
         inputs = tuple(self.inputs[0][i] for i in kept)
-        rules = index_rules(inputs, self.output, antecedents, weights, classes)
+        rules = index_rules(inputs, self.output, self.terms[kept][:, rows].T,
+                            weights, self.y_train[rows])
         return FISConfig(inputs, self.output, rules, self.fcfg.resolution,
                          self.fcfg.decision_threshold)
 

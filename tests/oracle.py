@@ -128,6 +128,17 @@ def induce(records, labels, variables):
     return [(key, proposals[key][0], proposals[key][1]) for key in order]
 
 
+def keep_heaviest(cells, weights, min_weight):
+    """Indices of the proposals kept as rules: per cell (a hashable key per
+    proposal) the heaviest, the first proposer on ties, in order of each
+    cell's first proposer, then those lighter than min_weight dropped."""
+    best = {}
+    for j, cell in enumerate(cells):
+        if cell not in best or weights[j] > weights[best[cell]]:
+            best[cell] = j
+    return [j for j in best.values() if weights[j] >= min_weight]
+
+
 OUTPUT_TRIPLES = [(0.0, 0.0, 1.0), (0.0, 1.0, 1.0)]  # negative, positive
 
 

@@ -440,6 +440,20 @@ def test_select_with_expert_rules(tmp_path):
                  "--rules", str(bad_rules)]) == 2
 
 
+def test_malformed_rules_stop_select_before_the_search(tmp_path, capsys):
+    # a rule file that does not parse exits 2 before the first generation
+    # is scored and before the output directory is made
+    bad_rules = tmp_path / "bad.rules"
+    bad_rules.write_text("IF glucose IS high THEN outcome IS positive\n"
+                         "IF glucose high THEN outcome IS positive\n")
+    out = tmp_path / "out"
+    assert main([*EXPERT_ARGV, "--out", str(out), "--rules", str(bad_rules)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad_rules}: line 2: cannot parse" in err
+    assert not any(line.startswith("gen ") for line in err.splitlines())
+    assert not out.exists()
+
+
 def test_expert_rules_accuracy_scores_saved_model(tmp_path, pima_data, capsys):
     _, out = run_with_expert_rules(tmp_path)
     result = json.loads((out / "result.json").read_text())

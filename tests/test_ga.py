@@ -132,8 +132,9 @@ class FakeRng:
     def random(self):
         return self.coin
 
-    def choice(self, values, size, replace):
-        return np.array(self.cuts)
+    def choice(self, n, size, replace):
+        # draws from range(n): the crossover cuts at draw + 1
+        return np.array(self.cuts) - 1
 
 
 def test_crossover_worked_example():

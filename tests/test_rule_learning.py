@@ -11,6 +11,7 @@ from gafuzzy.rule_learning import (
     format_rule,
     induce_rule_matrix,
     induce_rules,
+    keep_heaviest,
     load_expert_rules,
     parse_rule_line,
     save_expert_rules,
@@ -139,8 +140,8 @@ def test_rule_matrix_matches_oracle_with_ties():
 
 
 def test_rule_matrix_matches_oracle_past_int8_terms():
-    # 140 terms: term indices past 127 need the int16 keys; records on the
-    # peaks and the crossings give equal degrees and equal weights
+    # 140 terms: term indices past what int8 holds; records on the peaks
+    # and the crossings give equal degrees and equal weights
     rng = np.random.default_rng(301)
     k = 140
     points = np.arange(0.0, k - 0.5, 0.5)
@@ -162,6 +163,28 @@ def test_rule_matrix_matches_oracle_past_int8_terms():
         assert [tuple(row) for row in ant.tolist()] == [e[0] for e in expected]
         assert weights.tolist() == [e[1] for e in expected]
         assert classes.tolist() == [e[2] for e in expected]
+
+
+def test_keep_heaviest_matches_dict_reference():
+    # seeded cells of up to 4 digits, with digits drawn from a few values so
+    # that cells repeat, and weights from a few values so that they tie;
+    # radices up to 2**40 carry the key past int64, where it is re-ranked
+    rng = np.random.default_rng(302)
+    past_int64 = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 300))
+        radices = rng.choice([1, 2, 3, 140, 2**20, 2**40],
+                             size=int(rng.integers(0, 5))).tolist()
+        cells = [rng.choice(np.unique([0, r // 2, r - 1]), n) for r in radices]
+        weights = rng.choice([0.0, 0.25, 0.5, 1.0, rng.random()], n)
+        min_weight = float(rng.choice([0.0, 0.5]))
+        rows = keep_heaviest(cells, radices, weights, min_weight)
+        expected = oracle.keep_heaviest(
+            list(zip(*cells)) if cells else [()] * n, weights, min_weight
+        )
+        assert rows.tolist() == expected
+        past_int64 += int(np.prod(radices, dtype=object)) * n > 2**63
+    assert past_int64 > 20
 
 
 def test_permutation_changes_only_tie_resolution():

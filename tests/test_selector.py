@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,7 +9,7 @@ from gafuzzy.dataset import (
 )
 from gafuzzy.errors import EmptyMask, LengthMismatch, TooManyFeatures
 from gafuzzy.fuzzy import CompiledFIS, class_output_variable
-from gafuzzy.ga import GAParams
+from gafuzzy.ga import GAParams, mask_to_string
 from gafuzzy.rule_learning import InductionConfig, induce_rule_matrix
 from gafuzzy.selector import (
     CompiledFolds,
@@ -104,6 +105,19 @@ def test_memoized_equals_direct(toy4, toy4_costs):
         assert first == evaluator(mask)  # cache hit, same value
         assert first == fresh_fitness(mask, toy4, toy4_costs, fcfg, ICFG)
     assert evaluator.evaluations == 15
+
+
+# SHA-256 of the 255 lines `tools/fitness_hex.py --seeds 1` prints
+FITNESS_HEX_SEED_1 = "0e178847270b4a10773f9e65d36774a45b7ad2a0d04282a2c61f83402d6279d2"
+
+
+def test_fitness_bits_of_master_seed_1_are_pinned(pima_data, pima_costs):
+    # a change to any bit of any fitness value of master seed 1 fails here
+    evaluator = FitnessEvaluator(pima_data, pima_costs,
+                                 FitnessConfig.from_master_seed(1), ICFG)
+    text = "".join(f"1 {mask_to_string(mask)} {float.hex(evaluator(mask))}\n"
+                   for mask in all_masks(pima_data.n_features))
+    assert hashlib.sha256(text.encode()).hexdigest() == FITNESS_HEX_SEED_1
 
 
 SPLIT_MASKS = [
@@ -215,8 +229,8 @@ def test_fold_labels_equal_the_exact_grid_centroid(master, pima_data):
             expected[row] = oracle.exact_label(levels[row], fcfg.resolution,
                                                fcfg.decision_threshold)
             tied.append(tuple(levels[row]))
-        assert np.array_equal(folds.predict(kept, *folds.induce(kept)),
-                              expected), mask
+        predicted = folds.predict(kept, *folds.induce(kept))
+        assert np.array_equal(predicted[folds.y_test >= 0], expected), mask
     assert any(neg == pos for neg, pos in tied)
     if master == 1:
         assert (0.32000000000000006, 0.32) in tied
@@ -241,12 +255,17 @@ def test_fitness_decides_class_ties_exactly():
 
 @pytest.mark.parametrize("folds, partitions", [(130, 3), (5, 128), (5, 140)])
 def test_keys_past_int8(folds, partitions, pima_data, pima_costs):
-    # fold ids, term indices or fold x term slots past what int8 holds
+    # fold ids, term indices or fold x term slots past what int8 holds; on
+    # the full mask, 5 folds of 128 or 140 terms and about 3,072 proposals
+    # make cell keys past int64, which are re-ranked on the way
     fcfg = FitnessConfig(evaluation=SplitPlan.kfold(folds, seed=11))
     icfg = InductionConfig(partitions_per_input=partitions)
     evaluator = FitnessEvaluator(pima_data, pima_costs, fcfg, icfg)
     splits = stratified_split(pima_data, fcfg.evaluation)
-    for mask in SPLIT_MASKS[3:6]:
+    if partitions > 3:
+        proposals = sum(len(train_idx) for train_idx, _ in splits)
+        assert folds * partitions ** 8 * proposals > 2 ** 63
+    for mask in SPLIT_MASKS[3:]:
         accs = [float(np.mean(engine.predict(x_test)[1] == y_test))
                 for engine, x_test, y_test in fold_engines(pima_data, splits,
                                                            mask, fcfg, icfg)]
