@@ -15,7 +15,6 @@ from .dataset import (  # noqa: F401
     load_csv,
     load_schema,
     mask_cost,
-    project,
     save_csv,
     stratified_split,
 )
@@ -34,11 +33,9 @@ from .fuzzy import (  # noqa: F401
     Rule,
     Trapezoidal,
     Triangular,
-    centroid,
     class_output_variable,
     infer,
     load_model,
-    predict,
     save_model,
     uniform_partition,
 )
@@ -54,7 +51,6 @@ from .ga import (  # noqa: F401
 )
 from .rule_learning import (  # noqa: F401
     InductionConfig,
-    induce_rules,
     load_expert_rules,
 )
 from .selector import (  # noqa: F401

@@ -25,7 +25,6 @@ from .errors import (
     ClassTooSmall,
     ConfigError,
     DuplicateFeature,
-    EmptyMask,
     GafuzzyError,
     LengthMismatch,
     MalformedRow,
@@ -291,22 +290,23 @@ def _parse_label(cell: str, schema: Schema, row: int) -> int:
 def load_csv(path: str | Path, schema: Schema) -> Dataset:
     """Load and validate a CSV file against a schema.
 
-    The first row is treated as a header when it is not a valid data row
-    (some feature cell fails to parse as a number, or the label cell is not
-    one of the declared label values). Any later invalid row is an error.
+    The first non-blank row is treated as a header when it is not a valid
+    data row (some feature cell fails to parse as a number, or the label
+    cell is not one of the declared label values), as in load_records. Any
+    later invalid row is an error.
     """
     expected_width = max([f.index for f in schema.features] + [schema.label_index]) + 1
     records: list[list[float]] = []
     labels: list[int] = []
     with reading(path):
-        for row_no, cells in csv_rows(path):
+        for nth, (row_no, cells) in enumerate(csv_rows(path)):
             if len(cells) != expected_width:
                 raise WrongColumnCount(row_no, expected_width, len(cells))
             try:
                 values = [float(cells[f.index]) for f in schema.features]
                 label = _parse_label(cells[schema.label_index], schema, row_no)
             except (ValueError, UnknownLabel) as exc:
-                if row_no == 1 and not records:
+                if nth == 0:
                     continue  # header row
                 if isinstance(exc, UnknownLabel):
                     raise
@@ -537,26 +537,6 @@ def stratified_split(
         train = np.setdiff1d(all_idx, test, assume_unique=True)
         out.append((train, test))
     return out
-
-
-def project(data: Dataset, mask: Sequence[int]) -> Dataset:
-    """Restrict a dataset to the masked features (labels unchanged)."""
-    if len(mask) != data.n_features:
-        raise LengthMismatch(
-            f"mask length {len(mask)} != {data.n_features} features"
-        )
-    kept = [i for i, bit in enumerate(mask) if bit]
-    if not kept:
-        raise EmptyMask("cannot project onto an empty feature set")
-    old = data.schema
-    features = tuple(
-        FeatureSpec(old.features[i].name, new_idx, old.features[i].value_range)
-        for new_idx, i in enumerate(kept)
-    )
-    schema = Schema(
-        features, old.label_name, len(kept), old.positive_label, old.negative_label
-    )
-    return Dataset(schema, data.records[:, kept], data.labels)
 
 
 @dataclass(frozen=True)

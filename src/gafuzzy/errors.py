@@ -90,11 +90,7 @@ class NoRules(GafuzzyError):
     pass
 
 
-# --- rule learning --------------------------------------------------------
-
-class EmptyTrainingSet(GafuzzyError):
-    pass
-
+# --- rule files -----------------------------------------------------------
 
 class RuleParseError(GafuzzyError):
     def __init__(self, line: int, reason: str):

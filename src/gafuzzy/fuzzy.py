@@ -303,7 +303,10 @@ def max_by_group(strengths: np.ndarray, groups: np.ndarray,
     rules, and min and max round nothing. Each run of equal groups is one
     slice of whole rows, so rules sorted by group take one slice a group;
     at 194 rules and 1,159 records that ran 4x faster than a reduceat."""
-    bounds = np.flatnonzero(np.diff(groups, prepend=-1, append=-1)).tolist()
+    n = len(groups)
+    edges = np.ones(n + 1, dtype=bool)  # where a group starts or all end
+    np.not_equal(groups[1:], groups[:-1], out=edges[1:n])
+    bounds = np.flatnonzero(edges).tolist()
     for start, stop in zip(bounds[:-1], bounds[1:]):
         level = levels[groups[start]]
         np.maximum(level, strengths[start:stop].max(axis=0), out=level)
@@ -395,10 +398,6 @@ class CompiledFIS:
         table = self.degree_table(records).reshape(len(self.inputs)
                                                    * (self.t_max + 1), -1)
         return rule_strengths(table, self.slots, self.weights[self.order])
-
-    def strength_matrix(self, records: np.ndarray) -> np.ndarray:
-        """Rule firing strengths, shape (N, R), the rules in file order."""
-        return self._strengths(records)[self.file_order].T
 
     def crisp_values(self, per_term: np.ndarray) -> np.ndarray:
         """Grid centroid of the clipped-and-aggregated output, per record,
@@ -523,23 +522,6 @@ def degree_table(inputs: Sequence[LinguisticVariable],
 # --- public operations -------------------------------------------------------
 
 
-def centroid(samples: np.ndarray, lo: float, hi: float) -> float:
-    """Center of mass of a sampled membership on the uniform grid [lo, hi].
-
-    Falls back to the universe midpoint when the total mass is zero. A
-    standalone helper for sampled memberships: inference never calls it,
-    its only centroid is the closed form of CompiledFIS.crisp_values.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 3:
-        raise ConfigError("centroid needs at least 3 samples")
-    total = samples.sum()
-    if total <= 0.0:
-        return (lo + hi) / 2.0
-    grid = np.linspace(lo, hi, samples.size)
-    return float(samples @ grid / total)
-
-
 def infer(config: FISConfig, record: Sequence[float]) -> Inference:
     """Full pipeline for one record: fuzzify, fire rules, aggregate, defuzzify."""
     if not config.rules:
@@ -551,13 +533,6 @@ def infer(config: FISConfig, record: Sequence[float]) -> Inference:
         float(crisp[0]), int(labels[0]),
         tuple(float(s) for s in strengths[engine.file_order, 0]),
     )
-
-
-def predict(config: FISConfig, records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch classification: (crisp values, labels) for an N x m table."""
-    if not config.rules:
-        raise NoRules("cannot infer with an empty rule base")
-    return CompiledFIS.from_config(config).predict(records)
 
 
 # --- default partition builders ----------------------------------------------

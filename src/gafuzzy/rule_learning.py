@@ -7,10 +7,9 @@ for the same antecedent keep the heaviest, the earliest on ties, and the
 surviving rules are ordered by the first record that proposed them.
 Antecedents are integer cells, so `keep_heaviest` fuses each proposal's
 cell and index into one int64 key and groups them with one sort of unique
-keys, with no sort on the weights. `induce_rule_matrix` runs
-`rule_proposals` and `keep_heaviest` in index form, as the compiled CV
-folds do per mask with the fold id as the leading digit; `induce_rules`
-names its result.
+keys, with no sort on the weights. `selector.CompiledFolds`, the only
+trainer, runs `rule_proposals` once per split and `keep_heaviest` per mask,
+with the split id as the leading digit.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, read_lines, reading
-from .errors import ArityMismatch, ConfigError, EmptyTrainingSet, RuleParseError, UnknownTerm
-from .fuzzy import FISConfig, LinguisticVariable, Rule, index_rules
+from .dataset import read_lines, reading
+from .errors import ConfigError, NoRules, RuleParseError, UnknownTerm
+from .fuzzy import FISConfig, LinguisticVariable, Rule
 
 
 @dataclass(frozen=True)
@@ -100,49 +99,6 @@ def proposal_weights(degrees: np.ndarray) -> np.ndarray:
     return weights
 
 
-def induce_rule_matrix(
-    records: np.ndarray,
-    labels: np.ndarray,
-    inputs: Sequence[LinguisticVariable],
-    cfg: InductionConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate-and-filter induction in index form."""
-    if len(records) == 0:
-        raise EmptyTrainingSet("cannot induce rules from an empty training set")
-    records = np.asarray(records, dtype=float)
-    m = records.shape[1]
-    if m != len(inputs):
-        raise ArityMismatch(f"{m} columns for {len(inputs)} input variables")
-    terms, degrees = rule_proposals(records, inputs)
-    weights = proposal_weights(degrees.T)
-    keep = keep_heaviest(terms.T, [len(v.terms) for v in inputs], weights,
-                         cfg.min_rule_weight)
-    return terms[keep], weights[keep], np.asarray(labels, dtype=np.int64)[keep]
-
-
-def induce_rules(
-    train: Dataset,
-    inputs: Sequence[LinguisticVariable],
-    output: LinguisticVariable,
-    cfg: InductionConfig,
-) -> tuple[Rule, ...]:
-    """Induce a rule base from a labelled dataset.
-
-    Input variables must match the dataset's feature columns in order, and
-    the output variable's terms are taken in class order (term 0 for class
-    0, term 1 for class 1).
-    """
-    names = [v.name for v in inputs]
-    if names != list(train.schema.feature_names):
-        raise ArityMismatch(
-            f"input variables {names} do not match dataset features "
-            f"{list(train.schema.feature_names)}"
-        )
-    return index_rules(
-        inputs, output, *induce_rule_matrix(train.records, train.labels, inputs, cfg)
-    )
-
-
 # --- expert rule files -------------------------------------------------------
 
 _RULE_RE = re.compile(
@@ -193,11 +149,13 @@ def parse_rule_line(line: str, line_no: int, config: FISConfig) -> Rule:
 
 def read_expert_rules(path: str | Path) -> list[tuple[int, str]]:
     """The numbered rules of a rule file (one rule per line, # comments and
-    blanks allowed), each decoded and parsed; load_expert_rules checks
-    their names against a model."""
+    blanks allowed, at least one rule), each decoded and parsed;
+    load_expert_rules checks their names against a model."""
     with reading(path):
         lines = [(no, line.strip()) for no, line in enumerate(read_lines(path), 1)]
         lines = [(no, text) for no, text in lines if text and not text.startswith("#")]
+        if not lines:
+            raise NoRules("no rule in the file")
         for no, text in lines:
             _parse_rule(text, no)
     return lines

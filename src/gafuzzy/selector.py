@@ -165,10 +165,11 @@ class CompiledFolds:
                                    fcfg.resolution, fcfg.decision_threshold)
         self.sizes = np.array([len(test_idx) for _, test_idx in splits])
         width = int(self.sizes.max())
-        # (feature, split x term slot, test row): slot n_terms of every split
-        # is the sentinel 1 of an unconstrained input, and the rows past a
-        # split's size are zero padding, labelled -1 so that no label matches
-        table = np.zeros((data.n_features, len(splits), self.n_terms + 1, width))
+        # (feature, split x term, test row): induced rules constrain every
+        # kept input, so no term slot holds degree_table's sentinel; the rows
+        # past a split's size are zero padding, labelled -1 so that no label
+        # matches
+        table = np.zeros((data.n_features, len(splits), self.n_terms, width))
         self.y_test = np.full((len(splits), width), -1)
         self.inputs, terms, degrees, split_of = [], [], [], []
         for k, (train_idx, test_idx) in enumerate(splits):
@@ -179,8 +180,8 @@ class CompiledFolds:
             terms.append(t)
             degrees.append(d)
             split_of.append(np.full(len(train_idx), k))
-            table[:, k, :, : len(test_idx)] = degree_table(inputs,
-                                                           data.records[test_idx])
+            table[:, k, :, : len(test_idx)] = degree_table(
+                inputs, data.records[test_idx])[:, : self.n_terms]
             self.y_test[k, : len(test_idx)] = data.labels[test_idx]
         # training rows of every split, one after another, as (feature, row)
         self.terms = np.concatenate(terms).T.copy()
@@ -192,9 +193,9 @@ class CompiledFolds:
         self.group_of = self.y_train * len(splits) + self.split_of
         self.slot_of = np.add.outer(self.split_of,
                                     np.arange(data.n_features) * len(splits))
-        self.slot_of *= self.n_terms + 1
+        self.slot_of *= self.n_terms
         self.slot_of += self.terms.T
-        # flat as (feature x split x term slot, test row) for rule_strengths
+        # flat as (feature x split x term, test row) for rule_strengths
         self.table = table.reshape(np.prod(table.shape[:3]), width)
 
     def induce(self, kept: list[int]) -> tuple[np.ndarray, np.ndarray]:

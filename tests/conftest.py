@@ -46,7 +46,8 @@ def class_levels(engine, records):
     """(N, T) clip level of every output term of an engine at the records:
     the maximum of the file-order strengths of the rules that conclude it,
     0 where none does. The per-rule reference of the engine's kernel."""
-    strengths = engine.strength_matrix(records)
+    strengths = np.concatenate([s for _, s, _, _ in engine.chunks(records)],
+                               axis=1)[engine.file_order].T
     return np.stack([
         strengths[:, engine.consequents == t].max(axis=1, initial=0.0)
         for t in range(len(engine.output.terms))

@@ -207,7 +207,7 @@ def fold_accuracy(x_train, y_train, x_test, y_test, partitions,
 
 def fitness(mask, data, costs, folds, cost_weight=0.3, partitions=3,
             resolution=1001, threshold=0.5, min_weight=0.0):
-    """Re-evaluation of project -> induce -> infer -> score -> penalize.
+    """Re-evaluation of mask -> induce -> infer -> score -> penalize.
 
     folds: the (train, test) index pairs of the evaluation plan (shared
     context; the classifier pipeline is recomputed from scratch).

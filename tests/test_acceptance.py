@@ -13,23 +13,21 @@ import numpy as np
 import pytest
 
 from gafuzzy.cli import _packaged, main
-from gafuzzy.dataset import Dataset, mask_cost, project, stratified_split, SplitPlan
+from gafuzzy.dataset import Dataset, stratified_split, SplitPlan
 from gafuzzy.fuzzy import (
-    Triangular,
-    centroid,
+    CompiledFIS,
     class_output_variable,
     infer,
-    uniform_partition,
 )
 from gafuzzy.ga import GAParams, Population, bit_mutation, evolve, roulette_select
-from gafuzzy.rule_learning import InductionConfig, induce_rules
+from gafuzzy.rule_learning import InductionConfig
 from gafuzzy.selector import (
     FitnessConfig,
     brute_force_selection,
-    build_input_variables,
     derive_seed,
     holdout_evaluation,
     run_selection,
+    train_final_classifier,
 )
 
 import oracle
@@ -136,18 +134,13 @@ def test_fuzzy_engine_golden(selection_runs=None):
 
     rng = np.random.default_rng(99)
     out = class_output_variable()
+    engine = CompiledFIS.from_config(config)  # the class output, 1001 points
     worst = 0.0
     for _ in range(100):
         s_neg, s_pos = rng.uniform(0, 1, 2)
-
-        def shape(grid):
-            return np.maximum(
-                np.minimum(s_neg, out.term("negative").sample(grid)),
-                np.minimum(s_pos, out.term("positive").sample(grid)),
-            )
-
-        coarse = centroid(shape(np.linspace(0, 1, 1001)), 0, 1)
-        fine = centroid(shape(np.linspace(0, 1, 100_001)), 0, 1)
+        levels = np.array([[s_neg, s_pos]])
+        coarse = engine.crisp_values(levels)[0]
+        fine = oracle.grid_centroids(out, 100_001, levels)[0]
         worst = max(worst, abs(coarse - fine))
     criterion(
         "fuzzy engine golden test (hand computation 1e-9; fine-grid "
@@ -237,10 +230,10 @@ def test_rule_induction_criterion(pima_data):
         labels = rng.integers(0, 2, n)
         labels[0], labels[1] = 0, 1
         names = [f"v{i}" for i in range(m)]
-        inputs = [uniform_partition(names[i], 0.0, 1.0, k) for i in range(m)]
         data = Dataset(make_schema(m, names=names), records, labels)
-        rules = induce_rules(data, inputs, output,
-                             InductionConfig(partitions_per_input=k))
+        rules = train_final_classifier(
+            data, (1,) * m, FitnessConfig(),
+            InductionConfig(partitions_per_input=k), np.arange(n)).rules
         ants = [r.antecedent for r in rules]
         if len(set(ants)) != len(ants):
             problems.append("duplicate antecedent")
@@ -248,13 +241,13 @@ def test_rule_induction_criterion(pima_data):
             problems.append("rule count exceeded bound")
 
     # exact match with the independent re-derivation on bundled data
-    sub = project(pima_data, (0, 1, 0, 0, 0, 1, 0, 1))
-    (train_idx, _), = stratified_split(sub, SplitPlan.holdout(0.8, seed=17))
-    x_train, y_train = sub.records[train_idx], sub.labels[train_idx]
-    inputs = build_input_variables(x_train, sub.schema.feature_names, 3)
-    rules = induce_rules(
-        Dataset(sub.schema, x_train, y_train), inputs, output, ICFG
-    )
+    mask = (0, 1, 0, 0, 0, 1, 0, 1)
+    (train_idx, _), = stratified_split(pima_data, SplitPlan.holdout(0.8, seed=17))
+    x_train = pima_data.records[train_idx][:, [1, 5, 7]]
+    y_train = pima_data.labels[train_idx]
+    model = train_final_classifier(pima_data, mask, FitnessConfig(), ICFG,
+                                   train_idx)
+    inputs, rules = model.inputs, model.rules
     expected = oracle.induce(
         x_train, y_train, [oracle.variable_params(v) for v in inputs]
     )

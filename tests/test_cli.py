@@ -6,6 +6,7 @@ import random
 import re
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from gafuzzy.fuzzy import (
     Rule,
     Triangular,
     class_output_variable,
+    infer,
     load_model,
-    predict,
     save_model,
     uniform_partition,
 )
@@ -454,14 +455,28 @@ def test_malformed_rules_stop_select_before_the_search(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rules_file_without_rules_stops_select_before_the_search(tmp_path,
+                                                                capsys):
+    # a rule file of comments and blank lines only exits 2 naming it,
+    # instead of saving a model that labels every record positive
+    empty = tmp_path / "empty.rules"
+    empty.write_text("# no rules yet\n\n")
+    out = tmp_path / "out"
+    assert main([*EXPERT_ARGV, "--out", str(out), "--rules", str(empty)]) == 2
+    err = capsys.readouterr().err
+    assert f"{empty}: no rule in the file" in err
+    assert not any(line.startswith("gen ") for line in err.splitlines())
+    assert not out.exists()
+
+
 def test_expert_rules_accuracy_scores_saved_model(tmp_path, pima_data, capsys):
     _, out = run_with_expert_rules(tmp_path)
     result = json.loads((out / "result.json").read_text())
     plan = FitnessConfig.from_master_seed(21).resolved_report_plan()
     (_, test_idx), = stratified_split(pima_data, plan)
     kept = [i for i, bit in enumerate(result["best_mask"]) if bit == "1"]
-    _, labels = predict(load_model(out / "model.json"),
-                        pima_data.records[test_idx][:, kept])
+    _, labels = CompiledFIS.from_config(load_model(out / "model.json")).predict(
+        pima_data.records[test_idx][:, kept])
     accuracy = float(np.mean(labels == pima_data.labels[test_idx]))
     assert result["accuracy"] == accuracy
     assert f"holdout accuracy: {accuracy:.4f} " in capsys.readouterr().out
@@ -824,11 +839,11 @@ def csv_rows(records):
 
 
 def unchunked_lines(model, records):
-    """classify's stdout, from one strength_matrix and one decide of its
-    per-class maximum over all the records."""
+    """classify's stdout, from the strengths infer gives each record and one
+    decide of the per-class maxima of all the records."""
     config = load_model(model)
     engine = CompiledFIS.from_config(config)
-    strengths = engine.strength_matrix(records)
+    strengths = np.array([infer(config, record).strengths for record in records])
     crisp, labels = engine.decide(class_levels(engine, records))
     texts = [format_rule(r, config.output.name) for r in config.rules]
     lines = []
@@ -982,6 +997,15 @@ def test_report_end_to_end(tmp_path, capsys):
 def test_report_missing_result(tmp_path, capsys):
     code = main(["report", "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    # the README's python block, run where the packaged data files are
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block, = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    monkeypatch.chdir(_packaged("pima.csv").parent)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_usage_error_exit_code():

@@ -18,7 +18,6 @@ from gafuzzy.dataset import (
     load_csv,
     load_schema,
     mask_cost,
-    project,
     save_csv,
     stratified_split,
 )
@@ -26,7 +25,6 @@ from gafuzzy.errors import (
     ClassTooSmall,
     ConfigError,
     DuplicateFeature,
-    EmptyMask,
     LengthMismatch,
     MalformedRow,
     MissingFeature,
@@ -66,6 +64,13 @@ def test_header_autodetected(tmp_path):
     with_header = load_csv(write(tmp_path, "a.csv", "f0,f1,label\n1,2,0\n3,4,1\n"), schema)
     without = load_csv(write(tmp_path, "b.csv", "1,2,0\n3,4,1\n"), schema)
     assert with_header == without
+
+
+def test_header_after_a_blank_first_line(tmp_path, pima_schema, pima_data):
+    # the first non-blank row is the possible header, as in load_records
+    path = tmp_path / "blank-first.csv"
+    path.write_bytes(b"\n" + _packaged("pima.csv").read_bytes())
+    assert load_csv(path, pima_schema) == pima_data
 
 
 def test_malformed_row_names_row_number(tmp_path):
@@ -307,31 +312,6 @@ def test_split_plan_validation():
         SplitPlan.holdout(1.0, seed=0)
     with pytest.raises(ConfigError):
         SplitPlan.kfold(1, seed=0)
-
-
-# --- project -----------------------------------------------------------------
-
-def test_project_identity(toy4):
-    assert project(toy4, (1, 1, 1, 1)) == toy4
-
-
-def test_project_single_column(pima_data):
-    sub = project(pima_data, (0, 0, 0, 0, 0, 0, 0, 1))
-    assert sub.schema.feature_names == ("age",)
-    assert np.array_equal(sub.records[:, 0], pima_data.records[:, 7])
-    assert np.array_equal(sub.labels, pima_data.labels)
-
-
-def test_project_errors(toy4):
-    with pytest.raises(EmptyMask):
-        project(toy4, (0, 0, 0, 0))
-    with pytest.raises(LengthMismatch):
-        project(toy4, (1, 0))
-
-
-def test_project_composition(toy4):
-    mask = (1, 0, 1, 0)
-    assert project(project(toy4, (1, 1, 1, 1)), mask) == project(toy4, mask)
 
 
 # --- feature stats -----------------------------------------------------------

@@ -15,21 +15,21 @@ from gafuzzy.fuzzy import (
     Rule,
     Trapezoidal,
     Triangular,
-    centroid,
     centroid_plan,
     class_output_variable,
     config_from_dict,
     config_to_dict,
     infer,
     load_model,
-    predict,
     save_model,
     uniform_partition,
 )
-from gafuzzy.rule_learning import InductionConfig, induce_rule_matrix
+from gafuzzy.dataset import Dataset
+from gafuzzy.rule_learning import InductionConfig
+from gafuzzy.selector import FitnessConfig, train_final_classifier
 
 import oracle
-from conftest import class_levels
+from conftest import class_levels, make_schema
 
 
 # --- membership degrees --------------------------------------------------------
@@ -231,12 +231,9 @@ def test_rule_strength_examples():
         Rule((("v", "high"),), "positive"),  # u unconstrained: degree 1
     )
     config = FISConfig(base.inputs, base.output, rules)
-    strengths = CompiledFIS.from_config(config).strength_matrix(
-        [[6.0, 30.0], [10.0, 0.0]]
-    )
-    assert strengths.shape == (2, 4)
-    assert list(strengths[0]) == [0.6, 0.3, 0.2, 0.3]
-    assert list(strengths[1]) == [1.0, 0.0, 0.0, 0.0]
+    strengths = [infer(config, record).strengths
+                 for record in ([6.0, 30.0], [10.0, 0.0])]
+    assert strengths == [(0.6, 0.3, 0.2, 0.3), (1.0, 0.0, 0.0, 0.0)]
     with pytest.raises(UnknownTerm):
         FISConfig(base.inputs, base.output,
                   (Rule((("u", "missing"),), "positive"),))
@@ -245,43 +242,43 @@ def test_rule_strength_examples():
 # --- centroid ----------------------------------------------------------------------
 
 def test_centroid_symmetry_and_scale():
-    grid = np.linspace(0, 1, 1001)
-    triangle = Triangular(0.3, 0.5, 0.7).sample(grid)
-    assert centroid(triangle, 0, 1) == pytest.approx(0.5, abs=1e-12)
-    for h in (0.2, 0.5, 1.0):
-        box = np.where((grid >= 0.2) & (grid <= 0.6), h, 0.0)
-        assert centroid(box, 0, 1) == pytest.approx(0.4, abs=1e-12)
-    # scale invariance
-    shape = np.minimum(0.7, Triangular(0.1, 0.4, 0.9).sample(grid))
-    base = centroid(shape, 0, 1)
-    for lam in (1e-3, 0.25, 7.0):
-        assert centroid(lam * shape, 0, 1) == pytest.approx(base, abs=1e-12)
+    # an output term symmetric about c, alone in the aggregate, has its
+    # centroid at c whatever its clip level
+    out = LinguisticVariable("out", (0.0, 1.0), (
+        ("low", Triangular(0.0, 0.0, 0.35)),
+        ("peak", Triangular(0.3, 0.5, 0.7)),
+        ("box", Trapezoidal(0.2, 0.3, 0.5, 0.6)),
+        ("high", Triangular(0.65, 1.0, 1.0)),
+    ))
+    engine = engine_for(out, 1001)
+    for h in (1e-3, 0.2, 0.5, 1.0):
+        crisp = engine.crisp_values(np.array([[0.0, h, 0.0, 0.0],
+                                              [0.0, 0.0, h, 0.0]]))
+        assert crisp == pytest.approx([0.5, 0.4], abs=1e-12)
 
 
 def test_centroid_zero_mass_and_minimum_samples():
-    assert centroid(np.zeros(11), 0.0, 1.0) == 0.5
-    assert centroid(np.zeros(11), 2.0, 4.0) == 3.0
+    # no mass gives the universe midpoint; fewer than 3 grid points are
+    # refused
+    no_mass = np.zeros((1, 2))
+    for output, midpoint in ((class_output_variable(), 0.5),
+                             (uniform_partition("out", 2.0, 4.0, 2), 3.0)):
+        assert engine_for(output, 11).crisp_values(no_mass).tolist() == [midpoint]
+    base = two_input_config()
     with pytest.raises(ConfigError):
-        centroid(np.array([1.0, 1.0]), 0, 1)
+        FISConfig(base.inputs, base.output, base.rules, resolution=2)
 
 
 def test_centroid_fine_grid_oracle():
-    # random clipped-triangle aggregates: coarse grid vs 100x finer grid
+    # random clip levels of the class output: the engine's centroid on its
+    # 1001-point grid against the grid sum on a 100x finer grid
     rng = np.random.default_rng(29)
     out = class_output_variable()
+    engine = engine_for(out, 1001)
     for _ in range(100):
-        s_neg, s_pos = rng.uniform(0, 1, 2)
-        coarse_grid = np.linspace(0, 1, 1001)
-        fine_grid = np.linspace(0, 1, 100_001)
-
-        def shape(grid):
-            return np.maximum(
-                np.minimum(s_neg, out.term("negative").sample(grid)),
-                np.minimum(s_pos, out.term("positive").sample(grid)),
-            )
-
-        coarse = centroid(shape(coarse_grid), 0, 1)
-        fine = centroid(shape(fine_grid), 0, 1)
+        levels = rng.uniform(0, 1, (1, 2))
+        coarse = engine.crisp_values(levels)[0]
+        fine = oracle.grid_centroids(out, 100_001, levels)[0]
         assert abs(coarse - fine) <= 1e-3  # universe width is 1
 
 
@@ -313,8 +310,6 @@ def test_infer_no_rules():
     empty = FISConfig(config.inputs, config.output, ())
     with pytest.raises(NoRules):
         infer(empty, [5.0, 50.0])
-    with pytest.raises(NoRules):
-        predict(empty, np.array([[5.0, 50.0]]))
 
 
 GOLDEN_CRISP = 0.4224942528735616  # frozen from the hand computation below
@@ -397,7 +392,7 @@ def test_predict_matches_infer_loop():
     config = two_input_config()
     rng = np.random.default_rng(5)
     records = np.column_stack([rng.uniform(0, 10, 40), rng.uniform(0, 100, 40)])
-    crisp, labels = predict(config, records)
+    crisp, labels = CompiledFIS.from_config(config).predict(records)
     for i in range(40):
         single = infer(config, records[i])
         assert single.crisp == crisp[i]
@@ -612,7 +607,7 @@ def test_kernel_equals_per_rule_loops():
     # interleaved, or no rules at all
     rng = np.random.default_rng(23)
     table = rng.uniform(0.0, 1.0, (12, 40))
-    for n_rules, n_groups in ((30, 4), (9, 1), (0, 3)):
+    for n_rules, n_groups in ((30, 4), (9, 1), (1, 2), (0, 3)):
         slots = rng.integers(0, 12, (n_rules, 3))
         weights = rng.uniform(0.0, 1.0, n_rules)
         strengths = fuzzy.rule_strengths(table, slots, weights)
@@ -701,15 +696,12 @@ def test_model_roundtrip_all_shapes():
 def test_engine_config_roundtrip():
     # a fitted engine: partitions and rules induced from random data
     rng = np.random.default_rng(23)
-    records = rng.uniform(0.0, 10.0, (60, 3))
-    labels = rng.integers(0, 2, 60)
-    inputs = [uniform_partition(f"x{i}", 0.0, 10.0, 3) for i in range(3)]
-    ant, weights, classes = induce_rule_matrix(
-        records, labels, inputs, InductionConfig()
-    )
-    engine = CompiledFIS(
-        inputs, class_output_variable(), ant, weights, classes, 1001, 0.5
-    )
+    data = Dataset(make_schema(3), rng.uniform(0.0, 10.0, (60, 3)),
+                   rng.integers(0, 2, 60))
+    model = train_final_classifier(data, (1, 1, 1), FitnessConfig(),
+                                   InductionConfig(), np.arange(60))
+    engine = CompiledFIS.from_config(model)
+    assert engine.to_config() == model
     again = CompiledFIS.from_config(engine.to_config())
     assert np.array_equal(again.antecedents, engine.antecedents)
     assert np.array_equal(again.weights, engine.weights)

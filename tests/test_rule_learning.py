@@ -3,45 +3,60 @@ import itertools
 import numpy as np
 import pytest
 
-from gafuzzy.dataset import Dataset, project, stratified_split, SplitPlan
-from gafuzzy.errors import ArityMismatch, EmptyTrainingSet, RuleParseError, UnknownTerm
+from gafuzzy.dataset import Dataset, stratified_split, SplitPlan
+from gafuzzy.errors import NoRules, RuleParseError, UnknownTerm
 from gafuzzy.fuzzy import FISConfig, Rule, class_output_variable, uniform_partition
 from gafuzzy.rule_learning import (
     InductionConfig,
     format_rule,
-    induce_rule_matrix,
-    induce_rules,
     keep_heaviest,
     load_expert_rules,
     parse_rule_line,
+    read_expert_rules,
     save_expert_rules,
 )
-from gafuzzy.selector import build_input_variables
+from gafuzzy.selector import FitnessConfig, train_final_classifier
 
 import oracle
 from conftest import make_schema
 
 
-def two_var_inputs():
-    return [
-        uniform_partition("x", 0.0, 10.0, 3),
-        uniform_partition("y", 0.0, 10.0, 3),
-    ]
+def dataset_of(rows, labels, names=("x", "y")):
+    rows = np.asarray(rows, float)
+    return Dataset(make_schema(rows.shape[1], names=list(names[: rows.shape[1]])),
+                   rows, np.asarray(labels))
 
 
-def dataset_of(rows, labels):
-    return Dataset(make_schema(len(rows[0]), names=["x", "y"][: len(rows[0])]),
-                   np.asarray(rows, float), np.asarray(labels))
+def induce(data, cfg=InductionConfig(), mask=None, train_idx=None):
+    """The model select trains on the training rows (all by default) of the
+    masked features (all by default)."""
+    mask = (1,) * data.n_features if mask is None else mask
+    train_idx = np.arange(data.n_records) if train_idx is None else train_idx
+    return train_final_classifier(data, mask, FitnessConfig(), cfg, train_idx)
 
 
-OUTPUT = class_output_variable("label")
+def oracle_rules(model, records, labels, min_weight=0.0):
+    """The rules oracle.induce derives over the model's own partitions,
+    named, the lighter than min_weight dropped."""
+    variables = [oracle.variable_params(v) for v in model.inputs]
+    return tuple(
+        Rule(tuple((v.name, v.term_names[t]) for v, t in zip(model.inputs, ant)),
+             model.output.term_names[cls], weight)
+        for ant, weight, cls in oracle.induce(records, labels, variables)
+        if weight >= min_weight
+    )
+
+
+# rows at both ends of [0, 10], so that each input is partitioned as
+# uniform_partition(name, 0.0, 10.0, 3): low, medium and high peak at 0, 5
+# and 10
+ENDS = [[0.0, 0.0], [10.0, 10.0]]
 
 
 def test_single_record_at_peaks():
-    # the peak record proposes its rule alone; the second row (required by
-    # the two-class invariant) lands in a different cell
-    data = dataset_of([[5.0, 10.0], [0.0, 0.0]], [1, 0])
-    rules = induce_rules(data, two_var_inputs(), OUTPUT, InductionConfig())
+    # the peak record proposes its rule alone; the rows at the universe
+    # ends land in other cells
+    rules = induce(dataset_of([[5.0, 10.0], *ENDS], [1, 0, 0])).rules
     by_ant = {r.antecedent: r for r in rules}
     peak_rule = by_ant[(("x", "medium"), ("y", "high"))]
     assert peak_rule.weight == 1.0
@@ -50,41 +65,37 @@ def test_single_record_at_peaks():
 
 def test_identical_records_opposite_labels_keep_earlier():
     data = dataset_of([[5.0, 5.0], [5.0, 5.0]], [1, 0])
-    rules = induce_rules(data, two_var_inputs(), OUTPUT, InductionConfig())
+    rules = induce(data).rules
     assert len(rules) == 1
     assert rules[0].consequent == "positive"  # earlier record wins the tie
     flipped = dataset_of([[5.0, 5.0], [5.0, 5.0]], [0, 1])
-    rules = induce_rules(flipped, two_var_inputs(), OUTPUT, InductionConfig())
+    rules = induce(flipped).rules
     assert rules[0].consequent == "negative"
 
 
 def test_conflict_keeps_heavier_rule():
     # both records map to (medium, medium); the second sits closer to peaks
-    data = dataset_of([[4.0, 5.0], [5.0, 5.0]], [0, 1])
-    rules = induce_rules(data, two_var_inputs(), OUTPUT, InductionConfig())
-    assert len(rules) == 1
+    data = dataset_of([[4.0, 5.0], [5.0, 5.0], *ENDS], [0, 1, 0, 0])
+    rules = induce(data).rules
+    assert len(rules) == 3
+    assert rules[0].antecedent == (("x", "medium"), ("y", "medium"))
     assert rules[0].consequent == "positive"
     assert rules[0].weight == 1.0
 
 
 def test_min_weight_filter():
-    data = dataset_of([[4.0, 5.0], [5.0, 5.0], [9.9, 0.2]], [0, 1, 0])
-    cfg = InductionConfig(min_rule_weight=0.9)
-    rules = induce_rules(data, two_var_inputs(), OUTPUT, cfg)
-    assert all(r.weight >= 0.9 for r in rules)
+    data = dataset_of([[4.0, 5.0], [5.0, 5.0], [9.9, 0.2], *ENDS], [0, 1, 0, 0, 0])
+    rules = induce(data, InductionConfig(min_rule_weight=0.9)).rules
+    assert rules and all(r.weight >= 0.9 for r in rules)
 
 
-def test_empty_training_set():
-    inputs = two_var_inputs()
-    with pytest.raises(EmptyTrainingSet):
-        induce_rule_matrix(np.empty((0, 2)), np.empty(0), inputs, InductionConfig())
-
-
-def test_input_names_must_match_schema():
-    data = dataset_of([[1.0, 2.0], [3.0, 4.0]], [0, 1])
-    wrong = [uniform_partition("a", 0, 10, 3), uniform_partition("b", 0, 10, 3)]
-    with pytest.raises(ArityMismatch):
-        induce_rules(data, wrong, OUTPUT, InductionConfig())
+def test_input_names_must_match_schema(pima_data):
+    # the model's inputs are the kept features, named and in order as in
+    # the schema, and its rules name no other variable
+    model = induce(pima_data, mask=(0, 1, 0, 0, 0, 1, 0, 1))
+    assert model.input_names == ("glucose", "bmi", "age")
+    assert {var for r in model.rules for var, _ in r.antecedent} <= set(
+        model.input_names)
 
 
 def test_antecedents_unique_and_count_bounded():
@@ -98,13 +109,8 @@ def test_antecedents_unique_and_count_bounded():
         if len(np.unique(labels)) < 2:
             labels[0], labels[1] = 0, 1
         names = [f"v{i}" for i in range(m)]
-        inputs = [
-            uniform_partition(names[i], float(records[:, i].min()),
-                              float(records[:, i].max()), k)
-            for i in range(m)
-        ]
         data = Dataset(make_schema(m, names=names), records, labels)
-        rules = induce_rules(data, inputs, OUTPUT, InductionConfig(partitions_per_input=k))
+        rules = induce(data, InductionConfig(partitions_per_input=k)).rules
         antecedents = [r.antecedent for r in rules]
         assert len(set(antecedents)) == len(antecedents)
         assert len(rules) <= min(n, k**m)
@@ -118,25 +124,19 @@ def test_rule_matrix_matches_oracle_with_ties():
     rng = np.random.default_rng(300)
     points = np.array([0.0, 2.5, 5.0, 7.5, 10.0])
     for _ in range(60):
-        n = int(rng.integers(1, 50))
+        n = int(rng.integers(2, 50))
         m = int(rng.integers(1, 4))
         k = int(rng.integers(2, 5))
         min_weight = float(rng.choice([0.0, 0.25, 0.5]))
         records = rng.choice(points, (n, m))
+        records[0], records[-1] = 0.0, 10.0  # every input spans [0, 10]
         labels = rng.integers(0, 2, n)
-        inputs = [uniform_partition(f"v{i}", 0.0, 10.0, k) for i in range(m)]
-        ant, weights, classes = induce_rule_matrix(
-            records, labels, inputs, InductionConfig(k, min_weight)
-        )
-        expected = [
-            rule for rule in oracle.induce(
-                records, labels, [oracle.variable_params(v) for v in inputs]
-            )
-            if rule[1] >= min_weight
-        ]
-        assert [tuple(row) for row in ant.tolist()] == [e[0] for e in expected]
-        assert weights.tolist() == [e[1] for e in expected]
-        assert classes.tolist() == [e[2] for e in expected]
+        labels[0], labels[1] = 0, 1
+        data = Dataset(make_schema(m, names=[f"v{i}" for i in range(m)]),
+                       records, labels)
+        model = induce(data, InductionConfig(k, min_weight))
+        assert [v.universe for v in model.inputs] == [(0.0, 10.0)] * m
+        assert model.rules == oracle_rules(model, records, labels, min_weight)
 
 
 def test_rule_matrix_matches_oracle_past_int8_terms():
@@ -148,21 +148,15 @@ def test_rule_matrix_matches_oracle_past_int8_terms():
     for min_weight in (0.0, 0.5):
         records = rng.choice(points, (400, 2))
         records[:40] = records[40:80]  # repeated cells with equal weights
+        records[-2], records[-1] = 0.0, k - 1.0  # every input spans [0, k - 1]
         labels = rng.integers(0, 2, 400)
-        inputs = [uniform_partition(f"v{i}", 0.0, k - 1.0, k) for i in range(2)]
-        ant, weights, classes = induce_rule_matrix(
-            records, labels, inputs, InductionConfig(k, min_weight)
-        )
-        expected = [
-            rule for rule in oracle.induce(
-                records, labels, [oracle.variable_params(v) for v in inputs]
-            )
-            if rule[1] >= min_weight
-        ]
-        assert max(max(e[0]) for e in expected) >= 128
-        assert [tuple(row) for row in ant.tolist()] == [e[0] for e in expected]
-        assert weights.tolist() == [e[1] for e in expected]
-        assert classes.tolist() == [e[2] for e in expected]
+        data = Dataset(make_schema(2, names=["v0", "v1"]), records, labels)
+        model = induce(data, InductionConfig(k, min_weight))
+        assert [v.universe for v in model.inputs] == [(0.0, k - 1.0)] * 2
+        expected = oracle_rules(model, records, labels, min_weight)
+        terms = model.inputs[0].term_names  # level1 .. level140, both inputs
+        assert max(terms.index(t) for r in expected for _, t in r.antecedent) >= 128
+        assert model.rules == expected
 
 
 def test_keep_heaviest_matches_dict_reference():
@@ -192,38 +186,23 @@ def test_permutation_changes_only_tie_resolution():
     records = rng.uniform(0, 10, (25, 2))
     labels = rng.integers(0, 2, 25)
     labels[0], labels[1] = 0, 1
-    data = dataset_of(records, labels)
-    rules = induce_rules(data, two_var_inputs(), OUTPUT, InductionConfig())
+    rules = induce(dataset_of(records, labels)).rules
     perm = rng.permutation(25)
-    shuffled = dataset_of(records[perm], labels[perm])
-    rules_perm = induce_rules(shuffled, two_var_inputs(), OUTPUT, InductionConfig())
+    rules_perm = induce(dataset_of(records[perm], labels[perm])).rules
     # generic float weights: no ties, so the surviving set is identical
     key = lambda r: (r.antecedent, r.consequent, r.weight)
     assert sorted(rules, key=key) == sorted(rules_perm, key=key)
 
 
 def test_pima_three_feature_matches_independent_rederivation(pima_data):
-    sub = project(pima_data, (0, 1, 0, 0, 0, 1, 0, 1))  # glucose, bmi, age
-    (train_idx, _), = stratified_split(sub, SplitPlan.holdout(0.8, seed=3))
-    x_train = sub.records[train_idx]
-    y_train = sub.labels[train_idx]
-    inputs = build_input_variables(x_train, sub.schema.feature_names, 3)
-    train_view = Dataset(sub.schema, x_train, y_train)
-    rules = induce_rules(train_view, inputs, OUTPUT, InductionConfig())
-
-    assert len(rules) <= min(len(x_train), 27)
-
-    expected = oracle.induce(
-        x_train, y_train, [oracle.variable_params(v) for v in inputs]
-    )
-    assert len(rules) == len(expected)
-    term_names = [v.term_names for v in inputs]
-    for rule, (ant, weight, cls) in zip(rules, expected):
-        assert rule.antecedent == tuple(
-            (inputs[i].name, term_names[i][t]) for i, t in enumerate(ant)
-        )
-        assert rule.weight == weight
-        assert rule.consequent == OUTPUT.term_names[cls]
+    mask = (0, 1, 0, 0, 0, 1, 0, 1)  # glucose, bmi, age
+    (train_idx, _), = stratified_split(pima_data, SplitPlan.holdout(0.8, seed=3))
+    model = induce(pima_data, mask=mask, train_idx=train_idx)
+    x_train = pima_data.records[train_idx][:, [1, 5, 7]]
+    assert [v.universe for v in model.inputs] == list(
+        zip(x_train.min(axis=0).tolist(), x_train.max(axis=0).tolist()))
+    assert len(model.rules) <= min(len(x_train), 27)
+    assert model.rules == oracle_rules(model, x_train, pima_data.labels[train_idx])
 
 
 # --- expert rule files ---------------------------------------------------------
@@ -278,6 +257,14 @@ def test_rule_file_errors_name_the_file(tmp_path):
         load_expert_rules(path, fis_for_rules())
     assert exc.value.line == 2
     assert str(exc.value).startswith(f"{path}: line 2: cannot parse rule")
+
+
+def test_rule_file_without_rules_is_rejected(tmp_path):
+    path = tmp_path / "empty.rules"
+    path.write_text("# only a comment\n\n   \n")
+    with pytest.raises(NoRules) as exc:
+        read_expert_rules(path)
+    assert str(exc.value) == f"{path}: no rule in the file"
 
 
 def test_unknown_variable_and_output_term():

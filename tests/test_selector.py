@@ -10,19 +10,17 @@ from gafuzzy.dataset import (
 from gafuzzy.errors import EmptyMask, LengthMismatch, TooManyFeatures
 from gafuzzy.fuzzy import CompiledFIS, class_output_variable
 from gafuzzy.ga import GAParams, mask_to_string
-from gafuzzy.rule_learning import InductionConfig, induce_rule_matrix
+from gafuzzy.rule_learning import InductionConfig
 from gafuzzy.selector import (
     CompiledFolds,
     FitnessConfig,
     FitnessEvaluator,
     brute_force_selection,
-    build_input_variables,
     derive_seed,
     holdout_evaluation,
     load_result,
     run_selection,
     save_result,
-    train_final_classifier,
 )
 
 import oracle
@@ -127,58 +125,45 @@ SPLIT_MASKS = [
 ]
 
 
-def plain_fit(data, mask, train_idx, fcfg, icfg=ICFG):
-    """A classifier trained on the masked training rows by the plain
-    composition of partitions, induction and the engine."""
+def fold_trainers(data, splits, fcfg, icfg=ICFG):
+    """Per split, the trainer train_final_classifier builds on its training
+    rows, built once for every mask, and its test rows."""
+    return [(CompiledFolds(data, [(train_idx, train_idx[:0])], fcfg, icfg),
+             test_idx) for train_idx, test_idx in splits]
+
+
+def fold_engines(data, trainers, mask):
+    """One engine per split, the final model trained on the split's training
+    rows as select trains it, with the split's kept test records and labels:
+    the split-by-split reference of the batched folds."""
     kept = [i for i, bit in enumerate(mask) if bit]
-    x_train = data.records[train_idx][:, kept]
-    names = [data.schema.feature_names[i] for i in kept]
-    inputs = build_input_variables(x_train, names, icfg.partitions_per_input)
-    ant, weights, classes = induce_rule_matrix(
-        x_train, data.labels[train_idx], inputs, icfg
-    )
-    output = class_output_variable(data.schema.label_name)
-    return kept, CompiledFIS(inputs, output, ant, weights, classes,
-                             fcfg.resolution, fcfg.decision_threshold)
+    for trainer, test_idx in trainers:
+        yield (CompiledFIS.from_config(trainer.model(kept)),
+               data.records[test_idx][:, kept], data.labels[test_idx])
 
 
 @pytest.mark.parametrize("master", [1, 2, 3])
 def test_compiled_splits_equal_plain_training(master, pima_data, pima_costs):
     # scoring the folds together must not change a single bit of any
-    # fitness value, holdout prediction or final model
+    # fitness value or holdout prediction
     fcfg = FitnessConfig.from_master_seed(master)
     evaluator = FitnessEvaluator(pima_data, pima_costs, fcfg, ICFG)
-    folds = stratified_split(pima_data, fcfg.evaluation)
-    (hold_train, hold_test), = stratified_split(
-        pima_data, fcfg.resolved_report_plan()
-    )
+    folds = fold_trainers(pima_data, stratified_split(pima_data, fcfg.evaluation),
+                          fcfg)
+    holdout = fold_trainers(pima_data, stratified_split(
+        pima_data, fcfg.resolved_report_plan()), fcfg)
     for mask in SPLIT_MASKS:
-        accs = []
-        for train_idx, test_idx in folds:
-            kept, engine = plain_fit(pima_data, mask, train_idx, fcfg)
-            _, predicted = engine.predict(pima_data.records[test_idx][:, kept])
-            accs.append(float(np.mean(predicted == pima_data.labels[test_idx])))
+        accs = [float(np.mean(engine.predict(x_test)[1] == y_test))
+                for engine, x_test, y_test in fold_engines(pima_data, folds, mask)]
         penalty = (fcfg.cost_weight * mask_cost(mask, pima_costs)
                    / pima_costs.total_cost)
         assert evaluator(mask) == float(np.mean(accs)) - penalty, mask
 
-        kept, engine = plain_fit(pima_data, mask, hold_train, fcfg)
+        (engine, x_test, y_test), = fold_engines(pima_data, holdout, mask)
         model, predicted, labels = holdout_evaluation(pima_data, mask, fcfg, ICFG)
         assert model == engine.to_config()
-        _, expected = engine.predict(pima_data.records[hold_test][:, kept])
-        assert np.array_equal(predicted, expected)
-        assert np.array_equal(labels, pima_data.labels[hold_test])
-        assert train_final_classifier(
-            pima_data, mask, fcfg, ICFG, hold_train
-        ) == model
-
-
-def fold_engines(data, splits, mask, fcfg, icfg=ICFG):
-    """One plain engine per fold, with the fold's kept test records and
-    labels: the fold-by-fold reference of the batched folds."""
-    for train_idx, test_idx in splits:
-        kept, engine = plain_fit(data, mask, train_idx, fcfg, icfg)
-        yield engine, data.records[test_idx][:, kept], data.labels[test_idx]
+        assert np.array_equal(predicted, engine.predict(x_test)[1])
+        assert np.array_equal(labels, y_test)
 
 
 @pytest.mark.parametrize("min_weight", [0.0, 0.9])
@@ -190,12 +175,12 @@ def test_batched_fitness_equals_fold_by_fold_reference(master, min_weight,
     icfg = InductionConfig(min_rule_weight=min_weight)
     fcfg = FitnessConfig.from_master_seed(master)
     evaluator = FitnessEvaluator(pima_data, pima_costs, fcfg, icfg)
-    splits = stratified_split(pima_data, fcfg.evaluation)
+    trainers = fold_trainers(pima_data, stratified_split(pima_data, fcfg.evaluation),
+                             fcfg, icfg)
     ruleless = 0
     for mask in all_masks(pima_data.n_features):
         accs = []
-        for engine, x_test, y_test in fold_engines(pima_data, splits, mask,
-                                                   fcfg, icfg):
+        for engine, x_test, y_test in fold_engines(pima_data, trainers, mask):
             ruleless += engine.n_rules == 0
             accs.append(float(np.mean(engine.predict(x_test)[1] == y_test)))
         penalty = (fcfg.cost_weight * mask_cost(mask, pima_costs)
@@ -214,13 +199,14 @@ def test_fold_labels_equal_the_exact_grid_centroid(master, pima_data):
     fcfg = FitnessConfig.from_master_seed(master)
     splits = stratified_split(pima_data, fcfg.evaluation)
     folds = CompiledFolds(pima_data, splits, fcfg, ICFG)
+    trainers = fold_trainers(pima_data, splits, fcfg)
     output = class_output_variable()
     tied = []
     for mask in all_masks(pima_data.n_features):
         kept = [i for i, bit in enumerate(mask) if bit]
         levels = np.concatenate([
             class_levels(engine, x_test)
-            for engine, x_test, _ in fold_engines(pima_data, splits, mask, fcfg)
+            for engine, x_test, _ in fold_engines(pima_data, trainers, mask)
         ])
         grid = oracle.grid_centroids(output, fcfg.resolution, levels)
         expected = (grid >= fcfg.decision_threshold).astype(np.int64)
@@ -236,6 +222,17 @@ def test_fold_labels_equal_the_exact_grid_centroid(master, pima_data):
         assert (0.32000000000000006, 0.32) in tied
 
 
+def test_fold_table_has_no_sentinel_slot(pima_data):
+    # induced rules constrain every kept input, so the folds' degree table
+    # holds one row per feature, fold and term, and every slot a training
+    # row can point at is one of them
+    fcfg = FitnessConfig.from_master_seed(1)
+    splits = stratified_split(pima_data, fcfg.evaluation)
+    folds = CompiledFolds(pima_data, splits, fcfg, ICFG)
+    assert folds.table.shape == (8 * 5 * 3, 154)
+    assert folds.slot_of.min() >= 0 and folds.slot_of.max() < 8 * 5 * 3
+
+
 def test_fitness_decides_class_ties_exactly():
     # rules (low, low) -> 0 and (medium, low) -> 1 at weight 1 are in every
     # fold; a test row at (2.5, 3) fires both at min(0.5, 0.4), a tie the
@@ -247,8 +244,8 @@ def test_fitness_decides_class_ties_exactly():
     costs = CostTable((("f0", 1.0), ("f1", 1.0)))
     fcfg = toy_fcfg(cost_weight=0.0)
     assert fresh_fitness((1, 1), data, costs, fcfg, ICFG) == 1.0
-    for engine, x_test, y_test in fold_engines(data, stratified_split(
-            data, fcfg.evaluation), (1, 1), fcfg):
+    trainers = fold_trainers(data, stratified_split(data, fcfg.evaluation), fcfg)
+    for engine, x_test, y_test in fold_engines(data, trainers, (1, 1)):
         tie = x_test[:, 0] == 2.5
         assert np.all(class_levels(engine, x_test[tie]) == 0.4)
 
@@ -265,10 +262,11 @@ def test_keys_past_int8(folds, partitions, pima_data, pima_costs):
     if partitions > 3:
         proposals = sum(len(train_idx) for train_idx, _ in splits)
         assert folds * partitions ** 8 * proposals > 2 ** 63
+    trainers = fold_trainers(pima_data, splits, fcfg, icfg)
     for mask in SPLIT_MASKS[3:]:
         accs = [float(np.mean(engine.predict(x_test)[1] == y_test))
-                for engine, x_test, y_test in fold_engines(pima_data, splits,
-                                                           mask, fcfg, icfg)]
+                for engine, x_test, y_test in fold_engines(pima_data, trainers,
+                                                           mask)]
         penalty = (fcfg.cost_weight * mask_cost(mask, pima_costs)
                    / pima_costs.total_cost)
         assert evaluator(mask) == float(np.mean(accs)) - penalty, mask
