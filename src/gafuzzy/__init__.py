@@ -15,7 +15,6 @@ from .dataset import (  # noqa: F401
     load_csv,
     load_schema,
     mask_cost,
-    save_csv,
     stratified_split,
 )
 from .evaluation import (  # noqa: F401

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+from functools import partial
 from importlib.resources import files
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -190,12 +191,41 @@ class RunConfig:
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
-    def fields(self, *sections: str) -> dict[str, object]:
-        """The knobs of these sections set by flag or config file, by the
-        field each fills; every other field keeps its default."""
-        given = [(opt.field, self.get(opt.section, opt.key))
-                 for opt in OPTIONS.values() if opt.field and opt.section in sections]
-        return {name: value for name, value in given if value is not None}
+    def source(self, opt: Option) -> str:
+        """How an option was set: by its flag, else by its [section] key."""
+        if getattr(self.args, opt.key, None) is not None:
+            return opt.flag
+        return f"[{opt.section}] {opt.key}"
+
+    def build(self, make: Callable, *sections: str):
+        """make(**fields), the fields those knobs of these sections fill
+        that a flag or the config file sets; every other field keeps its
+        default. A value out of range is a ConfigError naming the knobs that
+        make refuses on their own, else every knob set, and the config file
+        when one of them was set there."""
+        given = {opt.field: (opt, value) for opt in OPTIONS.values()
+                 if opt.field and opt.section in sections
+                 and (value := self.get(opt.section, opt.key)) is not None}
+        try:
+            return make(**{name: value for name, (_, value) in given.items()})
+        except ConfigError as exc:
+            blamed = [opt for name, (opt, value) in given.items()
+                      if not _accepts(make, name, value)]
+            names = [self.source(opt) for opt in blamed
+                     or [opt for opt, _ in given.values()]]
+            in_file = any(name.startswith("[") for name in names)
+            where = f"{self.args.config}: " if in_file else ""
+            raise ConfigError(f"{where}{', '.join(names)}: {exc}") from exc
+
+
+def _accepts(make: Callable, name: str, value) -> bool:
+    """Whether make takes this one field at this value, the rest at their
+    defaults."""
+    try:
+        make(**{name: value})
+    except ConfigError:
+        return False
+    return True
 
 
 def _load_inputs(cfg: RunConfig):
@@ -207,10 +237,11 @@ def _load_inputs(cfg: RunConfig):
 
 def _selection_configs(cfg: RunConfig):
     master = cfg.get("run", "seed", DEFAULT_SEED)
-    fcfg = selector.FitnessConfig.from_master_seed(
-        master, **cfg.fields("fitness", "fis"))
-    params = GAParams(seed=selector.derive_seed(master, "ga"), **cfg.fields("ga"))
-    icfg = rule_learning.InductionConfig(**cfg.fields("induction"))
+    fcfg = cfg.build(partial(selector.FitnessConfig.from_master_seed, master),
+                     "fitness", "fis")
+    params = cfg.build(partial(GAParams, seed=selector.derive_seed(master, "ga")),
+                       "ga")
+    icfg = cfg.build(rule_learning.InductionConfig, "induction")
     return master, params, fcfg, icfg
 
 
@@ -330,7 +361,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise ConfigError("missing required path: --data")
     records = ds.load_records(Path(data_path), model.input_names)
 
-    engine = fuzzy.CompiledFIS.from_config(model)
+    engine = model.engine
     term_names = model.output.term_names
     fired = [
         f"top_rule=[{rule_learning.format_rule(r, model.output.name)}] strength="

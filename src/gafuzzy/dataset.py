@@ -107,7 +107,7 @@ class Dataset:
             raise ConfigError("labels must be 0 or 1")
         if records.shape[0] < 2:
             raise ConfigError("need at least 2 records")
-        if len(np.unique(labels)) < 2:
+        if labels.min() == labels.max():  # np.unique would import numpy.ma
             raise ConfigError("both classes must be present")
         records.setflags(write=False)
         labels.setflags(write=False)
@@ -428,27 +428,6 @@ def _csv_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray:
     return np.frombuffer(values).reshape(-1, width)
 
 
-def save_csv(data: Dataset, path: str | Path) -> None:
-    """Write a dataset back to CSV (header included, lossless floats)."""
-    schema = data.schema
-    width = max([f.index for f in schema.features] + [schema.label_index]) + 1
-    header = [""] * width
-    for f in schema.features:
-        header[f.index] = f.name
-    header[schema.label_index] = schema.label_name
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for rec, lab in zip(data.records, data.labels):
-            row = [""] * width
-            for f in schema.features:
-                row[f.index] = repr(float(rec[f.index]))
-            row[schema.label_index] = (
-                schema.positive_label if lab == 1 else schema.negative_label
-            )
-            writer.writerow(row)
-
-
 def load_costs(path: str | Path, schema: Schema) -> CostTable:
     """Read a [costs] file and check it covers the schema exactly."""
     with reading(path):
@@ -578,9 +557,12 @@ def impute_zero_medians(
         if name not in name_to_idx:
             raise UnknownFeature(name)
         col = name_to_idx[name]
-        nonzero = ref[:, col][ref[:, col] != 0]
+        nonzero = np.sort(ref[:, col][ref[:, col] != 0])
         if nonzero.size == 0:
             continue
-        median = float(np.median(nonzero))
+        # np.median's value; np.median itself would import numpy.ma
+        half = nonzero.size // 2
+        median = float(nonzero[half] if nonzero.size % 2
+                       else (nonzero[half - 1] + nonzero[half]) / 2.0)
         records[records[:, col] == 0, col] = median
     return Dataset(data.schema, records, data.labels)

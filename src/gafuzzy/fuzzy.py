@@ -10,6 +10,13 @@ compiled engine runs it over chunks of records, and the fitness path over
 the test rows of every CV fold at once; both hand the (N, T) class levels
 to the same `CompiledFIS.labels`, the package's only decision.
 
+The engine first compiles its rule base into a tree of shared minima
+(`min_tree`), the Rete idea of testing each shared condition once (Forgy,
+AI 19, 1982): grid-partition rules share most clause pairs, so each level
+takes the minimum of every distinct pair of adjacent columns once, as a new
+table row, until each rule has at most two rows left for the kernel to
+gather. min rounds nothing, so the strengths are those of the flat rules.
+
 Inference has one centroid, the grid's, sum(agg(x_i) * x_i) /
 sum(agg(x_i)), but it is not summed point by point: output terms must be
 triangular or trapezoidal with no vertical edge inside the universe, so the
@@ -25,7 +32,7 @@ negative one, the single-winner rule of Ishibuchi, Nozaki & Tanaka (FSS 52,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
 
@@ -203,6 +210,11 @@ class FISConfig:
     def input_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.inputs)
 
+    @cached_property
+    def engine(self) -> "CompiledFIS":
+        """The compiled engine of this model, built once per model."""
+        return CompiledFIS.from_config(self)
+
 
 class Inference(NamedTuple):
     crisp: float
@@ -275,8 +287,11 @@ def centroid_plan(output: LinguisticVariable) -> CentroidPlan:
             if width[i] != width[j]:
                 points.append((x0[i] * width[j] - x0[j] * width[i])
                               / (width[j] - width[i]))
-    plan = CentroidPlan(np.unique(np.clip(points, lo, hi)), np.array(x0),
-                        np.array(width))
+    # sorted distinct points: np.unique without return_inverse would import
+    # numpy.ma into every command
+    fixed = np.sort(np.clip(points, lo, hi))
+    fixed = fixed[np.concatenate([[True], fixed[1:] != fixed[:-1]])]
+    plan = CentroidPlan(fixed, np.array(x0), np.array(width))
     for shared in plan:
         shared.flags.writeable = False
     return plan
@@ -294,6 +309,42 @@ def rule_strengths(table: np.ndarray, slots: np.ndarray,
     # from trimming the heap after each classify chunk, which doubled the
     # page faults of a 20,000-record run
     return weights[:, None] * weakest
+
+
+def min_tree(slots: np.ndarray, n_rows: int
+             ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The tree of shared minima of rules given as (R, m) slots into a table
+    of n_rows rows: (levels, slots). Each level pairs adjacent columns and
+    makes each distinct pair of rows one new row, the minimum of the two,
+    numbered on from the rows before; an odd last column passes through.
+    Levels stop at two columns or fewer, so the returned (R, <= 2) slots
+    index the table extended by every level's rows, as fill_tree makes it.
+    A level is (left, right), the two rows of each of its new rows. With no
+    rules, or two inputs or fewer, there is no level."""
+    levels = []
+    if len(slots) == 0:
+        return levels, slots
+    while slots.shape[1] > 2:
+        pairs = slots.shape[1] // 2
+        codes = slots[:, 0:2 * pairs:2] * n_rows + slots[:, 1:2 * pairs:2]
+        # np.unique with return_inverse does not import numpy.ma
+        distinct, inverse = np.unique(codes.ravel(), return_inverse=True)
+        levels.append((distinct // n_rows, distinct % n_rows))
+        slots = np.hstack([n_rows + inverse.reshape(codes.shape),
+                           slots[:, 2 * pairs:]])
+        n_rows += len(distinct)
+    return levels, slots
+
+
+def fill_tree(table: np.ndarray, levels: list[tuple[np.ndarray, np.ndarray]],
+              start: int) -> None:
+    """Write the rows of every level of a min_tree into the (rows, N) table
+    from row start on; the rows before hold the table the tree was built
+    over."""
+    for left, right in levels:
+        stop = start + len(left)
+        np.minimum(table[left], table[right], out=table[start:stop])
+        start = stop
 
 
 def max_by_group(strengths: np.ndarray, groups: np.ndarray,
@@ -348,10 +399,15 @@ class CompiledFIS:
         # row j is rule order[j] of the file; slots index the flat table
         self.order = np.argsort(self.consequents, kind="stable")
         self.file_order = np.argsort(self.order)
+        self.groups = self.consequents[self.order]
         self.t_max = max((len(v.terms) for v in self.inputs), default=0)
         ant = self.antecedents[self.order]
         self.slots = (np.arange(len(self.inputs)) * (self.t_max + 1)
                       + np.where(ant >= 0, ant, self.t_max))
+        # the degree table's rows, then the tree's; tree_slots index both
+        self.n_degrees = len(self.inputs) * (self.t_max + 1)
+        self.levels, self.tree_slots = min_tree(self.slots, self.n_degrees)
+        self.n_rows = self.n_degrees + sum(len(left) for left, _ in self.levels)
 
     @classmethod
     def from_config(cls, config: FISConfig) -> "CompiledFIS":
@@ -393,11 +449,14 @@ class CompiledFIS:
         """Clamped membership degrees, shape (m, T_max + 1, N)."""
         return degree_table(self.inputs, records)
 
-    def _strengths(self, records: np.ndarray) -> np.ndarray:
-        """Rule firing strengths, (R, N), the rules in consequent order."""
-        table = self.degree_table(records).reshape(len(self.inputs)
-                                                   * (self.t_max + 1), -1)
-        return rule_strengths(table, self.slots, self.weights[self.order])
+    def _strengths(self, records: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Rule firing strengths, (R, N), the rules in consequent order,
+        from the (N, m) records; table is an (n_rows, N) buffer that the
+        degree table and the tree's rows are written to."""
+        table[:self.n_degrees] = self.degree_table(records).reshape(
+            self.n_degrees, table.shape[1])
+        fill_tree(table, self.levels, self.n_degrees)
+        return rule_strengths(table, self.tree_slots, self.weights[self.order])
 
     def crisp_values(self, per_term: np.ndarray) -> np.ndarray:
         """Grid centroid of the clipped-and-aggregated output, per record,
@@ -478,23 +537,25 @@ class CompiledFIS:
     @property
     def chunk_rows(self) -> int:
         """Records per chunk of chunks(): CHUNK_BYTES over the bytes one
-        record takes in the rule strengths and in the degree table."""
-        width = self.n_rules + len(self.inputs) * (self.t_max + 1)
+        record takes in the rule strengths, the degree table and the tree."""
+        width = self.n_rules + self.n_rows
         return max(1, CHUNK_BYTES // (8 * max(width, 1)))
 
     def chunks(self, records: np.ndarray):
         """(start, strengths, crisp, labels) of each chunk of chunk_rows
         records of the (N, m) table, in order, strengths as (R, n) in
-        consequent order. Strengths are an exact running minimum and
-        decide() does not depend on the rows decided with it, so every
-        value is the unchunked one. An empty table is one empty chunk."""
+        consequent order. Strengths are exact minima and decide() does not
+        depend on the rows decided with it, so every value is the unchunked
+        one. An empty table is one empty chunk."""
         records = np.atleast_2d(np.asarray(records, dtype=float))
         rows = self.chunk_rows
-        groups = self.consequents[self.order]
+        # one table for every chunk, so that no chunk maps fresh pages
+        table = np.empty((self.n_rows, min(rows, len(records))))
         for start in range(0, max(len(records), 1), rows):
-            strengths = self._strengths(records[start:start + rows])
+            chunk = records[start:start + rows]
+            strengths = self._strengths(chunk, table[:, :len(chunk)])
             levels = np.zeros((len(self.output.terms), strengths.shape[1]))
-            max_by_group(strengths, groups, levels)
+            max_by_group(strengths, self.groups, levels)
             yield (start, strengths, *self.decide(levels.T))
 
     def predict(self, records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -526,7 +587,7 @@ def infer(config: FISConfig, record: Sequence[float]) -> Inference:
     """Full pipeline for one record: fuzzify, fire rules, aggregate, defuzzify."""
     if not config.rules:
         raise NoRules("cannot infer with an empty rule base")
-    engine = CompiledFIS.from_config(config)
+    engine = config.engine
     rec = np.asarray(record, dtype=float)[None, :]
     _, strengths, crisp, labels = next(engine.chunks(rec))
     return Inference(

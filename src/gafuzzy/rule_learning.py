@@ -177,10 +177,3 @@ def format_rule(rule: Rule, output_name: str) -> str:
         text += f" WEIGHT {rule.weight!r}"
     return text
 
-
-def save_expert_rules(
-    rules: Sequence[Rule], output_name: str, path: str | Path
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rule in rules:
-            fh.write(format_rule(rule, output_name) + "\n")

@@ -325,9 +325,7 @@ def holdout_evaluation(
         model = replace(model, rules=rules)
     # scored by the engine classify runs, so the accuracy is the saved model's
     kept = _kept_columns(data, mask)
-    _, predicted = CompiledFIS.from_config(model).predict(
-        data.records[test_idx][:, kept]
-    )
+    _, predicted = model.engine.predict(data.records[test_idx][:, kept])
     return model, predicted, data.labels[test_idx]
 
 

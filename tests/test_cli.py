@@ -2,9 +2,12 @@ import contextlib
 import csv
 import itertools
 import json
+import os
 import random
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -27,7 +30,7 @@ from gafuzzy.fuzzy import (
 )
 from gafuzzy import dataset as ds, fuzzy, selector
 from gafuzzy.errors import GafuzzyError
-from gafuzzy.rule_learning import format_rule
+from gafuzzy.rule_learning import InductionConfig, format_rule
 from gafuzzy.selector import FitnessConfig
 
 from conftest import class_levels
@@ -310,6 +313,12 @@ def test_seeded_fuzz_of_user_files(tmp_path, capsys):
             assert any(name in err for name in named), (flag, data, err)
         codes.append(code)
     assert 10 < codes.count(2) < 80, codes
+    # a config value out of range names the file and its key
+    path = tmp_path / "input.config"
+    path.write_bytes(files["--config"].replace(b"population = 8", b"population = -1"))
+    assert main(["select", *PIMA_ARGS, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: [ga] population: population_size must be at least 2" in err, err
 
 
 # --- select ---------------------------------------------------------------------
@@ -909,6 +918,31 @@ def test_classify_top_rule_at_equal_strengths_is_the_first_in_file(tmp_path,
     assert len(out) == 2
 
 
+def test_classify_top_rule_ties_across_classes_in_a_tree(tmp_path, capsys):
+    # three inputs, so the engine runs its rules through the tree: at equal
+    # strengths of a positive and a negative rule the one printed is the
+    # first in the file, the positive rule at (7, 3, 7), although the engine
+    # runs the negative rules first, and the negative rule at (5, 7, 7)
+    inputs = tuple(uniform_partition(name, 0.0, 10.0, 2) for name in "uvw")
+    rules = (
+        Rule((("u", "low"), ("w", "high")), "negative"),
+        Rule((("u", "high"), ("v", "low"), ("w", "high")), "positive"),
+        Rule((("v", "low"), ("w", "high")), "negative"),
+        Rule((("u", "high"), ("v", "high")), "positive"),
+    )
+    config = FISConfig(inputs, class_output_variable(), rules)
+    assert config.engine.levels
+    model = tmp_path / "tree.json"
+    save_model(config, model)
+    records = tmp_path / "records.csv"
+    records.write_text("u,v,w\n7,3,7\n5,7,7\n")
+    assert main(["classify", "--model", str(model), "--data", str(records)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2
+    for line, rule, strength in zip(out, (rules[1], rules[0]), ("0.7000", "0.5000")):
+        assert f"top_rule=[{format_rule(rule, 'outcome')}] strength={strength}" in line
+
+
 class _NullSink:
     def write(self, text):
         return len(text)
@@ -1086,3 +1120,27 @@ def test_seeded_corruption_of_saved_files_exits_2(saved_run, tmp_path, capsys):
             err = capsys.readouterr().err
             assert code == 2, (name, path, err)
             assert str(target) in err, (name, path, err)
+
+
+@pytest.mark.parametrize("command", ["validate", "select", "classify", "report"])
+def test_no_command_imports_numpy_ma(saved_run, tmp_path, pima_data, command):
+    # numpy imports numpy.ma, 11-17 ms of start-up, on the first call of
+    # np.unique without return_inverse or of np.median; select imputes, and
+    # classify runs a full-feature model, so that its engine builds a tree
+    argv = [command, *PIMA_ARGS, "--out", str(saved_run)]
+    if command == "select":
+        argv[-1] = str(tmp_path)
+        argv += [*FAST, "--impute", "median"]
+    if command == "classify":
+        model = selector.train_final_classifier(
+            pima_data, (1,) * 8, FitnessConfig(), InductionConfig(), np.arange(768))
+        assert model.engine.levels
+        save_model(model, tmp_path / "full.json")
+        argv += ["--model", str(tmp_path / "full.json")]
+    script = ("import sys; from gafuzzy.cli import main; code = main(sys.argv[1:]); "
+              "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'; "
+              "sys.exit(code)")
+    env = {**os.environ, "PYTHONPATH": str(Path(fuzzy.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr

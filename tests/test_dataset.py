@@ -18,7 +18,6 @@ from gafuzzy.dataset import (
     load_csv,
     load_schema,
     mask_cost,
-    save_csv,
     stratified_split,
 )
 from gafuzzy.errors import (
@@ -127,10 +126,19 @@ def test_nonfinite_rejected(tmp_path):
 
 
 def test_roundtrip_identity(tmp_path, pima_data, toy4):
+    # a header, then each row's features in schema order as repr() of the
+    # float, and its label value: load_csv gives the same dataset
     for name, data in (("pima", pima_data), ("toy", toy4)):
+        schema = data.schema
+        assert schema.label_index == schema.n_features
         path = tmp_path / f"{name}.csv"
-        save_csv(data, path)
-        assert load_csv(path, data.schema) == data
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([*schema.feature_names, schema.label_name])
+            for record, label in zip(data.records.tolist(), data.labels):
+                writer.writerow([*map(repr, record), (schema.negative_label,
+                                                      schema.positive_label)[label]])
+        assert load_csv(path, schema) == data
 
 
 # --- schema and costs ----------------------------------------------------------

@@ -421,6 +421,81 @@ def test_predict_is_bit_identical_whatever_the_chunks(monkeypatch, rows):
     assert starts == list(range(0, 150, engine.chunk_rows))
 
 
+def test_predict_of_eight_inputs_is_bit_identical_whatever_the_chunks(
+        monkeypatch, pima_data):
+    # the full-feature model of the bundled table, whose rules run through
+    # the tree: its strengths and decisions do not depend on the chunks
+    model = train_final_classifier(pima_data, (1,) * 8, FitnessConfig(),
+                                   InductionConfig(), np.arange(0, 768, 2))
+    engine = CompiledFIS.from_config(model)
+    assert len(engine.levels) == 2 and engine.tree_slots.shape[1] == 2
+    records = pima_data.records[1::2]
+    chunks = list(engine.chunks(records))
+    assert len(chunks) == 1
+    _, strengths, crisp, labels = chunks[0]
+    for rows in (1, 2, 7, 64):
+        monkeypatch.setattr(fuzzy, "CHUNK_BYTES",
+                            8 * (engine.n_rules + engine.n_rows) * rows)
+        assert engine.chunk_rows == rows
+        starts, *parts = zip(*engine.chunks(records))
+        assert list(starts) == list(range(0, 384, rows))
+        for got, expected in zip(parts, (strengths, crisp, labels)):
+            assert np.concatenate(got, axis=-1).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_tree_strengths_equal_the_flat_rules(m):
+    # the tree gives the strengths of rule_strengths over each rule's own
+    # m clause slots, bit for bit: inputs of 2-5 terms, clauses that leave
+    # their input unconstrained, duplicate rules, one class or two
+    rng = np.random.default_rng(m)
+    inputs = [uniform_partition(f"x{i}", 0.0, 10.0, int(t))
+              for i, t in enumerate(rng.integers(2, 6, m))]
+    records = rng.uniform(-1.0, 11.0, (200, m))
+    for n_rules, n_classes in ((40, 2), (40, 1), (1, 2)):
+        ant = np.column_stack([rng.integers(-1, len(v.terms), n_rules)
+                               for v in inputs])
+        ant[1::3] = ant[::3][: len(ant[1::3])]  # duplicate rules
+        engine = CompiledFIS(inputs, class_output_variable(), ant,
+                             rng.uniform(0.0, 1.0, n_rules),
+                             rng.integers(0, n_classes, n_rules), 1001, 0.5)
+        table = engine.degree_table(records).reshape(engine.n_degrees, -1)
+        expected = fuzzy.rule_strengths(table, engine.slots,
+                                        engine.weights[engine.order])
+        (_, strengths, _, _), = engine.chunks(records)
+        assert strengths.tobytes() == expected.tobytes()
+        assert engine.tree_slots.shape == (n_rules, min(m, 2))
+        assert len(engine.levels) == {1: 0, 2: 0, 3: 1, 4: 1}.get(m, 2 + (m > 8))
+        for left, right in engine.levels:  # each pair of rows once
+            assert len(set(zip(left.tolist(), right.tolist()))) == len(left)
+
+
+def test_zero_rule_engine_of_three_inputs_or_more():
+    inputs = [uniform_partition(f"x{i}", 0.0, 10.0) for i in range(4)]
+    engine = CompiledFIS(inputs, class_output_variable(), np.zeros((0, 4)),
+                         [], [], 1001, 0.5)
+    assert engine.levels == [] and engine.n_rows == engine.n_degrees == 16
+    crisp, labels = engine.predict(np.full((3, 4), 5.0))
+    assert crisp.tolist() == [0.5] * 3 and labels.tolist() == [1] * 3
+
+
+def test_infer_compiles_once_per_model(monkeypatch):
+    config = two_input_config()
+    built, from_config = [], CompiledFIS.from_config.__func__
+
+    def counting(cls, model):
+        built.append(model)
+        return from_config(cls, model)
+
+    monkeypatch.setattr(CompiledFIS, "from_config", classmethod(counting))
+    records = np.random.default_rng(3).uniform(0, 10, (5, 2)) * [1, 10]
+    first = [infer(config, r) for r in records]
+    assert [infer(config, r) for r in records] == first
+    assert built == [config]
+    assert infer(two_input_config(), records[0]) == first[0]
+    assert len(built) == 2
+
+
 def random_output(seed, n_terms):
     """2-5 triangular or trapezoidal terms over a universe other than
     [0, 1]: sorted peaks, feet that may reach past the neighbouring peaks

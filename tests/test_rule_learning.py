@@ -13,7 +13,6 @@ from gafuzzy.rule_learning import (
     load_expert_rules,
     parse_rule_line,
     read_expert_rules,
-    save_expert_rules,
 )
 from gafuzzy.selector import FitnessConfig, train_final_classifier
 
@@ -302,8 +301,10 @@ def test_full_grid_roundtrip(tmp_path):
     rules = load_expert_rules(path, config)
     assert len(rules) == 27
 
+    # format_rule writes each rule back as a line the parser reads
     saved = tmp_path / "saved.rules"
-    save_expert_rules(rules, config.output.name, saved)
+    saved.write_text("".join(format_rule(rule, config.output.name) + "\n"
+                             for rule in rules))
     assert load_expert_rules(saved, config) == rules
 
 
