@@ -176,26 +176,28 @@ class RunConfig:
             if unknown:
                 raise ConfigError(f"no command reads {', '.join(unknown)}")
 
-    def get(self, section: str, key: str, default=None):
+    def get(self, key: str, default=None):
         """The flag's value, else the config file's, else default."""
         opt = OPTIONS[key]
-        assert opt.section == section, (section, key)
         value = getattr(self.args, key, None)
         if value is not None:
             return value
-        if self.ini is None or not self.ini.has_option(section, key):
+        if self.ini is None or not self.ini.has_option(opt.section, key):
             return default
         with ds.reading(self.args.config):
             try:
-                return opt.type(self.ini.get(section, key))
+                return opt.type(self.ini.get(opt.section, key))
             except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+                raise ConfigError(f"[{opt.section}] {key}: {exc}") from exc
 
-    def source(self, opt: Option) -> str:
-        """How an option was set: by its flag, else by its [section] key."""
-        if getattr(self.args, opt.key, None) is not None:
-            return opt.flag
-        return f"[{opt.section}] {opt.key}"
+    def named(self, *keys: str) -> str:
+        """The prefix of an error about these options' values: each as it
+        was set, by its flag, else by its [section] key, after the config
+        file when one was set there."""
+        names = [OPTIONS[key].flag if getattr(self.args, key, None) is not None
+                 else f"[{OPTIONS[key].section}] {key}" for key in keys]
+        in_file = any(name.startswith("[") for name in names)
+        return (f"{self.args.config}: " if in_file else "") + ", ".join(names)
 
     def build(self, make: Callable, *sections: str):
         """make(**fields), the fields those knobs of these sections fill
@@ -203,19 +205,16 @@ class RunConfig:
         default. A value out of range is a ConfigError naming the knobs that
         make refuses on their own, else every knob set, and the config file
         when one of them was set there."""
-        given = {opt.field: (opt, value) for opt in OPTIONS.values()
+        given = {opt.field: (opt.key, value) for opt in OPTIONS.values()
                  if opt.field and opt.section in sections
-                 and (value := self.get(opt.section, opt.key)) is not None}
+                 and (value := self.get(opt.key)) is not None}
         try:
             return make(**{name: value for name, (_, value) in given.items()})
         except ConfigError as exc:
-            blamed = [opt for name, (opt, value) in given.items()
+            blamed = [key for name, (key, value) in given.items()
                       if not _accepts(make, name, value)]
-            names = [self.source(opt) for opt in blamed
-                     or [opt for opt, _ in given.values()]]
-            in_file = any(name.startswith("[") for name in names)
-            where = f"{self.args.config}: " if in_file else ""
-            raise ConfigError(f"{where}{', '.join(names)}: {exc}") from exc
+            keys = blamed or [key for key, _ in given.values()]
+            raise ConfigError(f"{self.named(*keys)}: {exc}") from exc
 
 
 def _accepts(make: Callable, name: str, value) -> bool:
@@ -229,14 +228,14 @@ def _accepts(make: Callable, name: str, value) -> bool:
 
 
 def _load_inputs(cfg: RunConfig):
-    path = {key: Path(cfg.get("paths", key, _packaged(name))) for key, name in (
+    path = {key: Path(cfg.get(key, _packaged(name))) for key, name in (
         ("schema", "pima.schema"), ("data", "pima.csv"), ("costs", "pima.costs"))}
     schema = ds.load_schema(path["schema"])
     return ds.load_csv(path["data"], schema), ds.load_costs(path["costs"], schema)
 
 
 def _selection_configs(cfg: RunConfig):
-    master = cfg.get("run", "seed", DEFAULT_SEED)
+    master = cfg.get("seed", DEFAULT_SEED)
     fcfg = cfg.build(partial(selector.FitnessConfig.from_master_seed, master),
                      "fitness", "fis")
     params = cfg.build(partial(GAParams, seed=selector.derive_seed(master, "ga")),
@@ -270,15 +269,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _maybe_impute(cfg: RunConfig, data: ds.Dataset,
                   fcfg: selector.FitnessConfig) -> ds.Dataset:
-    if cfg.get("run", "impute") != "median":
+    if cfg.get("impute") != "median":
         return data
     names = data.schema.feature_names
-    raw = cfg.get("run", "impute_columns")
+    raw = cfg.get("impute_columns")
     if raw:
         columns = [c.strip() for c in raw.split(",") if c.strip()]
         for name in columns:
             if name not in names:
-                raise ConfigError(f"--impute-columns: unknown feature {name!r}")
+                raise ConfigError(f"{cfg.named('impute_columns')}: "
+                                  f"unknown feature {name!r}")
     else:
         columns = [c for c in DEFAULT_ZERO_COLUMNS if c in names]
         if not columns:
@@ -295,10 +295,10 @@ def cmd_select(args: argparse.Namespace) -> int:
     master, params, fcfg, icfg = _selection_configs(cfg)
     data = _maybe_impute(cfg, data, fcfg)
     # a rule file is parsed before the search, its names checked after it
-    rules_path = cfg.get("paths", "rules")
+    rules_path = cfg.get("rules")
     rule_lines = rule_learning.read_expert_rules(rules_path) if rules_path else None
 
-    out_dir = Path(cfg.get("paths", "out", DEFAULT_OUT))
+    out_dir = Path(cfg.get("out", DEFAULT_OUT))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def log(stats, evaluator):
@@ -354,9 +354,9 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     cfg = RunConfig(args)
-    out_dir = Path(cfg.get("paths", "out", DEFAULT_OUT))
-    model = fuzzy.load_model(Path(cfg.get("paths", "model") or out_dir / MODEL_FILE))
-    data_path = cfg.get("paths", "data")
+    out_dir = Path(cfg.get("out", DEFAULT_OUT))
+    model = fuzzy.load_model(Path(cfg.get("model") or out_dir / MODEL_FILE))
+    data_path = cfg.get("data")
     if data_path is None:
         raise ConfigError("missing required path: --data")
     records = ds.load_records(Path(data_path), model.input_names)
@@ -398,12 +398,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = RunConfig(args)
-    out_dir = Path(cfg.get("paths", "out", DEFAULT_OUT))
+    out_dir = Path(cfg.get("out", DEFAULT_OUT))
     baseline = ev.load_baseline(
-        Path(cfg.get("paths", "baseline") or out_dir / BASELINE_FILE)
+        Path(cfg.get("baseline") or out_dir / BASELINE_FILE)
     )
     result = selector.load_result(
-        Path(cfg.get("paths", "result") or out_dir / RESULT_FILE)
+        Path(cfg.get("result") or out_dir / RESULT_FILE)
     )
     report = ev.build_report(baseline, result)
     print(ev.format_report(report))

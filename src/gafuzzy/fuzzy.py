@@ -6,9 +6,11 @@ defuzzification over a uniform sample grid. One kernel turns degrees into
 class levels for every caller: `rule_strengths` gathers each rule's weight
 times the minimum of its clause degrees from a 2-D (slot, record) degree
 table, and `max_by_group` takes the maximum of each class's rules. The
-compiled engine runs it over chunks of records, and the fitness path over
-the test rows of every CV fold at once; both hand the (N, T) class levels
-to the same `CompiledFIS.labels`, the package's only decision.
+compiled engine, built from a model and nothing else (`CompiledFIS(config)`,
+once per model as `config.engine`), runs it over chunks of records, and the
+fitness path over the test rows of every CV fold at once; both hand the
+(N, T) class levels to the same `CompiledFIS.labels`, the package's only
+decision.
 
 The engine first compiles its rule base into a tree of shared minima
 (`min_tree`), the Rete idea of testing each shared condition once (Forgy,
@@ -213,7 +215,7 @@ class FISConfig:
     @cached_property
     def engine(self) -> "CompiledFIS":
         """The compiled engine of this model, built once per model."""
-        return CompiledFIS.from_config(self)
+        return CompiledFIS(self)
 
 
 class Inference(NamedTuple):
@@ -229,8 +231,9 @@ def index_rules(
     weights: np.ndarray,
     consequents: np.ndarray,
 ) -> tuple[Rule, ...]:
-    """Named rules from the index form, the inverse of
-    CompiledFIS.from_config: term index -1 leaves its input unconstrained."""
+    """Named rules from the (R, m) term indices, weights and output term
+    indices of the rules, the form CompiledFIS compiles a model's rules to:
+    term index -1 leaves its input unconstrained."""
     return tuple(
         Rule(
             tuple(
@@ -364,35 +367,37 @@ def max_by_group(strengths: np.ndarray, groups: np.ndarray,
 
 
 class CompiledFIS:
-    """Index-based engine, the package's only inference path: infer(),
-    predict(), the fitness evaluator and the classify command all run here."""
+    """The engine of a model, compiled from the model alone and cached as
+    config.engine; the package's only inference path: infer(), predict(),
+    the fitness decision and the classify command all run here."""
 
-    def __init__(
-        self,
-        inputs: Sequence[LinguisticVariable],
-        output: LinguisticVariable,
-        antecedents: np.ndarray,  # (R, m) term index per rule per input
-        weights: np.ndarray,  # (R,)
-        consequents: np.ndarray,  # (R,) output term index
-        resolution: int,
-        decision_threshold: float,
-    ):
-        self.inputs = list(inputs)
-        self.output = output
-        self.weights = np.asarray(weights, dtype=float).reshape(-1)
-        self.antecedents = np.asarray(antecedents, dtype=np.int64).reshape(
-            self.weights.shape[0], len(self.inputs)
-        )
-        self.consequents = np.asarray(consequents, dtype=np.int64).reshape(-1)
-        self.resolution = resolution
-        self.decision_threshold = decision_threshold
-        self.plan = centroid_plan(output)
-        lo, hi = output.universe
+    def __init__(self, config: FISConfig):
+        self.config = config
+        self.inputs, self.output = config.inputs, config.output
+        self.resolution = config.resolution
+        self.decision_threshold = config.decision_threshold
+        # FISConfig has already checked every variable and term name. A rule
+        # need not constrain every input; unconstrained inputs keep the
+        # sentinel -1 and contribute degree 1
+        var_index = {v.name: i for i, v in enumerate(self.inputs)}
+        term_index = [{t: j for j, t in enumerate(v.term_names)} for v in self.inputs]
+        out_index = {t: j for j, t in enumerate(self.output.term_names)}
+        self.antecedents = np.full((len(config.rules), len(self.inputs)), -1,
+                                   dtype=np.int64)  # (R, m) term index
+        for r, rule in enumerate(config.rules):
+            for var, term in rule.antecedent:
+                i = var_index[var]
+                self.antecedents[r, i] = term_index[i][term]
+        self.weights = np.array([rule.weight for rule in config.rules], dtype=float)
+        self.consequents = np.array(
+            [out_index[rule.consequent] for rule in config.rules], dtype=np.int64)
+        self.plan = centroid_plan(self.output)
+        lo, hi = self.output.universe
         # every output term on the grid, read at the ends of each index range
-        self.term_samples = output.degrees(np.linspace(lo, hi, resolution))
+        self.term_samples = self.output.degrees(np.linspace(lo, hi, self.resolution))
         # the class output at its midpoint: labels compare the two levels
-        self.by_levels = decision_threshold == (lo + hi) / 2.0 and [
-            mf for _, mf in output.terms
+        self.by_levels = self.decision_threshold == (lo + hi) / 2.0 and [
+            mf for _, mf in self.output.terms
         ] == [Triangular(lo, lo, hi), Triangular(lo, hi, hi)]
         self.n_rules = self.weights.shape[0]
         # rules run sorted by consequent, one max_by_group slice a class:
@@ -408,42 +413,6 @@ class CompiledFIS:
         self.n_degrees = len(self.inputs) * (self.t_max + 1)
         self.levels, self.tree_slots = min_tree(self.slots, self.n_degrees)
         self.n_rows = self.n_degrees + sum(len(left) for left, _ in self.levels)
-
-    @classmethod
-    def from_config(cls, config: FISConfig) -> "CompiledFIS":
-        # FISConfig has already checked every variable and term name. A rule
-        # need not constrain every input; unconstrained inputs keep the
-        # sentinel -1 and contribute degree 1
-        var_index = {v.name: i for i, v in enumerate(config.inputs)}
-        term_index = [
-            {t: j for j, t in enumerate(v.term_names)} for v in config.inputs
-        ]
-        out_index = {t: j for j, t in enumerate(config.output.term_names)}
-        ant = np.full((len(config.rules), len(config.inputs)), -1, dtype=np.int64)
-        for r, rule in enumerate(config.rules):
-            for var, term in rule.antecedent:
-                i = var_index[var]
-                ant[r, i] = term_index[i][term]
-        return cls(
-            config.inputs,
-            config.output,
-            ant,
-            [rule.weight for rule in config.rules],
-            [out_index[rule.consequent] for rule in config.rules],
-            config.resolution,
-            config.decision_threshold,
-        )
-
-    def to_config(self) -> FISConfig:
-        """The named model this engine runs, the inverse of from_config."""
-        rules = index_rules(
-            self.inputs, self.output, self.antecedents, self.weights,
-            self.consequents,
-        )
-        return FISConfig(
-            tuple(self.inputs), self.output, rules, self.resolution,
-            self.decision_threshold,
-        )
 
     def degree_table(self, records: np.ndarray) -> np.ndarray:
         """Clamped membership degrees, shape (m, T_max + 1, N)."""

@@ -18,7 +18,6 @@ from .dataset import CostTable, Dataset, SplitPlan, mask_cost, stratified_split
 from .errors import ConfigError, EmptyMask, LengthMismatch, TooManyFeatures
 from .fuzzy import (
     BLOCK_BYTES,
-    CompiledFIS,
     FISConfig,
     LinguisticVariable,
     Rule,
@@ -160,9 +159,9 @@ class CompiledFolds:
         self.n_terms = icfg.partitions_per_input
         self.fcfg, self.icfg = fcfg, icfg
         self.output = class_output_variable(data.schema.label_name)
-        # the decision of every split's class levels: an engine of no rules
-        self.decider = CompiledFIS([], self.output, np.zeros((0, 0)), [], [],
-                                   fcfg.resolution, fcfg.decision_threshold)
+        # the decision of every split's class levels: a rule-less model's engine
+        self.decider = FISConfig((), self.output, (), fcfg.resolution,
+                                 fcfg.decision_threshold).engine
         self.sizes = np.array([len(test_idx) for _, test_idx in splits])
         width = int(self.sizes.max())
         # (feature, split x term, test row): induced rules constrain every

@@ -3,6 +3,7 @@ import pytest
 
 from gafuzzy.cli import _packaged
 from gafuzzy.dataset import CostTable, Dataset, FeatureSpec, Schema, load_costs, load_csv, load_schema
+from gafuzzy.fuzzy import FISConfig, index_rules
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +53,13 @@ def class_levels(engine, records):
         strengths[:, engine.consequents == t].max(axis=1, initial=0.0)
         for t in range(len(engine.output.terms))
     ], axis=1)
+
+
+def engine_of(inputs, output, antecedents, weights, consequents,
+              resolution=1001, threshold=0.5):
+    """The engine of the model whose rules are given in the index form an
+    engine compiles them to: (R, m) term indices, -1 where a rule leaves its
+    input unconstrained, (R,) weights and (R,) output term indices."""
+    inputs = tuple(inputs)
+    rules = index_rules(inputs, output, antecedents, weights, consequents)
+    return FISConfig(inputs, output, rules, resolution, threshold).engine

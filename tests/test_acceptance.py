@@ -134,7 +134,7 @@ def test_fuzzy_engine_golden(selection_runs=None):
 
     rng = np.random.default_rng(99)
     out = class_output_variable()
-    engine = CompiledFIS.from_config(config)  # the class output, 1001 points
+    engine = CompiledFIS(config)  # the class output, 1001 points
     worst = 0.0
     for _ in range(100):
         s_neg, s_pos = rng.uniform(0, 1, 2)

@@ -410,6 +410,22 @@ def test_select_with_impute_and_config_file(tmp_path):
     assert result["provenance"]["master_seed"] == 11
 
 
+@pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+def test_unknown_impute_column_names_how_it_was_set(tmp_path, capsys, flag):
+    # an unknown --impute-columns feature stops select before the search,
+    # named by the flag, or by the file and [run] key it came from
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\nimpute = median\n"
+                      + ("" if flag else "impute_columns = foo\n"))
+    argv = ["select", *PIMA_ARGS, *FAST, "--config", str(config),
+            "--out", str(tmp_path / "out")]
+    assert main(argv + ["--impute-columns", "foo"] * flag) == 2
+    err = capsys.readouterr().err
+    named = "--impute-columns" if flag else f"{config}: [run] impute_columns"
+    assert f"error: {named}: unknown feature 'foo'" in err, err
+    assert "gen " not in err
+
+
 EXPERT_ARGV = ["select", *PIMA_ARGS, "--seed", "21", *FAST]
 
 
@@ -484,7 +500,7 @@ def test_expert_rules_accuracy_scores_saved_model(tmp_path, pima_data, capsys):
     plan = FitnessConfig.from_master_seed(21).resolved_report_plan()
     (_, test_idx), = stratified_split(pima_data, plan)
     kept = [i for i, bit in enumerate(result["best_mask"]) if bit == "1"]
-    _, labels = CompiledFIS.from_config(load_model(out / "model.json")).predict(
+    _, labels = CompiledFIS(load_model(out / "model.json")).predict(
         pima_data.records[test_idx][:, kept])
     accuracy = float(np.mean(labels == pima_data.labels[test_idx]))
     assert result["accuracy"] == accuracy
@@ -828,7 +844,7 @@ CHUNK = 5
 def small_chunks(monkeypatch, tmp_path):
     """The golden model, with chunks of CHUNK records."""
     model = golden_model(tmp_path)
-    engine = CompiledFIS.from_config(load_model(model))
+    engine = CompiledFIS(load_model(model))
     width = engine.n_rules + 2 * 3  # strengths, then 2 inputs x (2 terms + 1)
     monkeypatch.setattr(fuzzy, "CHUNK_BYTES", 8 * width * CHUNK)
     assert engine.chunk_rows == CHUNK
@@ -851,7 +867,7 @@ def unchunked_lines(model, records):
     """classify's stdout, from the strengths infer gives each record and one
     decide of the per-class maxima of all the records."""
     config = load_model(model)
-    engine = CompiledFIS.from_config(config)
+    engine = CompiledFIS(config)
     strengths = np.array([infer(config, record).strengths for record in records])
     crisp, labels = engine.decide(class_levels(engine, records))
     texts = [format_rule(r, config.output.name) for r in config.rules]

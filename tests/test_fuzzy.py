@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from gafuzzy.rule_learning import InductionConfig
 from gafuzzy.selector import FitnessConfig, train_final_classifier
 
 import oracle
-from conftest import class_levels, make_schema
+from conftest import class_levels, engine_of, make_schema
 
 
 # --- membership degrees --------------------------------------------------------
@@ -160,7 +161,7 @@ def two_input_config():
 
 def degrees_of(config, record):
     """{variable: {term: degree}} for one record, read off the degree table."""
-    table = CompiledFIS.from_config(config).degree_table([record])
+    table = CompiledFIS(config).degree_table([record])
     return {
         var.name: {t: table[i, j, 0] for j, t in enumerate(var.term_names)}
         for i, var in enumerate(config.inputs)
@@ -392,7 +393,7 @@ def test_predict_matches_infer_loop():
     config = two_input_config()
     rng = np.random.default_rng(5)
     records = np.column_stack([rng.uniform(0, 10, 40), rng.uniform(0, 100, 40)])
-    crisp, labels = CompiledFIS.from_config(config).predict(records)
+    crisp, labels = CompiledFIS(config).predict(records)
     for i in range(40):
         single = infer(config, records[i])
         assert single.crisp == crisp[i]
@@ -404,7 +405,7 @@ def test_predict_is_bit_identical_whatever_the_chunks(monkeypatch, rows):
     # random records, ties (v = 50 fires both rules equally) and records
     # that fire no rule (u = 0)
     config = two_input_config()
-    engine = CompiledFIS.from_config(config)
+    engine = CompiledFIS(config)
     rng = np.random.default_rng(11)
     records = np.column_stack([rng.uniform(0, 10, 150), rng.uniform(0, 100, 150)])
     records[::5, 1] = 50.0
@@ -427,7 +428,7 @@ def test_predict_of_eight_inputs_is_bit_identical_whatever_the_chunks(
     # the tree: its strengths and decisions do not depend on the chunks
     model = train_final_classifier(pima_data, (1,) * 8, FitnessConfig(),
                                    InductionConfig(), np.arange(0, 768, 2))
-    engine = CompiledFIS.from_config(model)
+    engine = CompiledFIS(model)
     assert len(engine.levels) == 2 and engine.tree_slots.shape[1] == 2
     records = pima_data.records[1::2]
     chunks = list(engine.chunks(records))
@@ -447,7 +448,9 @@ def test_predict_of_eight_inputs_is_bit_identical_whatever_the_chunks(
 def test_tree_strengths_equal_the_flat_rules(m):
     # the tree gives the strengths of rule_strengths over each rule's own
     # m clause slots, bit for bit: inputs of 2-5 terms, clauses that leave
-    # their input unconstrained, duplicate rules, one class or two
+    # their input unconstrained (every rule keeps one clause), duplicate
+    # rules, one class or two; the model saved and loaded gives the same
+    # bits
     rng = np.random.default_rng(m)
     inputs = [uniform_partition(f"x{i}", 0.0, 10.0, int(t))
               for i, t in enumerate(rng.integers(2, 6, m))]
@@ -456,14 +459,18 @@ def test_tree_strengths_equal_the_flat_rules(m):
         ant = np.column_stack([rng.integers(-1, len(v.terms), n_rules)
                                for v in inputs])
         ant[1::3] = ant[::3][: len(ant[1::3])]  # duplicate rules
-        engine = CompiledFIS(inputs, class_output_variable(), ant,
-                             rng.uniform(0.0, 1.0, n_rules),
-                             rng.integers(0, n_classes, n_rules), 1001, 0.5)
+        ant[(ant < 0).all(axis=1), 0] = 0  # a rule has at least one clause
+        engine = engine_of(inputs, class_output_variable(), ant,
+                           rng.uniform(0.0, 1.0, n_rules),
+                           rng.integers(0, n_classes, n_rules))
         table = engine.degree_table(records).reshape(engine.n_degrees, -1)
         expected = fuzzy.rule_strengths(table, engine.slots,
                                         engine.weights[engine.order])
         (_, strengths, _, _), = engine.chunks(records)
         assert strengths.tobytes() == expected.tobytes()
+        saved = json.loads(json.dumps(config_to_dict(engine.config)))
+        (_, loaded, _, _), = CompiledFIS(config_from_dict(saved)).chunks(records)
+        assert loaded.tobytes() == strengths.tobytes()
         assert engine.tree_slots.shape == (n_rules, min(m, 2))
         assert len(engine.levels) == {1: 0, 2: 0, 3: 1, 4: 1}.get(m, 2 + (m > 8))
         for left, right in engine.levels:  # each pair of rows once
@@ -472,8 +479,7 @@ def test_tree_strengths_equal_the_flat_rules(m):
 
 def test_zero_rule_engine_of_three_inputs_or_more():
     inputs = [uniform_partition(f"x{i}", 0.0, 10.0) for i in range(4)]
-    engine = CompiledFIS(inputs, class_output_variable(), np.zeros((0, 4)),
-                         [], [], 1001, 0.5)
+    engine = FISConfig(tuple(inputs), class_output_variable(), ()).engine
     assert engine.levels == [] and engine.n_rows == engine.n_degrees == 16
     crisp, labels = engine.predict(np.full((3, 4), 5.0))
     assert crisp.tolist() == [0.5] * 3 and labels.tolist() == [1] * 3
@@ -481,13 +487,13 @@ def test_zero_rule_engine_of_three_inputs_or_more():
 
 def test_infer_compiles_once_per_model(monkeypatch):
     config = two_input_config()
-    built, from_config = [], CompiledFIS.from_config.__func__
+    built, compile_model = [], CompiledFIS.__init__
 
-    def counting(cls, model):
+    def counting(engine, model):
         built.append(model)
-        return from_config(cls, model)
+        compile_model(engine, model)
 
-    monkeypatch.setattr(CompiledFIS, "from_config", classmethod(counting))
+    monkeypatch.setattr(CompiledFIS, "__init__", counting)
     records = np.random.default_rng(3).uniform(0, 10, (5, 2)) * [1, 10]
     first = [infer(config, r) for r in records]
     assert [infer(config, r) for r in records] == first
@@ -520,12 +526,22 @@ def random_output(seed, n_terms):
     return LinguisticVariable("out", (lo, hi), tuple(terms))
 
 
+def unit_output(output):
+    """The output mapped affinely onto the universe [0, 1], where a model's
+    decision threshold lies."""
+    lo, hi = output.universe
+    return LinguisticVariable(output.name, (0.0, 1.0), tuple(
+        (name, type(mf)(*((p - lo) / (hi - lo) for p in astuple(mf))))
+        for name, mf in output.terms
+    ))
+
+
 def engine_for(output, resolution, threshold=0.5, n_rules=0):
     """An engine over the output whose class levels are fed directly, or,
     given rules, where rule r constrains its input x to term r mod 3 at
     weight 1 - r / 10 and concludes output term r mod T."""
     rules = np.arange(n_rules)
-    return CompiledFIS(
+    return engine_of(
         [uniform_partition("x", 0.0, 10.0, 3)], output, (rules % 3)[:, None],
         1.0 - rules / 10.0, rules % len(output.terms), resolution, threshold,
     )
@@ -589,21 +605,25 @@ def test_blocked_centroid_equals_per_row_calls(resolution, output):
 def test_closed_form_centroid_matches_grid(seed):
     # random outputs, resolutions and strengths: the closed form is within
     # 1e-12 of the grid sum, and thresholded gives the grid's labels
-    # wherever the two cannot round to different sides
+    # wherever the two cannot round to different sides. A model's threshold
+    # lies in (0, 1), so the drawn universe is checked at the default one,
+    # and the output mapped onto [0, 1] at thresholds across its universe
     rng = np.random.default_rng(seed)
-    output = random_output(seed, int(rng.integers(2, 6)))
+    drawn = random_output(seed, int(rng.integers(2, 6)))
     resolution = (3, 501, 1001)[seed % 3]
-    levels = level_rows(rng, 200, len(output.terms))
-    grid = grid_centroids(engine_for(output, resolution), levels)
-    lo, hi = output.universe
-    at = np.flatnonzero(grid != (lo + hi) / 2.0)[:2]  # thresholds at two rows
-    for threshold in (*grid[at], (lo + hi) / 2.0, lo + 0.3 * (hi - lo)):
-        engine = engine_for(output, resolution, threshold)
-        crisp, labels = engine.decide(levels)
-        assert np.all(np.abs(crisp - grid) <= 1e-12)
-        assert np.array_equal(labels, (crisp >= threshold).astype(np.int64))
-        far = np.abs(grid - threshold) > 1e-9
-        assert np.array_equal(labels[far], grid[far] >= threshold)
+    levels = level_rows(rng, 200, len(drawn.terms))
+    for output in (drawn, unit_output(drawn)):
+        grid = grid_centroids(engine_for(output, resolution), levels)
+        lo, hi = output.universe
+        at = np.flatnonzero(grid != (lo + hi) / 2.0)[:2]  # thresholds at two rows
+        thresholds = (*grid[at], (lo + hi) / 2.0, lo + 0.3 * (hi - lo))
+        for threshold in [t for t in thresholds if 0.0 < t < 1.0] or [0.5]:
+            engine = engine_for(output, resolution, threshold)
+            crisp, labels = engine.decide(levels)
+            assert np.all(np.abs(crisp - grid) <= 1e-12)
+            assert np.array_equal(labels, (crisp >= threshold).astype(np.int64))
+            far = np.abs(grid - threshold) > 1e-9
+            assert np.array_equal(labels[far], grid[far] >= threshold)
 
 
 NO_CLOSED_FORM = [
@@ -641,8 +661,8 @@ def test_class_ties_are_decided_exactly():
     pairs = [(w, w) for w in np.linspace(0.01, 1.0, 25)]
     pairs += [(0.32000000000000006, 0.32), (0.32, 0.32000000000000006)]
     for negative, positive in pairs:
-        engine = CompiledFIS([var], class_output_variable(), [[0], [0]],
-                             [negative, positive], [0, 1], 1001, 0.5)
+        engine = engine_of([var], class_output_variable(), [[0], [0]],
+                           [negative, positive], [0, 1])
         crisp, labels = engine.predict(np.zeros((1, 1)))
         assert labels[0] == oracle.exact_label([negative, positive]), negative
         assert labels[0] == int(positive >= negative)
@@ -659,21 +679,25 @@ def test_level_decider_equals_every_engine(output):
     # maximum of their file-order strengths with 0 for a term no rule
     # concludes, by an engine of no rules gives the engine's own crisp bits
     # and labels: with interleaved consequents on every term, on one term
-    # only and with no rules, and with thresholds on a row's grid centroid
+    # only and with no rules, and with thresholds on a row's grid centroid.
+    # A model's threshold lies in (0, 1), so a universe other than [0, 1] is
+    # checked at the default one, and mapped onto [0, 1] at the others
     records = np.random.default_rng(len(output.terms)).uniform(0, 10, (120, 1))
     records[::4] = 5.0  # medium only: a lone rule on low does not fire
     records[1::4] = 2.5  # low and medium are 0.5 each
-    every_term = engine_for(output, 1001, n_rules=7)
-    grid = grid_centroids(every_term, class_levels(every_term, records))
-    for threshold in (0.5 * sum(output.universe), *grid[2:4]):
-        decider = engine_for(output, 1001, threshold)
-        assert decider.n_rules == 0
-        for n_rules in (7, 1, 0):
-            engine = engine_for(output, 1001, threshold, n_rules)
-            crisp, labels = decider.decide(class_levels(engine, records))
-            expected_crisp, expected_labels = engine.predict(records)
-            assert crisp.tobytes() == expected_crisp.tobytes()
-            assert np.array_equal(labels, expected_labels)
+    for output in dict.fromkeys((output, unit_output(output))):
+        every_term = engine_for(output, 1001, n_rules=7)
+        grid = grid_centroids(every_term, class_levels(every_term, records))
+        thresholds = (0.5 * sum(output.universe), *grid[2:4])
+        for threshold in [t for t in thresholds if 0.0 < t < 1.0] or [0.5]:
+            decider = engine_for(output, 1001, threshold)
+            assert decider.n_rules == 0
+            for n_rules in (7, 1, 0):
+                engine = engine_for(output, 1001, threshold, n_rules)
+                crisp, labels = decider.decide(class_levels(engine, records))
+                expected_crisp, expected_labels = engine.predict(records)
+                assert crisp.tobytes() == expected_crisp.tobytes()
+                assert np.array_equal(labels, expected_labels)
 
 
 def test_kernel_equals_per_rule_loops():
@@ -703,7 +727,7 @@ def test_decide_thresholds_crisp_values():
     rng = np.random.default_rng(7)
     records = np.column_stack([rng.uniform(0, 10, 40), rng.uniform(0, 100, 40)])
     for threshold in (0.35, 0.5, 0.65):
-        engine = CompiledFIS.from_config(
+        engine = CompiledFIS(
             FISConfig(config.inputs, config.output, config.rules,
                       decision_threshold=threshold)
         )
@@ -714,7 +738,7 @@ def test_decide_thresholds_crisp_values():
         expected = (levels[:, 1] >= levels[:, 0] if threshold == 0.5
                     else crisp >= threshold)
         assert np.array_equal(labels, expected.astype(np.int64))
-        assert infer(engine.to_config(), records[0]).label == labels[0]
+        assert infer(engine.config, records[0]).label == labels[0]
 
 
 def test_compiled_grouping_matches_per_rule_definition():
@@ -769,15 +793,24 @@ def test_model_roundtrip_all_shapes():
 
 
 def test_engine_config_roundtrip():
-    # a fitted engine: partitions and rules induced from random data
+    # an engine keeps the model it was compiled from, and index_rules names
+    # the index form it compiles the rules to: a fitted model, partitions
+    # and rules induced from random data, comes back from its engine's arrays
     rng = np.random.default_rng(23)
     data = Dataset(make_schema(3), rng.uniform(0.0, 10.0, (60, 3)),
                    rng.integers(0, 2, 60))
     model = train_final_classifier(data, (1, 1, 1), FitnessConfig(),
                                    InductionConfig(), np.arange(60))
-    engine = CompiledFIS.from_config(model)
-    assert engine.to_config() == model
-    again = CompiledFIS.from_config(engine.to_config())
+
+    def from_arrays(engine):
+        return engine_of(engine.inputs, engine.output, engine.antecedents,
+                         engine.weights, engine.consequents, engine.resolution,
+                         engine.decision_threshold)
+
+    engine = CompiledFIS(model)
+    assert engine.config is model
+    again = from_arrays(engine)
+    assert again.config == model
     assert np.array_equal(again.antecedents, engine.antecedents)
     assert np.array_equal(again.weights, engine.weights)
     assert np.array_equal(again.consequents, engine.consequents)
@@ -789,9 +822,9 @@ def test_engine_config_roundtrip():
         (base.rules[0], Rule((("v", "high"),), "positive", 0.75)),
         resolution=501, decision_threshold=0.4,
     )
-    compiled = CompiledFIS.from_config(config)
+    compiled = CompiledFIS(config)
     assert compiled.antecedents[1].tolist() == [-1, 1]
-    assert compiled.to_config() == config
+    assert from_arrays(compiled).config == config
 
 
 def test_model_file_errors(tmp_path):

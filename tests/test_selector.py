@@ -138,7 +138,7 @@ def fold_engines(data, trainers, mask):
     the split-by-split reference of the batched folds."""
     kept = [i for i, bit in enumerate(mask) if bit]
     for trainer, test_idx in trainers:
-        yield (CompiledFIS.from_config(trainer.model(kept)),
+        yield (CompiledFIS(trainer.model(kept)),
                data.records[test_idx][:, kept], data.labels[test_idx])
 
 
@@ -161,7 +161,7 @@ def test_compiled_splits_equal_plain_training(master, pima_data, pima_costs):
 
         (engine, x_test, y_test), = fold_engines(pima_data, holdout, mask)
         model, predicted, labels = holdout_evaluation(pima_data, mask, fcfg, ICFG)
-        assert model == engine.to_config()
+        assert model == engine.config
         assert np.array_equal(predicted, engine.predict(x_test)[1])
         assert np.array_equal(labels, y_test)
 
