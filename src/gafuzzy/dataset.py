@@ -3,7 +3,9 @@
 A Schema describes the feature columns and the label column of a CSV file,
 a Dataset holds the validated numeric table, and a CostTable prices each
 feature. Every file a user writes (data, records, schema, costs, a config,
-expert rules) is decoded here, and its errors named: see reading().
+expert rules) is decoded here, as UTF-8 after any byte-order mark, and its
+errors named: see reading(). Training data and the records classify labels
+share one row loop, read_rows, and one header rule, is_header.
 """
 
 from __future__ import annotations
@@ -221,8 +223,9 @@ def reading(path: str | Path) -> Iterator[None]:
 
 
 def read_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:
-    """The lines of a user file, decoded as UTF-8, for reading(path)."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+    """The lines of a user file, decoded as UTF-8 after any byte-order
+    mark, for reading(path)."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
         yield from fh
 
 
@@ -288,41 +291,14 @@ def _parse_label(cell: str, schema: Schema, row: int) -> int:
 
 
 def load_csv(path: str | Path, schema: Schema) -> Dataset:
-    """Load and validate a CSV file against a schema.
-
-    The first non-blank row is treated as a header when it is not a valid
-    data row (some feature cell fails to parse as a number, or the label
-    cell is not one of the declared label values), as in load_records. Any
-    later invalid row is an error.
-    """
-    expected_width = max([f.index for f in schema.features] + [schema.label_index]) + 1
-    records: list[list[float]] = []
-    labels: list[int] = []
+    """Load and validate a CSV file against a schema: read_rows of the
+    feature columns, and each label cell one of the declared values."""
     with reading(path):
-        for nth, (row_no, cells) in enumerate(csv_rows(path)):
-            if len(cells) != expected_width:
-                raise WrongColumnCount(row_no, expected_width, len(cells))
-            try:
-                values = [float(cells[f.index]) for f in schema.features]
-                label = _parse_label(cells[schema.label_index], schema, row_no)
-            except (ValueError, UnknownLabel) as exc:
-                if nth == 0:
-                    continue  # header row
-                if isinstance(exc, UnknownLabel):
-                    raise
-                bad = next(
-                    f.name for f in schema.features if not _is_number(cells[f.index])
-                )
-                raise MalformedRow(
-                    row_no, f"non-numeric value in feature column {bad!r}"
-                ) from exc
-            if not all(np.isfinite(values)):
-                raise MalformedRow(row_no, "non-finite feature value")
-            records.append(values)
-            labels.append(label)
-        if not records:
-            raise ConfigError("no data rows")
-        return Dataset(schema, np.array(records), np.array(labels))
+        values, cells = read_rows(path, schema.feature_names,
+                                  [f.index for f in schema.features],
+                                  schema.label_index)
+        labels = [_parse_label(cell, schema, row) for row, cell in cells]
+        return Dataset(schema, values, np.array(labels))
 
 
 def csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
@@ -340,31 +316,76 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-def load_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray:
-    """Unlabelled records for classification, (N, m).
+def is_header(cells: Iterable[str]) -> bool:
+    """The header rule of every CSV file: its first non-blank row is a
+    header when one of the cells that would be read as a number is not."""
+    return not all(map(_is_number, cells))
 
-    With a header, columns are matched by name (any order, extras allowed);
-    without one, the column count must equal the model's input count.
-    NaN and infinite values are rejected with their row number, counting
-    the file's rows, blank ones too, as load_csv does. The whole file is
-    checked before anything is classified, and the result is one float64
-    array, 8 bytes a value. A plain numeric file is parsed in one np.loadtxt
-    pass; any other goes through the row loop, which gives the same array
-    for every file both accept and the row-numbered messages.
-    """
+
+def read_rows(path: str | Path, names: Sequence[str],
+              columns: Sequence[int] | None = None, label: int | None = None,
+              ) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """The finite values of the named columns of a CSV file, (N, m), and
+    the (row number, cell) of each row's label column, if given; read them
+    inside reading(path). Training data gives the columns, and each row
+    holds exactly the cells up to the last of them and the label. Records
+    give none: a header matches the names to columns, and rows under it
+    need the cells up to the last one read; without one, a row holds the
+    names' values in order. Errors name rows counting blank ones too."""
+    values, labels = array("d"), []
+    width = None if columns is None else max([*columns, label or 0]) + 1
+    for nth, (row_no, cells) in enumerate(csv_rows(path)):
+        if columns is None and is_header(cells):  # records: columns by name
+            found = [c.strip() for c in cells]
+            missing = [n for n in names if n not in found]
+            if missing:
+                raise ArityMismatch(f"header lacks model inputs {missing}")
+            columns = [found.index(n) for n in names]
+            continue
+        if columns is None:
+            columns, width = range(len(names)), len(names)
+        if len(cells) <= max(columns) or width and len(cells) != width:
+            raise WrongColumnCount(row_no, width or max(columns) + 1, len(cells))
+        read = [cells[c] for c in columns]
+        if nth == 0 and is_header(read):  # a header of training data
+            continue
+        try:
+            parsed = list(map(float, read))
+        except ValueError:
+            bad = next(n for n, c in zip(names, read) if not _is_number(c))
+            raise MalformedRow(
+                row_no, f"non-numeric value in feature column {bad!r}") from None
+        if not all(map(math.isfinite, parsed)):
+            raise MalformedRow(row_no, "non-finite value")
+        values.extend(parsed)
+        if label is not None:
+            labels.append((row_no, cells[label]))
+    if not values:
+        raise ConfigError("no data rows")
+    return np.frombuffer(values).reshape(-1, len(names)), labels
+
+
+def load_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray:
+    """Unlabelled records for classification, (N, m), as read_rows gives
+    them: a header matches columns by name (any order, extras allowed).
+    The whole file is checked before anything is classified. A plain
+    numeric file is parsed in one np.loadtxt pass, to the same array."""
     records = _loadtxt_records(path, input_names)
-    return _csv_records(path, input_names) if records is None else records
+    if records is None:
+        with reading(path):
+            records, _ = read_rows(path, input_names)
+    return records
 
 
 def _loadtxt_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray | None:
     """The records of a plain numeric file, parsed in one np.loadtxt pass,
-    or None for the row loop to decide. None comes for a file that is not
+    or None for read_rows to decide. None comes for a file that is not
     UTF-8 or holds a quote, a blank first line, a header that lacks a model
     input or has no rows under it, a first row of the wrong width, a cell
     np.loadtxt cannot parse (float() takes some, such as 1_000) and a value
     that is not finite."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError:
         return None
@@ -374,7 +395,7 @@ def _loadtxt_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray | N
     if '"' in text or not any(c.strip() for c in cells):
         return None
     usecols = None
-    if not all(map(_is_number, cells)):
+    if is_header(cells):
         names = [c.strip() for c in cells]
         # np.loadtxt warns on a header without rows
         if not rest.strip() or any(n not in names for n in input_names):
@@ -386,46 +407,10 @@ def _loadtxt_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray | N
     try:
         values = np.loadtxt(path, delimiter=",", comments=None, quotechar=None,
                             usecols=usecols, skiprows=int(usecols is not None),
-                            ndmin=2, encoding="utf-8")
+                            ndmin=2, encoding="utf-8-sig")
     except ValueError:
         return None
     return values if np.isfinite(values).all() else None
-
-
-def _csv_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray:
-    """The row loop of load_records: every file it accepts, and the
-    row-numbered message for every file it rejects."""
-    width = len(input_names)
-    values = array("d")
-    columns: list[int] | None = None  # set by the first row
-    header = False
-    with reading(path):
-        for row_no, row in csv_rows(path):
-            if columns is None:
-                columns = list(range(width))
-                if any(not _is_number(c) for c in row):
-                    names = [c.strip() for c in row]
-                    missing = [n for n in input_names if n not in names]
-                    if missing:
-                        raise ArityMismatch(f"header lacks model inputs {missing}")
-                    columns = [names.index(n) for n in input_names]
-                    header = True
-                    continue
-            if not header and len(row) != width:
-                raise ArityMismatch(f"row {row_no}: expected {width} values, "
-                                    f"got {len(row)}")
-            try:
-                parsed = [float(row[c]) for c in columns]
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"row {row_no}: {exc}") from exc
-            if not all(map(math.isfinite, parsed)):
-                raise ConfigError(f"row {row_no}: non-finite value")
-            values.extend(parsed)
-        if columns is None:
-            raise ConfigError("no records")
-        if not values:
-            raise ConfigError("no data rows after header")
-    return np.frombuffer(values).reshape(-1, width)
 
 
 def load_costs(path: str | Path, schema: Schema) -> CostTable:

@@ -195,15 +195,16 @@ class FISConfig:
     def __post_init__(self):
         if self.resolution < 3:
             raise ConfigError("resolution must be at least 3")
-        if not 0.0 < self.decision_threshold < 1.0:
-            raise ConfigError("decision threshold must lie in (0, 1)")
+        lo, hi = self.output.universe
+        if not lo < self.decision_threshold < hi:
+            raise ConfigError(f"decision threshold must lie in ({lo:g}, {hi:g})")
         by_name = {v.name: v for v in self.inputs}
         if len(by_name) != len(self.inputs):
             raise ConfigError("duplicate input variable name")
         for rule in self.rules:
             for var, term in rule.antecedent:
                 if var not in by_name:
-                    raise UnknownTerm(f"rule references unknown variable {var!r}")
+                    raise UnknownTerm(f"unknown variable {var!r}")
                 by_name[var].term(term)  # raises UnknownTerm
             self.output.term(rule.consequent)
         centroid_plan(self.output)  # raises ConfigError naming the term

@@ -1,10 +1,10 @@
 """The one place where the package writes and reads its JSON files.
 
 Model, result, baseline and report files share one byte layout (sorted
-keys, two-space indent, trailing newline). A file that is not JSON
-(NaN and Infinity included), or whose content does not build the expected
-object, raises a ConfigError naming the file, which the CLI maps to exit
-code 2.
+keys, two-space indent, trailing newline) and are read after any UTF-8
+byte-order mark. A file that is not JSON (NaN and Infinity included), or
+whose content does not build the expected object, raises a ConfigError
+naming the file, which the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def _reject_constant(name: str):
 
 
 def read_json(path: str | Path, from_dict: Callable[[dict], T], what: str) -> T:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh, parse_constant=_reject_constant)
         except ValueError as exc:  # bad JSON, NaN/Infinity or bad UTF-8

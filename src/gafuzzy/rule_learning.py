@@ -136,14 +136,11 @@ def parse_rule_line(line: str, line_no: int, config: FISConfig) -> Rule:
     outvar, rule = _parse_rule(line, line_no)
     if outvar != config.output.name:
         raise UnknownTerm(f"line {line_no}: unknown output variable {outvar!r}")
-    by_name = {v.name: v for v in config.inputs}
-    for var, term in rule.antecedent:
-        if var not in by_name:
-            raise UnknownTerm(f"line {line_no}: unknown variable {var!r}")
-        if term not in by_name[var].term_names:
-            raise UnknownTerm(f"line {line_no}: variable {var!r} has no term {term!r}")
-    if rule.consequent not in config.output.term_names:
-        raise UnknownTerm(f"line {line_no}: output has no term {rule.consequent!r}")
+    try:  # FISConfig checks the variable and term names
+        FISConfig(config.inputs, config.output, (rule,), config.resolution,
+                  config.decision_threshold)
+    except UnknownTerm as exc:
+        raise UnknownTerm(f"line {line_no}: {exc}") from exc
     return rule
 
 

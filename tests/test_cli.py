@@ -208,11 +208,18 @@ def pima_rows(row, cell, value):
     return "".join(lines).encode()
 
 
+def headerless_pima(first_label):
+    """The bundled data without its header, the first record's label
+    replaced."""
+    return pima_rows(2, -1, f"{first_label}\n").split(b"\n", 1)[1]
+
+
 FIELD_LIMIT = csv.field_size_limit()
 
 
 @pytest.mark.parametrize("command, flag, data, message", [
     ("validate", "--data", pima_rows(4, -1, "maybe\n"), "row 4: unknown label 'maybe'"),
+    ("validate", "--data", headerless_pima(7), "row 1: unknown label '7'"),
     ("validate", "--costs", packaged_with("pima.costs", b"insulin = 18.0\n", b""),
      "feature 'insulin' missing from file"),
     ("validate", "--costs", packaged_with("pima.costs", b"age", b"age = 1\npregnancies"),
@@ -223,7 +230,7 @@ FIELD_LIMIT = csv.field_size_limit()
      f"field larger than field limit ({FIELD_LIMIT})"),
     ("classify", "--data", b"u,v\n6,30\n" + b"1" * (FIELD_LIMIT + 1) + b",30\n",
      f"field larger than field limit ({FIELD_LIMIT})"),
-], ids=["data-label", "costs-missing", "costs-duplicate", "rules-variable",
+], ids=["data-label", "data-first-label", "costs-missing", "costs-duplicate", "rules-variable",
         "data-long-cell", "records-long-cell"])
 def test_rejection_names_the_file(tmp_path, capsys, command, flag, data, message):
     path = tmp_path / "input"
@@ -235,6 +242,33 @@ def test_rejection_names_the_file(tmp_path, capsys, command, flag, data, message
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err[err.index("error: "):] == f"error: {path}: {message}\n"
+
+
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("command, flag, data, expected", [
+    ("validate", "--data", BOM + headerless_pima(1), "records: 768\n"),
+    ("validate", "--schema", BOM + _packaged("pima.schema").read_bytes(),
+     "records: 768\n"),
+    ("classify", "--data", BOM + b"u,v\n6,30\n", "record 1: crisp="),
+    ("classify", "--model", None, "record 1: crisp="),
+], ids=["data", "schema", "records", "model"])
+def test_a_byte_order_mark_is_accepted(tmp_path, capsys, command, flag, data,
+                                       expected):
+    # editors and spreadsheets may start a UTF-8 file with one
+    path = tmp_path / "input"
+    if command == "classify":
+        records = tmp_path / "records.csv"
+        records.write_text("u,v\n6,30\n")
+        argv = input_argv(command, tmp_path, records)
+        data = data or BOM + golden_model(tmp_path).read_bytes()
+    else:
+        argv = argv_with(command, flag, path, tmp_path)
+    path.write_bytes(data)
+    argv[argv.index(flag) + 1] = str(path)
+    assert main(argv) == 0
+    assert expected in capsys.readouterr().out
 
 
 def corrupt(rng, data):
@@ -813,7 +847,8 @@ def test_seeded_fuzz_of_classify_records(tmp_path, capsys):
         data = corrupt_records(rng)
         path.write_bytes(data)
         try:
-            expected = ds._csv_records(path, names)
+            with ds.reading(path):
+                expected, _ = ds.read_rows(path, names)
         except GafuzzyError:
             expected = None
         records = ds._loadtxt_records(path, names)

@@ -16,6 +16,7 @@ from gafuzzy.dataset import (
     impute_zero_medians,
     load_costs,
     load_csv,
+    load_records,
     load_schema,
     mask_cost,
     stratified_split,
@@ -70,6 +71,44 @@ def test_header_after_a_blank_first_line(tmp_path, pima_schema, pima_data):
     path = tmp_path / "blank-first.csv"
     path.write_bytes(b"\n" + _packaged("pima.csv").read_bytes())
     assert load_csv(path, pima_schema) == pima_data
+
+
+@pytest.mark.parametrize("first, header", [
+    ("f0,f1,label", True), ("1,2,0", False), ("\nf0,f1,label", True),
+    ("\ufeff1,2,0", False), ("1,2,label", False), ("1,2,7", False),
+], ids=["header", "no-header", "blank-first-line", "bom", "numeric-names",
+        "unknown-first-label"])
+def test_data_and_records_decide_the_header_alike(tmp_path, first, header):
+    # the first non-blank row is a header when a cell read as a number is
+    # not one: the feature cells of training data, every cell of records
+    lines = [first, "3,4,0", "5,6,1"]
+    data = write(tmp_path, "data.csv", "\n".join(lines) + "\n")
+    records = write(tmp_path, "records.csv",
+                    "\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+    values = [[1.0, 2.0]] * (not header) + [[3.0, 4.0], [5.0, 6.0]]
+    assert load_records(records, ("f0", "f1")).tolist() == values
+    if header or first.endswith((",0", ",1")):
+        assert load_csv(data, make_schema(2)).records.tolist() == values
+    else:
+        with pytest.raises(UnknownLabel) as exc:
+            load_csv(data, make_schema(2))
+        assert exc.value.row == 1
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    (["1,2", "1,x"], MalformedRow, "row 2: non-numeric value in feature column 'f1'"),
+    (["1,2", "1,inf"], MalformedRow, "row 2: non-finite value"),
+    (["1,2", "1,2,3"], WrongColumnCount, "row 2: expected "),
+    (["", " "], ConfigError, "no data rows"),
+], ids=["non-numeric", "non-finite", "width", "empty"])
+def test_data_and_records_give_the_same_errors(tmp_path, rows, error, message):
+    records = write(tmp_path, "r.csv", "".join(f"{row}\n" for row in rows))
+    data = write(tmp_path, "d.csv", "".join(
+        f"{row},0\n" if row.strip() else f"{row}\n" for row in rows))
+    for load in (lambda: load_records(records, ("f0", "f1")),
+                 lambda: load_csv(data, make_schema(2))):
+        with pytest.raises(error, match=message):
+            load()
 
 
 def test_malformed_row_names_row_number(tmp_path):

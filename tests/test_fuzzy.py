@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -526,21 +525,14 @@ def random_output(seed, n_terms):
     return LinguisticVariable("out", (lo, hi), tuple(terms))
 
 
-def unit_output(output):
-    """The output mapped affinely onto the universe [0, 1], where a model's
-    decision threshold lies."""
-    lo, hi = output.universe
-    return LinguisticVariable(output.name, (0.0, 1.0), tuple(
-        (name, type(mf)(*((p - lo) / (hi - lo) for p in astuple(mf))))
-        for name, mf in output.terms
-    ))
-
-
-def engine_for(output, resolution, threshold=0.5, n_rules=0):
-    """An engine over the output whose class levels are fed directly, or,
-    given rules, where rule r constrains its input x to term r mod 3 at
-    weight 1 - r / 10 and concludes output term r mod T."""
+def engine_for(output, resolution, threshold=None, n_rules=0):
+    """An engine over the output, deciding at the threshold (by default the
+    universe midpoint), whose class levels are fed directly, or, given
+    rules, where rule r constrains its input x to term r mod 3 at weight
+    1 - r / 10 and concludes output term r mod T."""
     rules = np.arange(n_rules)
+    if threshold is None:
+        threshold = sum(output.universe) / 2.0
     return engine_of(
         [uniform_partition("x", 0.0, 10.0, 3)], output, (rules % 3)[:, None],
         1.0 - rules / 10.0, rules % len(output.terms), resolution, threshold,
@@ -605,25 +597,23 @@ def test_blocked_centroid_equals_per_row_calls(resolution, output):
 def test_closed_form_centroid_matches_grid(seed):
     # random outputs, resolutions and strengths: the closed form is within
     # 1e-12 of the grid sum, and thresholded gives the grid's labels
-    # wherever the two cannot round to different sides. A model's threshold
-    # lies in (0, 1), so the drawn universe is checked at the default one,
-    # and the output mapped onto [0, 1] at thresholds across its universe
+    # wherever the two cannot round to different sides, at thresholds
+    # across the output's own universe
     rng = np.random.default_rng(seed)
-    drawn = random_output(seed, int(rng.integers(2, 6)))
+    output = random_output(seed, int(rng.integers(2, 6)))
     resolution = (3, 501, 1001)[seed % 3]
-    levels = level_rows(rng, 200, len(drawn.terms))
-    for output in (drawn, unit_output(drawn)):
-        grid = grid_centroids(engine_for(output, resolution), levels)
-        lo, hi = output.universe
-        at = np.flatnonzero(grid != (lo + hi) / 2.0)[:2]  # thresholds at two rows
-        thresholds = (*grid[at], (lo + hi) / 2.0, lo + 0.3 * (hi - lo))
-        for threshold in [t for t in thresholds if 0.0 < t < 1.0] or [0.5]:
-            engine = engine_for(output, resolution, threshold)
-            crisp, labels = engine.decide(levels)
-            assert np.all(np.abs(crisp - grid) <= 1e-12)
-            assert np.array_equal(labels, (crisp >= threshold).astype(np.int64))
-            far = np.abs(grid - threshold) > 1e-9
-            assert np.array_equal(labels[far], grid[far] >= threshold)
+    levels = level_rows(rng, 200, len(output.terms))
+    grid = grid_centroids(engine_for(output, resolution), levels)
+    lo, hi = output.universe
+    at = np.flatnonzero(grid != (lo + hi) / 2.0)[:2]  # thresholds at two rows
+    thresholds = (*grid[at], (lo + hi) / 2.0, lo + 0.3 * (hi - lo))
+    for threshold in [t for t in thresholds if lo < t < hi]:
+        engine = engine_for(output, resolution, threshold)
+        crisp, labels = engine.decide(levels)
+        assert np.all(np.abs(crisp - grid) <= 1e-12)
+        assert np.array_equal(labels, (crisp >= threshold).astype(np.int64))
+        far = np.abs(grid - threshold) > 1e-9
+        assert np.array_equal(labels[far], grid[far] >= threshold)
 
 
 NO_CLOSED_FORM = [
@@ -679,25 +669,39 @@ def test_level_decider_equals_every_engine(output):
     # maximum of their file-order strengths with 0 for a term no rule
     # concludes, by an engine of no rules gives the engine's own crisp bits
     # and labels: with interleaved consequents on every term, on one term
-    # only and with no rules, and with thresholds on a row's grid centroid.
-    # A model's threshold lies in (0, 1), so a universe other than [0, 1] is
-    # checked at the default one, and mapped onto [0, 1] at the others
+    # only and with no rules, and with thresholds on a row's grid centroid
     records = np.random.default_rng(len(output.terms)).uniform(0, 10, (120, 1))
     records[::4] = 5.0  # medium only: a lone rule on low does not fire
     records[1::4] = 2.5  # low and medium are 0.5 each
-    for output in dict.fromkeys((output, unit_output(output))):
-        every_term = engine_for(output, 1001, n_rules=7)
-        grid = grid_centroids(every_term, class_levels(every_term, records))
-        thresholds = (0.5 * sum(output.universe), *grid[2:4])
-        for threshold in [t for t in thresholds if 0.0 < t < 1.0] or [0.5]:
-            decider = engine_for(output, 1001, threshold)
-            assert decider.n_rules == 0
-            for n_rules in (7, 1, 0):
-                engine = engine_for(output, 1001, threshold, n_rules)
-                crisp, labels = decider.decide(class_levels(engine, records))
-                expected_crisp, expected_labels = engine.predict(records)
-                assert crisp.tobytes() == expected_crisp.tobytes()
-                assert np.array_equal(labels, expected_labels)
+    every_term = engine_for(output, 1001, n_rules=7)
+    grid = grid_centroids(every_term, class_levels(every_term, records))
+    lo, hi = output.universe
+    for threshold in [t for t in (0.5 * (lo + hi), *grid[2:4]) if lo < t < hi]:
+        decider = engine_for(output, 1001, threshold)
+        assert decider.n_rules == 0
+        for n_rules in (7, 1, 0):
+            engine = engine_for(output, 1001, threshold, n_rules)
+            crisp, labels = decider.decide(class_levels(engine, records))
+            expected_crisp, expected_labels = engine.predict(records)
+            assert crisp.tobytes() == expected_crisp.tobytes()
+            assert np.array_equal(labels, expected_labels)
+
+
+def test_threshold_lies_inside_the_output_universe():
+    # a model whose output spans [2, 4] decides at its own threshold 3.0:
+    # x = 0 fires only "low" (crisp 2.666), x = 10 only "high" (3.334) and
+    # x = 5 neither (the midpoint, 3.0, on the threshold); the default 0.5
+    # lies outside that universe and is refused, naming it
+    x = uniform_partition("x", 0.0, 10.0, 3)
+    out = uniform_partition("out", 2.0, 4.0, 2)
+    rules = (Rule((("x", "low"),), "low"), Rule((("x", "high"),), "high"))
+    crisp, labels = FISConfig((x,), out, rules, decision_threshold=3.0).engine.predict(
+        np.array([[0.0], [10.0], [5.0]]))
+    assert crisp == pytest.approx([2 + 2 / 3, 4 - 2 / 3, 3.0], abs=1e-3)
+    assert labels.tolist() == [0, 1, 1]
+    for threshold in (0.5, 2.0, 4.0):
+        with pytest.raises(ConfigError, match=r"must lie in \(2, 4\)"):
+            FISConfig((x,), out, rules, decision_threshold=threshold)
 
 
 def test_kernel_equals_per_rule_loops():

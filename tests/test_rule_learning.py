@@ -267,13 +267,28 @@ def test_rule_file_without_rules_is_rejected(tmp_path):
 
 
 def test_unknown_variable_and_output_term():
+    # FISConfig's messages, after the line number
     config = fis_for_rules()
-    with pytest.raises(UnknownTerm):
-        parse_rule_line("IF ghost IS high THEN outcome IS positive", 1, config)
-    with pytest.raises(UnknownTerm):
-        parse_rule_line("IF glucose IS high THEN outcome IS maybe", 1, config)
-    with pytest.raises(UnknownTerm):
-        parse_rule_line("IF glucose IS high THEN verdict IS positive", 1, config)
+    for line, message in (
+        ("IF ghost IS high THEN outcome IS positive", "unknown variable 'ghost'"),
+        ("IF glucose IS huge THEN outcome IS positive",
+         "variable 'glucose' has no term 'huge'"),
+        ("IF glucose IS high THEN outcome IS maybe",
+         "variable 'outcome' has no term 'maybe'"),
+        ("IF glucose IS high THEN verdict IS positive",
+         "unknown output variable 'verdict'"),
+    ):
+        with pytest.raises(UnknownTerm) as exc:
+            parse_rule_line(line, 4, config)
+        assert str(exc.value) == f"line 4: {message}"
+
+
+def test_rule_file_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "rules.txt"
+    path.write_text("\ufeffIF glucose IS high THEN outcome IS positive\n",
+                    encoding="utf-8")
+    assert load_expert_rules(path, fis_for_rules()) == (
+        Rule((("glucose", "high"),), "positive"),)
 
 
 def test_parse_errors():
