@@ -296,7 +296,7 @@ def load_csv(path: str | Path, schema: Schema) -> Dataset:
     with reading(path):
         values, cells = read_rows(path, schema.feature_names,
                                   [f.index for f in schema.features],
-                                  schema.label_index)
+                                  (schema.label_index, schema.label_name))
         labels = [_parse_label(cell, schema, row) for row, cell in cells]
         return Dataset(schema, values, np.array(labels))
 
@@ -323,31 +323,36 @@ def is_header(cells: Iterable[str]) -> bool:
 
 
 def read_rows(path: str | Path, names: Sequence[str],
-              columns: Sequence[int] | None = None, label: int | None = None,
+              columns: Sequence[int] | None = None,
+              label: tuple[int, str] | None = None,
               ) -> tuple[np.ndarray, list[tuple[int, str]]]:
     """The finite values of the named columns of a CSV file, (N, m), and
-    the (row number, cell) of each row's label column, if given; read them
-    inside reading(path). Training data gives the columns, and each row
-    holds exactly the cells up to the last of them and the label. Records
-    give none: a header matches the names to columns, and rows under it
-    need the cells up to the last one read; without one, a row holds the
-    names' values in order. Errors name rows counting blank ones too."""
+    the (row number, cell) of each row's label column; read them inside
+    reading(path). Training data gives the columns and the label's (column,
+    name): each row holds exactly the cells up to the last of them, and a
+    header names each of them so. Records give neither: a header matches
+    the names to columns and sets every row's width; without one, a row
+    holds the names' values in order. Errors count blank rows too."""
     values, labels = array("d"), []
-    width = None if columns is None else max([*columns, label or 0]) + 1
+    width = None if columns is None else max(*columns, label[0]) + 1
     for nth, (row_no, cells) in enumerate(csv_rows(path)):
         if columns is None and is_header(cells):  # records: columns by name
             found = [c.strip() for c in cells]
             missing = [n for n in names if n not in found]
             if missing:
                 raise ArityMismatch(f"header lacks model inputs {missing}")
-            columns = [found.index(n) for n in names]
+            columns, width = [found.index(n) for n in names], len(cells)
             continue
         if columns is None:
             columns, width = range(len(names)), len(names)
-        if len(cells) <= max(columns) or width and len(cells) != width:
-            raise WrongColumnCount(row_no, width or max(columns) + 1, len(cells))
+        if len(cells) != width:
+            raise WrongColumnCount(row_no, width, len(cells))
         read = [cells[c] for c in columns]
-        if nth == 0 and is_header(read):  # a header of training data
+        if nth == 0 and is_header(read):  # training data: the schema's names
+            for c, name in [*zip(columns, names), label]:
+                if cells[c].strip() != name:
+                    raise MalformedRow(row_no, f"column {c} is headed "
+                                       f"{cells[c].strip()!r}, not {name!r}")
             continue
         try:
             parsed = list(map(float, read))
@@ -359,7 +364,7 @@ def read_rows(path: str | Path, names: Sequence[str],
             raise MalformedRow(row_no, "non-finite value")
         values.extend(parsed)
         if label is not None:
-            labels.append((row_no, cells[label]))
+            labels.append((row_no, cells[label[0]]))
     if not values:
         raise ConfigError("no data rows")
     return np.frombuffer(values).reshape(-1, len(names)), labels
@@ -381,7 +386,7 @@ def _loadtxt_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray | N
     """The records of a plain numeric file, parsed in one np.loadtxt pass,
     or None for read_rows to decide. None comes for a file that is not
     UTF-8 or holds a quote, a blank first line, a header that lacks a model
-    input or has no rows under it, a first row of the wrong width, a cell
+    input or has no rows under it, rows of the wrong width, a cell
     np.loadtxt cannot parse (float() takes some, such as 1_000) and a value
     that is not finite."""
     try:
@@ -405,11 +410,16 @@ def _loadtxt_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray | N
         return None
     del text, rest  # np.loadtxt reads the file again; hold no copy meanwhile
     try:
+        # every column, so that np.loadtxt rejects rows of differing widths
         values = np.loadtxt(path, delimiter=",", comments=None, quotechar=None,
-                            usecols=usecols, skiprows=int(usecols is not None),
-                            ndmin=2, encoding="utf-8-sig")
+                            skiprows=int(usecols is not None), ndmin=2,
+                            encoding="utf-8-sig")
     except ValueError:
         return None
+    if values.shape[1] != len(cells):
+        return None
+    if usecols not in (None, list(range(len(cells)))):
+        values = values[:, usecols]
     return values if np.isfinite(values).all() else None
 
 

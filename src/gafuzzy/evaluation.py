@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .errors import EmptyInput, FingerprintMismatch, LengthMismatch
 from .ga import EvolutionTrace
-from .jsonio import read_json, write_json
+from .jsonio import decode, encode, read_json, write_json
 from .selector import SelectionResult
 
 
@@ -144,29 +145,13 @@ def emit_plot_data(
 # --- files -------------------------------------------------------------------
 
 
-def baseline_from_dict(d: dict) -> BaselineRun:
-    # numbers are cast on load so that a corrupted file fails here, with
-    # the file named, rather than later in format_report
-    conf = d["confusion"]
-    return BaselineRun(
-        accuracy=float(d["accuracy"]),
-        confusion=ConfusionMatrix(
-            int(conf["tp"]), int(conf["fp"]), int(conf["tn"]), int(conf["fn"])
-        ),
-        feature_count=int(d["feature_count"]),
-        cost=float(d["cost"]),
-        dataset_fingerprint=str(d["dataset_fingerprint"]),
-        report_seed=int(d["report_seed"]),
-    )
-
-
 def save_baseline(baseline: BaselineRun, path: str | Path) -> None:
-    write_json(asdict(baseline), path)
+    write_json(encode(baseline), path)
 
 
 def load_baseline(path: str | Path) -> BaselineRun:
-    return read_json(path, baseline_from_dict, "baseline")
+    return read_json(path, partial(decode, BaselineRun), "baseline")
 
 
 def save_report(report: ComparisonReport, path: str | Path) -> None:
-    write_json(asdict(report), path)
+    write_json(encode(report), path)

@@ -9,7 +9,7 @@ orchestrating loop, so a run is a pure function of its parameters.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -30,6 +30,10 @@ def string_to_mask(bits: str) -> Mask:
     if not bits or any(c not in "01" for c in bits):
         raise ConfigError(f"not a bitstring: {bits!r}")
     return tuple(int(c) for c in bits)
+
+
+# the field metadata of a mask that jsonio writes as a bitstring, "01000100"
+MASK_CODEC = {"codec": (mask_to_string, string_to_mask)}
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ class GenerationStats:
     generation: int
     best_fitness: float
     mean_fitness: float
-    best_mask: Mask
+    best_mask: Mask = field(metadata=MASK_CODEC)
 
 
 EvolutionTrace = list[GenerationStats]

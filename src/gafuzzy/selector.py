@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -28,16 +29,8 @@ from .fuzzy import (
     rule_strengths,
     uniform_partition,
 )
-from .ga import (
-    EvolutionTrace,
-    GAParams,
-    GenerationStats,
-    Mask,
-    evolve,
-    mask_to_string,
-    string_to_mask,
-)
-from .jsonio import read_json, write_json
+from .ga import MASK_CODEC, EvolutionTrace, GAParams, GenerationStats, Mask, evolve
+from .jsonio import NOT_SAVED, decode, encode, read_json, write_json
 from .rule_learning import (
     InductionConfig,
     keep_heaviest,
@@ -108,14 +101,15 @@ class Provenance:
 
 @dataclass
 class SelectionResult:
-    best_mask: Mask
+    best_mask: Mask = field(metadata=MASK_CODEC)
     selected_names: tuple[str, ...]
     accuracy: float
     cost: float
     fitness: float
     trace: EvolutionTrace
     provenance: Provenance
-    model: FISConfig | None  # saved to its own file, absent after reload
+    # saved to its own file, absent after reload
+    model: FISConfig | None = field(default=None, metadata=NOT_SAVED)
 
 
 def build_input_variables(
@@ -406,90 +400,11 @@ def brute_force_selection(
 # --- result file -------------------------------------------------------------
 
 
-def _split_plan_from_dict(d: dict | None) -> SplitPlan | None:
-    # files written before the `stratified` key was dropped still carry it
-    if d is None:
-        return None
-    return SplitPlan(d["kind"], d["param"], int(d["seed"]))
-
-
-def result_to_dict(result: SelectionResult) -> dict:
+def save_result(result: SelectionResult, path: str | Path) -> None:
     prov = result.provenance
     fcfg = replace(prov.fitness, report_plan=prov.fitness.resolved_report_plan())
-    return {
-        "best_mask": mask_to_string(result.best_mask),
-        "selected_names": list(result.selected_names),
-        "accuracy": result.accuracy,
-        "cost": result.cost,
-        "fitness": result.fitness,
-        "trace": [
-            {
-                "generation": s.generation,
-                "best_fitness": s.best_fitness,
-                "mean_fitness": s.mean_fitness,
-                "best_mask": mask_to_string(s.best_mask),
-            }
-            for s in result.trace
-        ],
-        "provenance": asdict(replace(prov, fitness=fcfg)),
-    }
-
-
-def result_from_dict(d: dict) -> SelectionResult:
-    # numbers are cast on load so that a corrupted file fails here, with
-    # the file named, rather than later in the report; older files carry
-    # a `cache` key under provenance.fitness, which is ignored
-    prov = d["provenance"]
-    ga, fit, ind = prov["ga"], prov["fitness"], prov["induction"]
-    ga_params = GAParams(
-        population_size=int(ga["population_size"]),
-        crossover_prob=float(ga["crossover_prob"]),
-        mutation_prob=float(ga["mutation_prob"]),
-        max_generations=int(ga["max_generations"]),
-        stagnation_window=int(ga["stagnation_window"]),
-        elite_count=int(ga["elite_count"]),
-        seed=int(ga["seed"]),
-    )
-    fitness_cfg = FitnessConfig(
-        cost_weight=float(fit["cost_weight"]),
-        evaluation=_split_plan_from_dict(fit["evaluation"]),
-        resolution=int(fit["resolution"]),
-        decision_threshold=float(fit["decision_threshold"]),
-        report_plan=_split_plan_from_dict(fit["report_plan"]),
-    )
-    icfg = InductionConfig(
-        partitions_per_input=int(ind["partitions_per_input"]),
-        min_rule_weight=float(ind["min_rule_weight"]),
-    )
-    trace = [
-        GenerationStats(
-            int(t["generation"]),
-            float(t["best_fitness"]),
-            float(t["mean_fitness"]),
-            string_to_mask(t["best_mask"]),
-        )
-        for t in d["trace"]
-    ]
-    master = prov.get("master_seed")
-    provenance = Provenance(
-        ga_params, fitness_cfg, icfg, str(prov["dataset_fingerprint"]),
-        int(prov["n_records"]), None if master is None else int(master),
-    )
-    return SelectionResult(
-        string_to_mask(d["best_mask"]),
-        tuple(d["selected_names"]),
-        float(d["accuracy"]),
-        float(d["cost"]),
-        float(d["fitness"]),
-        trace,
-        provenance,
-        model=None,  # stored separately
-    )
-
-
-def save_result(result: SelectionResult, path: str | Path) -> None:
-    write_json(result_to_dict(result), path)
+    write_json(encode(replace(result, provenance=replace(prov, fitness=fcfg))), path)
 
 
 def load_result(path: str | Path) -> SelectionResult:
-    return read_json(path, result_from_dict, "result")
+    return read_json(path, partial(decode, SelectionResult), "result")

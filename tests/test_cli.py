@@ -230,8 +230,12 @@ FIELD_LIMIT = csv.field_size_limit()
      f"field larger than field limit ({FIELD_LIMIT})"),
     ("classify", "--data", b"u,v\n6,30\n" + b"1" * (FIELD_LIMIT + 1) + b",30\n",
      f"field larger than field limit ({FIELD_LIMIT})"),
+    ("validate", "--data", _packaged("pima.csv").read_bytes().replace(
+        b"pregnancies,glucose,", b"glucose,pregnancies,", 1),
+     "row 1: column 0 is headed 'glucose', not 'pregnancies'"),
+    ("classify", "--data", b"u,v\n6,30\n6,1,30\n", "row 3: expected 2 columns, got 3"),
 ], ids=["data-label", "data-first-label", "costs-missing", "costs-duplicate", "rules-variable",
-        "data-long-cell", "records-long-cell"])
+        "data-long-cell", "records-long-cell", "data-swapped-header", "records-stray-comma"])
 def test_rejection_names_the_file(tmp_path, capsys, command, flag, data, message):
     path = tmp_path / "input"
     path.write_bytes(data)
@@ -1121,9 +1125,12 @@ def numeric_leaves(node, path=()):
     return [leaf for key, value in items for leaf in numeric_leaves(value, path + (key,))]
 
 
+DELETE = object()  # a value that run_on_corrupted deletes the key of
+
+
 def run_on_corrupted(saved_run, tmp_path, name, path, value):
-    """Copy the run, overwrite one field of one file, and run the command
-    that reads that file. Returns (exit code, corrupted file)."""
+    """Copy the run, overwrite (or DELETE) one field of one file, and run the
+    command that reads that file. Returns (exit code, corrupted file)."""
     out = tmp_path / "run"
     shutil.copytree(saved_run, out)
     target = out / name
@@ -1131,7 +1138,10 @@ def run_on_corrupted(saved_run, tmp_path, name, path, value):
     node = payload
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     target.write_text(json.dumps(payload))
     if name == "model.json":
         argv = ["classify", "--model", str(target), "--data", str(_packaged("pima.csv"))]
@@ -1149,15 +1159,40 @@ def run_on_corrupted(saved_run, tmp_path, name, path, value):
         ("result.json", ("provenance", "fitness", "evaluation", "param"), "abc"),
         ("baseline.json", ("accuracy",), "x"),
         ("baseline.json", ("cost",), float("inf")),  # written as Infinity
+        # a missing key takes no default, unless that default is None
+        ("result.json", ("provenance", "ga", "population_size"), DELETE),
+        ("baseline.json", ("confusion", "tp"), DELETE),
     ],
     ids=["model-resolution", "model-threshold", "model-rule-weight",
-         "result-evaluation-param", "baseline-accuracy", "baseline-infinite-cost"],
+         "result-evaluation-param", "baseline-accuracy", "baseline-infinite-cost",
+         "result-missing-population", "baseline-missing-tp"],
 )
 def test_malformed_saved_file_exits_2(saved_run, tmp_path, capsys, name, path, value):
     code, target = run_on_corrupted(saved_run, tmp_path, name, path, value)
     err = capsys.readouterr().err
     assert code == 2, err
     assert str(target) in err
+
+
+def test_report_reads_a_result_file_of_the_old_format(saved_run, tmp_path):
+    # older result files carry provenance.fitness.cache and a `stratified`
+    # key in each split plan, and no provenance.master_seed
+    runs = []
+    for old in (False, True):
+        out = tmp_path / f"old-{old}"
+        shutil.copytree(saved_run, out)
+        if old:
+            payload = json.loads((out / "result.json").read_text())
+            fitness = payload["provenance"]["fitness"]
+            fitness["cache"] = True
+            fitness["evaluation"]["stratified"] = True
+            fitness["report_plan"]["stratified"] = True
+            del payload["provenance"]["master_seed"]
+            (out / "result.json").write_text(json.dumps(payload))
+        assert main(["report", "--out", str(out)]) == 0
+        runs.append({name: (out / name).read_bytes() for name in
+                     ("report.json", "cost_series.csv", "fitness_trace.csv")})
+    assert runs[0] == runs[1]
 
 
 def test_seeded_corruption_of_saved_files_exits_2(saved_run, tmp_path, capsys):

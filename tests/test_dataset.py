@@ -95,6 +95,23 @@ def test_data_and_records_decide_the_header_alike(tmp_path, first, header):
         assert exc.value.row == 1
 
 
+@pytest.mark.parametrize("load, text, message", [
+    ("records", "f0,f1\n6,1,30\n", "row 2: expected 2 columns, got 3"),
+    ("data", "f1,f0,label\n1,2,0\n3,4,1\n", "row 1: column 0 is headed 'f1', not 'f0'"),
+    ("data", "f0,f1,outcome\n1,2,0\n3,4,1\n",
+     "row 1: column 2 is headed 'outcome', not 'label'"),
+], ids=["records-wider", "data-swapped", "data-label-name"])
+def test_a_header_names_the_columns_of_every_row(tmp_path, load, text, message):
+    # a row is never read by position past its header: a stray comma or
+    # swapped columns would shift the values silently
+    path = write(tmp_path, "f.csv", text)
+    with pytest.raises((WrongColumnCount, MalformedRow), match=message):
+        if load == "records":
+            load_records(path, ("f0", "f1"))
+        else:
+            load_csv(path, make_schema(2))
+
+
 @pytest.mark.parametrize("rows, error, message", [
     (["1,2", "1,x"], MalformedRow, "row 2: non-numeric value in feature column 'f1'"),
     (["1,2", "1,inf"], MalformedRow, "row 2: non-finite value"),

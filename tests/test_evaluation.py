@@ -1,13 +1,12 @@
-from dataclasses import asdict
+import json
 
 import numpy as np
 import pytest
 
-from gafuzzy.errors import EmptyInput, FingerprintMismatch, LengthMismatch
+from gafuzzy.errors import ConfigError, EmptyInput, FingerprintMismatch, LengthMismatch
 from gafuzzy.evaluation import (
     BaselineRun,
     ConfusionMatrix,
-    baseline_from_dict,
     build_report,
     emit_plot_data,
     format_report,
@@ -17,6 +16,7 @@ from gafuzzy.evaluation import (
     score,
 )
 from gafuzzy.ga import GAParams, GenerationStats
+from gafuzzy.jsonio import decode, encode
 from gafuzzy.rule_learning import InductionConfig
 from gafuzzy.selector import (
     FitnessConfig,
@@ -66,8 +66,8 @@ def test_confusion_consistency_random():
 
 
 def make_result(fingerprint, mask=(0, 1, 0, 0, 0, 1, 0, 1), accuracy=0.85,
-                cost=18.0, master=7):
-    fcfg = FitnessConfig.from_master_seed(master)
+                cost=18.0, master=7, fcfg=None):
+    fcfg = fcfg or FitnessConfig.from_master_seed(master)
     trace = [
         GenerationStats(0, 0.5, 0.4, mask),
         GenerationStats(1, 0.6, 0.5, mask),
@@ -148,7 +148,30 @@ def test_baseline_roundtrip(tmp_path):
     path = tmp_path / "baseline.json"
     save_baseline(baseline, path)
     assert load_baseline(path) == baseline
-    assert baseline_from_dict(asdict(baseline)) == baseline
+    assert decode(BaselineRun, encode(baseline)) == baseline
+
+
+@pytest.mark.parametrize("run", [
+    make_result("abc"),
+    # no reporting plan, no master seed, and a k-fold param written as 5
+    make_result("abc", fcfg=FitnessConfig(), master=None),
+    make_baseline("abc"),
+    build_report(make_baseline("abc"), make_result("abc")),
+], ids=["result", "result-defaults", "baseline", "report"])
+def test_run_files_decode_to_what_was_encoded(run):
+    text = json.dumps(encode(run))
+    decoded = decode(type(run), json.loads(text))
+    assert decoded == run
+    assert json.dumps(encode(decoded)) == text
+
+
+def test_a_number_too_large_for_its_field_names_the_file(tmp_path):
+    path = tmp_path / "baseline.json"
+    save_baseline(make_baseline("fp"), path)
+    path.write_text(path.read_text().replace('"feature_count": 8', '"feature_count": 1e400'))
+    with pytest.raises(ConfigError) as exc:
+        load_baseline(path)
+    assert str(exc.value).startswith(f"{path}: malformed baseline file")
 
 
 def test_save_report_deterministic(tmp_path):
