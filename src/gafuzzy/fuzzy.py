@@ -33,7 +33,7 @@ negative one, the single-winner rule of Ishibuchi, Nozaki & Tanaka (FSS 52,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
@@ -44,10 +44,22 @@ from .errors import ArityMismatch, ConfigError, NoRules, UnknownTerm
 from .jsonio import read_json, write_json
 
 COVERAGE_GRID = 129  # sample count for the coverage sanity check
+MAX_RESOLUTION = 1_000_000  # output samples: 16 MB of them for two terms
 BLOCK_BYTES = 128 * 1024  # one centroid or fold-gather temporary
 # the rule strengths and degree table of one chunk of predict() or classify,
 # so their memory does not grow with the record count
 CHUNK_BYTES = 2 * 1024 * 1024
+
+
+def _trapezoid(xs: np.ndarray, a: float, b: float, c: float, d: float) -> np.ndarray:
+    """The degrees at xs of the trapezoid of corners a <= b <= c <= d: 0 outside
+    [a, d], 1 on [b, c]; a == b or c == d is a vertical edge (a shoulder)."""
+    xs = np.asarray(xs, dtype=float)
+    rising = (xs - a) / (b - a) if b > a else np.ones_like(xs)
+    falling = (d - xs) / (d - c) if d > c else np.ones_like(xs)
+    out = np.clip(np.minimum(rising, falling), 0.0, 1.0)
+    out[(xs < a) | (xs > d)] = 0.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -60,19 +72,12 @@ class Triangular:
         if not (self.a <= self.b <= self.c) or not self.a < self.c:
             raise ConfigError(f"triangular needs a <= b <= c and a < c, got {self}")
 
+    @property
+    def corners(self) -> tuple[float, float, float, float]:
+        return self.a, self.b, self.b, self.c
+
     def sample(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        rising = (
-            (xs - self.a) / (self.b - self.a) if self.b > self.a
-            else np.ones_like(xs)
-        )
-        falling = (
-            (self.c - xs) / (self.c - self.b) if self.c > self.b
-            else np.ones_like(xs)
-        )
-        out = np.clip(np.minimum(rising, falling), 0.0, 1.0)
-        out[(xs < self.a) | (xs > self.c)] = 0.0
-        return out
+        return _trapezoid(xs, *self.corners)
 
 
 @dataclass(frozen=True)
@@ -89,19 +94,12 @@ class Trapezoidal:
                 f"trapezoidal needs a <= b <= c <= d and a < d, got {self}"
             )
 
+    @property
+    def corners(self) -> tuple[float, float, float, float]:
+        return self.a, self.b, self.c, self.d
+
     def sample(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        rising = (
-            (xs - self.a) / (self.b - self.a) if self.b > self.a
-            else np.ones_like(xs)
-        )
-        falling = (
-            (self.d - xs) / (self.d - self.c) if self.d > self.c
-            else np.ones_like(xs)
-        )
-        out = np.clip(np.minimum(rising, falling), 0.0, 1.0)
-        out[(xs < self.a) | (xs > self.d)] = 0.0
-        return out
+        return _trapezoid(xs, *self.corners)
 
 
 @dataclass(frozen=True)
@@ -138,11 +136,7 @@ class LinguisticVariable:
         names = [t for t, _ in self.terms]
         if len(set(names)) != len(names):
             raise ConfigError(f"variable {self.name!r}: duplicate term name")
-        grid = np.linspace(lo, hi, COVERAGE_GRID)
-        peak = np.zeros(COVERAGE_GRID)
-        for _, mf in self.terms:
-            peak = np.maximum(peak, mf.sample(grid))
-        if not np.all(peak > 0):
+        if not np.all(self.degrees(np.linspace(lo, hi, COVERAGE_GRID)).max(axis=0) > 0):
             raise ConfigError(
                 f"variable {self.name!r}: terms leave part of the universe uncovered"
             )
@@ -193,8 +187,8 @@ class FISConfig:
     decision_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.resolution < 3:
-            raise ConfigError("resolution must be at least 3")
+        if not 3 <= self.resolution <= MAX_RESOLUTION:
+            raise ConfigError(f"resolution must lie in [3, {MAX_RESOLUTION:,}]")
         lo, hi = self.output.universe
         if not lo < self.decision_threshold < hi:
             raise ConfigError(f"decision threshold must lie in ({lo:g}, {hi:g})")
@@ -272,8 +266,7 @@ def centroid_plan(output: LinguisticVariable) -> CentroidPlan:
         if isinstance(mf, Gaussian):
             raise ConfigError(f"output term {name!r} is gaussian, not "
                               "triangular or trapezoidal")
-        a, b = mf.a, mf.b
-        c, d = (mf.b, mf.c) if isinstance(mf, Triangular) else (mf.c, mf.d)
+        a, b, c, d = mf.corners
         if a == b > lo or c == d < hi:
             raise ConfigError(f"output term {name!r} has a vertical edge "
                               "inside the universe")
@@ -617,23 +610,19 @@ def class_output_variable(
 # --- serialization -----------------------------------------------------------
 
 
+SHAPES = {"triangular": Triangular, "trapezoidal": Trapezoidal, "gaussian": Gaussian}
+
+
 def _mf_to_dict(mf: MembershipFunction) -> dict:
-    if isinstance(mf, Triangular):
-        return {"shape": "triangular", "params": [mf.a, mf.b, mf.c]}
-    if isinstance(mf, Trapezoidal):
-        return {"shape": "trapezoidal", "params": [mf.a, mf.b, mf.c, mf.d]}
-    return {"shape": "gaussian", "params": [mf.center, mf.width]}
+    shape, = (name for name, cls in SHAPES.items() if type(mf) is cls)
+    return {"shape": shape, "params": list(astuple(mf))}
 
 
 def _mf_from_dict(d: dict) -> MembershipFunction:
-    shape, params = d.get("shape"), d.get("params", [])
-    if shape == "triangular":
-        return Triangular(*params)
-    if shape == "trapezoidal":
-        return Trapezoidal(*params)
-    if shape == "gaussian":
-        return Gaussian(*params)
-    raise ConfigError(f"unknown membership shape {shape!r}")
+    shape = d.get("shape")
+    if not isinstance(shape, str) or shape not in SHAPES:
+        raise ConfigError(f"unknown membership shape {shape!r}")
+    return SHAPES[shape](*d.get("params", []))
 
 
 def _variable_to_dict(var: LinguisticVariable) -> dict:

@@ -3,8 +3,9 @@
 Model, result, baseline and report files share one byte layout (sorted
 keys, two-space indent, trailing newline) and are read after any UTF-8
 byte-order mark. A file that is not JSON (NaN and Infinity included), or
-whose content does not build the expected object, raises a ConfigError
-naming the file, which the CLI maps to exit code 2.
+whose content does not build the expected object (a number that a float
+cannot hold, such as 1e400, counts), raises a ConfigError naming the file,
+which the CLI maps to exit code 2; NaN and infinities are not written.
 
 The run files (result, baseline, report) are written by encode and read by
 decode, which follow each dataclass's fields and type hints. A field is
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import reprlib
 import types
 from pathlib import Path
 from typing import Callable, TypeVar, Union, get_args, get_origin, get_type_hints
@@ -76,7 +79,7 @@ def decode(cls: type[T], payload) -> T:
 
 def write_json(payload, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -84,12 +87,22 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _fits(text: str, parse: Callable[[str], float | int] = float):
+    """parse(text) of a JSON number that a float can hold, else an error."""
+    if not math.isfinite(float(text)):
+        raise OverflowError(f"number {reprlib.repr(text)} does not fit in a float")
+    return parse(text)
+
+
 def read_json(path: str | Path, from_dict: Callable[[dict], T], what: str) -> T:
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            payload = json.load(fh, parse_constant=_reject_constant)
+            payload = json.load(fh, parse_constant=_reject_constant, parse_float=_fits,
+                                parse_int=lambda text: _fits(text, int))
         except ValueError as exc:  # bad JSON, NaN/Infinity or bad UTF-8
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        except OverflowError as exc:
+            raise ConfigError(f"{path}: malformed {what} file: {exc}") from exc
     try:
         return from_dict(payload)
     except (GafuzzyError, KeyError, OverflowError, TypeError, ValueError) as exc:

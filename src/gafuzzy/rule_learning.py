@@ -8,8 +8,9 @@ surviving rules are ordered by the first record that proposed them.
 Antecedents are integer cells, so `keep_heaviest` fuses each proposal's
 cell and index into one int64 key and groups them with one sort of unique
 keys, with no sort on the weights. `selector.CompiledFolds`, the only
-trainer, runs `rule_proposals` once per split and `keep_heaviest` per mask,
-with the split id as the leading digit.
+trainer, reads each record's proposal off one `fuzzy.degree_table` per
+split and runs `keep_heaviest` per mask, with the split id as the leading
+digit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .dataset import read_lines, reading
 from .errors import ConfigError, NoRules, RuleParseError, UnknownTerm
-from .fuzzy import FISConfig, LinguisticVariable, Rule
+from .fuzzy import FISConfig, Rule
 
 
 @dataclass(frozen=True)
@@ -36,22 +37,6 @@ class InductionConfig:
             raise ConfigError("partitions_per_input must be at least 2")
         if not 0.0 <= self.min_rule_weight <= 1.0:
             raise ConfigError("min_rule_weight must lie in [0, 1]")
-
-
-def rule_proposals(
-    records: np.ndarray, inputs: Sequence[LinguisticVariable]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each record's strongest term of each input (the earlier term on equal
-    degrees) and its degree, both (N, m), terms of the narrowest unsigned
-    type that holds them."""
-    n_terms = max((len(v.terms) for v in inputs), default=0)
-    terms = np.zeros(records.shape, dtype=np.min_scalar_type(n_terms))
-    degrees = np.zeros(records.shape)
-    for i, var in enumerate(inputs):
-        table = var.degrees(records[:, i])  # (T, N)
-        terms[:, i] = table.argmax(axis=0)
-        degrees[:, i] = table.max(axis=0)
-    return terms, degrees
 
 
 def keep_heaviest(cells: Sequence[np.ndarray], radices: Sequence[int],
@@ -88,15 +73,6 @@ def keep_heaviest(cells: Sequence[np.ndarray], radices: Sequence[int],
     rows = order[at_max[np.searchsorted(at_max, starts)]]
     rows = rows[np.argsort(order[starts])]
     return rows[weights[rows] >= min_weight]
-
-
-def proposal_weights(degrees: np.ndarray) -> np.ndarray:
-    """The weight of each proposal, the product of its (m, N) degrees in
-    input order."""
-    weights = degrees[0].copy()
-    for row in degrees[1:]:
-        weights *= row
-    return weights
 
 
 # --- expert rule files -------------------------------------------------------

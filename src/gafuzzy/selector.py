@@ -31,12 +31,7 @@ from .fuzzy import (
 )
 from .ga import MASK_CODEC, EvolutionTrace, GAParams, GenerationStats, Mask, evolve
 from .jsonio import NOT_SAVED, decode, encode, read_json, write_json
-from .rule_learning import (
-    InductionConfig,
-    keep_heaviest,
-    proposal_weights,
-    rule_proposals,
-)
+from .rule_learning import InductionConfig, keep_heaviest
 
 BRUTE_FORCE_LIMIT = 16
 
@@ -141,11 +136,14 @@ def _kept_columns(data: Dataset, mask: Mask) -> list[int]:
 class CompiledFolds:
     """The splits of a plan, compiled together for every feature from each
     split's training rows only: the K CV folds of the fitness, or the one
-    training split of the final model. None of it depends on the mask, so
-    scoring a mask slices columns, groups the proposals of every split by
-    one int64 key each, gathers each rule's strengths over its split's test
-    rows and labels all test rows in one decision. This is the only place a
-    classifier is trained, and the only place one is scored on CV folds."""
+    training split of the final model. One degree_table of every record
+    under a split's partitions gives both the rule proposals (its training
+    columns) and the degrees the rules are scored on (its test columns).
+    None of it depends on the mask, so scoring a mask slices columns, groups
+    the proposals of every split by one int64 key each, gathers each rule's
+    strengths over its split's test rows and labels all test rows in one
+    decision. This is the only place a classifier is trained, and the only
+    place one is scored on CV folds."""
 
     def __init__(self, data: Dataset, splits: list[tuple[np.ndarray, np.ndarray]],
                  fcfg: "FitnessConfig", icfg: InductionConfig):
@@ -164,22 +162,21 @@ class CompiledFolds:
         # matches
         table = np.zeros((data.n_features, len(splits), self.n_terms, width))
         self.y_test = np.full((len(splits), width), -1)
-        self.inputs, terms, degrees, split_of = [], [], [], []
+        self.inputs, terms, degrees = [], [], []
         for k, (train_idx, test_idx) in enumerate(splits):
-            x_train = data.records[train_idx]
-            inputs = build_input_variables(x_train, names, self.n_terms)
-            t, d = rule_proposals(x_train, inputs)
+            inputs = build_input_variables(data.records[train_idx], names, self.n_terms)
             self.inputs.append(inputs)
-            terms.append(t)
-            degrees.append(d)
-            split_of.append(np.full(len(train_idx), k))
-            table[:, k, :, : len(test_idx)] = degree_table(
-                inputs, data.records[test_idx])[:, : self.n_terms]
+            every = degree_table(inputs, data.records)[:, : self.n_terms]
+            # each training row's strongest term per input, the earlier on ties
+            train = every[:, :, train_idx]
+            terms.append(train.argmax(axis=1).astype(np.min_scalar_type(self.n_terms)))
+            degrees.append(train.max(axis=1))
+            table[:, k, :, : len(test_idx)] = every[:, :, test_idx]
             self.y_test[k, : len(test_idx)] = data.labels[test_idx]
         # training rows of every split, one after another, as (feature, row)
-        self.terms = np.concatenate(terms).T.copy()
-        self.degrees = np.concatenate(degrees).T.copy()
-        self.split_of = np.concatenate(split_of)
+        self.terms = np.concatenate(terms, axis=1)
+        self.degrees = np.concatenate(degrees, axis=1)
+        self.split_of = np.repeat(np.arange(len(splits)), [len(tr) for tr, _ in splits])
         self.y_train = np.concatenate([data.labels[tr] for tr, _ in splits])
         # each training row's (class, split) group, and its table row of
         # each feature, as (row, feature)
@@ -195,7 +192,7 @@ class CompiledFolds:
         """The rules of every split over the kept features, as (training
         rows, weights), each split's rules in order of their first
         proposer."""
-        weights = proposal_weights(self.degrees[kept])
+        weights = np.prod(self.degrees[kept], axis=0)
         rows = keep_heaviest([self.split_of, *(self.terms[i] for i in kept)],
                              [len(self.sizes)] + [self.n_terms] * len(kept),
                              weights, self.icfg.min_rule_weight)

@@ -589,7 +589,8 @@ def test_one_config_file_serves_every_command(tmp_path):
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("key, value", [
-    ("resolution", "-1"), ("resolution", "2"), ("threshold", "1.5"),
+    ("resolution", "-1"), ("resolution", "2"), ("resolution", str(10**30)),
+    ("threshold", "1.5"),
 ])
 def test_fis_settings_are_checked_before_the_search(tmp_path, capsys, source,
                                                     key, value):
@@ -1128,9 +1129,10 @@ def numeric_leaves(node, path=()):
 DELETE = object()  # a value that run_on_corrupted deletes the key of
 
 
-def run_on_corrupted(saved_run, tmp_path, name, path, value):
+def run_on_corrupted(saved_run, tmp_path, name, path, value, text=None):
     """Copy the run, overwrite (or DELETE) one field of one file, and run the
-    command that reads that file. Returns (exit code, corrupted file)."""
+    command that reads that file. Given text, the field holds that JSON text
+    instead of value. Returns (exit code, corrupted file)."""
     out = tmp_path / "run"
     shutil.copytree(saved_run, out)
     target = out / name
@@ -1142,7 +1144,9 @@ def run_on_corrupted(saved_run, tmp_path, name, path, value):
         del node[path[-1]]
     else:
         node[path[-1]] = value
-    target.write_text(json.dumps(payload))
+    written = json.dumps(payload)
+    target.write_text(written if text is None
+                      else written.replace(json.dumps(value), text))
     if name == "model.json":
         argv = ["classify", "--model", str(target), "--data", str(_packaged("pima.csv"))]
     else:
@@ -1156,6 +1160,7 @@ def run_on_corrupted(saved_run, tmp_path, name, path, value):
         ("model.json", ("resolution",), "abc"),
         ("model.json", ("decision_threshold",), "abc"),
         ("model.json", ("rules", 0, "weight"), "abc"),
+        ("model.json", ("resolution",), 10**30),
         ("result.json", ("provenance", "fitness", "evaluation", "param"), "abc"),
         ("baseline.json", ("accuracy",), "x"),
         ("baseline.json", ("cost",), float("inf")),  # written as Infinity
@@ -1164,7 +1169,8 @@ def run_on_corrupted(saved_run, tmp_path, name, path, value):
         ("baseline.json", ("confusion", "tp"), DELETE),
     ],
     ids=["model-resolution", "model-threshold", "model-rule-weight",
-         "result-evaluation-param", "baseline-accuracy", "baseline-infinite-cost",
+         "model-resolution-too-large", "result-evaluation-param",
+         "baseline-accuracy", "baseline-infinite-cost",
          "result-missing-population", "baseline-missing-tp"],
 )
 def test_malformed_saved_file_exits_2(saved_run, tmp_path, capsys, name, path, value):
@@ -1172,6 +1178,24 @@ def test_malformed_saved_file_exits_2(saved_run, tmp_path, capsys, name, path, v
     err = capsys.readouterr().err
     assert code == 2, err
     assert str(target) in err
+
+
+@pytest.mark.parametrize("name, path, text", [
+    ("baseline.json", ("cost",), "1e400"),
+    ("baseline.json", ("cost",), "1" + "0" * 400),
+    ("model.json", ("inputs", 0, "universe", 1), "1e400"),
+], ids=["baseline-cost-1e400", "baseline-cost-401-digits", "model-universe-1e400"])
+def test_a_number_a_float_cannot_hold_exits_2(saved_run, tmp_path, capsys, recwarn,
+                                              name, path, text):
+    # no infinity gets in: report writes no report.json, and the model's
+    # universe is not sampled
+    code, target = run_on_corrupted(saved_run, tmp_path, name, path,
+                                    "placeholder", text)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"{target}: malformed" in err and "does not fit in a float" in err
+    assert not (target.parent / "report.json").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_report_reads_a_result_file_of_the_old_format(saved_run, tmp_path):

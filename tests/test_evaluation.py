@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,6 +173,13 @@ def test_a_number_too_large_for_its_field_names_the_file(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_baseline(path)
     assert str(exc.value).startswith(f"{path}: malformed baseline file")
+
+
+def test_a_run_file_is_never_written_with_an_infinity(tmp_path):
+    # a value no reader accepts stops the writer instead
+    baseline = replace(make_baseline("fp"), cost=float("inf"))
+    with pytest.raises(ValueError):
+        save_baseline(baseline, tmp_path / "baseline.json")
 
 
 def test_save_report_deterministic(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -50,6 +51,21 @@ def test_triangular_shoulders():
 def test_trapezoidal_examples():
     trap = Trapezoidal(0, 2, 4, 6)
     assert list(trap.sample([7, 3, 1, 5])) == [0.0, 1.0, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (0.0, 5.0, 10.0), (0.0, 0.0, 10.0), (0.0, 10.0, 10.0), (-1.3, 0.1, 0.7),
+], ids=["peak", "left-shoulder", "right-shoulder", "uneven"])
+def test_triangle_is_the_trapezoid_with_one_peak(a, b, c):
+    # Triangular(a, b, c) and Trapezoidal(a, b, b, c) give the same bits on
+    # a grid past both ends, on every corner and one ulp either side of it
+    corners = np.array([a, b, c])
+    xs = np.concatenate([np.linspace(a - 1.0, c + 1.0, 1001), corners,
+                         np.nextafter(corners, -np.inf),
+                         np.nextafter(corners, np.inf)])
+    triangle = Triangular(a, b, c).sample(xs)
+    assert triangle.tobytes() == Trapezoidal(a, b, b, c).sample(xs).tobytes()
+    assert triangle.tolist() == [oracle.tri_degree(x, a, b, c) for x in xs.tolist()]
 
 
 def test_gaussian_formula():
@@ -779,21 +795,38 @@ def test_model_roundtrip(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
-def test_model_roundtrip_all_shapes():
+def all_shapes_config(c=3.0):
+    """A model whose input has one term of each shape; c is the trapezoid's
+    third corner."""
     var = LinguisticVariable(
         "m", (0.0, 4.0),
         (
             ("t", Triangular(0.0, 1.0, 2.5)),
-            ("z", Trapezoidal(0.5, 1.5, 3.0, 4.0)),
+            ("z", Trapezoidal(0.5, 1.5, c, 4.0)),
             ("g", Gaussian(2.0, 0.7)),
         ),
     )
-    config = FISConfig(
+    return FISConfig(
         (var,), class_output_variable(),
         (Rule((("m", "g"),), "positive", 0.625),),
         resolution=501, decision_threshold=0.42,
     )
+
+
+def test_model_roundtrip_all_shapes():
+    config = all_shapes_config()
     assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+
+
+def test_model_of_every_shape_saves_to_pinned_bytes(tmp_path):
+    # the shape names, the parameter order and an int parameter (3) are
+    # written as they always were, and read back to the same model
+    config = all_shapes_config(c=3)
+    path = tmp_path / "model.json"
+    save_model(config, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "7bedfd928831e600625f841f145d9362c377de44b411686c11044a4e762f7c42")
+    assert load_model(path) == config
 
 
 def test_engine_config_roundtrip():

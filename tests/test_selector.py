@@ -222,6 +222,41 @@ def test_fold_labels_equal_the_exact_grid_centroid(master, pima_data):
         assert (0.32000000000000006, 0.32) in tied
 
 
+def oracle_proposals(folds, data, splits):
+    """Per input, each training row's term of highest oracle degree, the
+    earlier term on equal degrees, and that degree, as (feature, row)
+    arrays, the rows of every split one after another."""
+    terms, degrees = [], []
+    for inputs, (train_idx, _) in zip(folds.inputs, splits):
+        params = [oracle.variable_params(var) for var in inputs]
+        for row in data.records[train_idx].tolist():
+            row_degrees = [oracle.term_degrees(x, *p) for x, p in zip(row, params)]
+            terms.append([d.index(max(d)) for d in row_degrees])
+            degrees.append([max(d) for d in row_degrees])
+    return np.array(terms).T, np.array(degrees).T
+
+
+def test_proposals_are_each_rows_strongest_term(pima_data):
+    # the proposals read off the degree table are those of the oracle, bit
+    # for bit: the CV folds of pima, and rows at 2.5 and 7.5, where low and
+    # medium or medium and high both have degree 0.5, which propose the
+    # earlier term
+    column = [0.0, 2.5, 5.0, 7.5, 10.0, 2.5, 7.5, 1.0]
+    toy = Dataset(make_schema(2), np.column_stack([column, column[::-1]]),
+                  np.array([0, 1] * 4))
+    cases = [(pima_data, stratified_split(pima_data, SplitPlan.kfold(5, seed=3))),
+             (toy, [(np.arange(8), np.arange(0))])]
+    for data, splits in cases:
+        folds = CompiledFolds(data, splits, FitnessConfig(), ICFG)
+        terms, degrees = oracle_proposals(folds, data, splits)
+        assert folds.terms.dtype == np.uint8
+        assert np.array_equal(folds.terms, terms)
+        assert np.array_equal(folds.degrees, degrees)
+    assert folds.terms.tolist() == [[0, 0, 1, 1, 2, 0, 1, 0],
+                                    [0, 1, 0, 2, 1, 1, 0, 0]]
+    assert folds.degrees[:, 1].tolist() == [0.5, 0.5]
+
+
 def test_fold_table_has_no_sentinel_slot(pima_data):
     # induced rules constrain every kept input, so the folds' degree table
     # holds one row per feature, fold and term, and every slot a training
