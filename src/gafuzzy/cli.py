@@ -296,7 +296,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     data = _maybe_impute(cfg, data, fcfg)
     # a rule file is parsed before the search, its names checked after it
     rules_path = cfg.get("rules")
-    rule_lines = rule_learning.read_expert_rules(rules_path) if rules_path else None
+    parsed_rules = rule_learning.read_expert_rules(rules_path) if rules_path else None
 
     out_dir = Path(cfg.get("out", DEFAULT_OUT))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -317,7 +317,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     # expert rules, when supplied, replace the induced rules of the final
     # model, and the reported accuracy is that of the model saved
     if rules_path:
-        expert = rule_learning.load_expert_rules(rules_path, result.model, rule_lines)
+        expert = rule_learning.load_expert_rules(rules_path, result.model, parsed_rules)
         result.model, predicted, y_test = selector.holdout_evaluation(
             data, result.best_mask, fcfg, icfg, expert
         )

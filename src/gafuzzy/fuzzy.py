@@ -33,15 +33,15 @@ negative one, the single-winner rule of Ishibuchi, Nozaki & Tanaka (FSS 52,
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
-from functools import cached_property, lru_cache
+from dataclasses import astuple, dataclass, field
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import ArityMismatch, ConfigError, NoRules, UnknownTerm
-from .jsonio import read_json, write_json
+from .jsonio import decode, encode, read_json, write_json
 
 COVERAGE_GRID = 129  # sample count for the coverage sanity check
 MAX_RESOLUTION = 1_000_000  # output samples: 16 MB of them for two terms
@@ -119,13 +119,56 @@ class Gaussian:
 MembershipFunction = Union[Triangular, Trapezoidal, Gaussian]
 
 
+# --- serialization -----------------------------------------------------------
+# A model file is its FISConfig as jsonio writes and reads every file: each
+# field under its name, a rule's antecedent and consequent under "if" and
+# "then", and each term as {"name", "shape", "params"}, the shape named
+# through SHAPES and the params in field order.
+
+
+def save_model(config: FISConfig, path: str | Path) -> None:
+    write_json(encode(config), path)
+
+
+def load_model(path: str | Path) -> FISConfig:
+    return read_json(path, partial(decode, FISConfig), "model")
+
+
+SHAPES = {"triangular": Triangular, "trapezoidal": Trapezoidal, "gaussian": Gaussian}
+
+
+@dataclass(frozen=True)
+class _StoredTerm:
+    """A term as a model file holds it."""
+
+    name: str
+    shape: str
+    params: tuple[float, ...]
+
+
+def _write_terms(terms: tuple[tuple[str, MembershipFunction], ...]) -> list[dict]:
+    return [{"name": name, "shape": shape, "params": astuple(mf)}
+            for name, mf in terms
+            for shape, cls in SHAPES.items() if type(mf) is cls]
+
+
+def _read_terms(payload) -> tuple[tuple[str, MembershipFunction], ...]:
+    terms = []
+    for term in decode(tuple[_StoredTerm, ...], payload):
+        if term.shape not in SHAPES:
+            raise ConfigError(f"unknown membership shape {term.shape!r}")
+        terms.append((term.name, SHAPES[term.shape](*term.params)))
+    return tuple(terms)
+
+
 @dataclass(frozen=True)
 class LinguisticVariable:
     """A named variable with an ordered set of fuzzy terms over a universe."""
 
     name: str
     universe: tuple[float, float]
-    terms: tuple[tuple[str, MembershipFunction], ...]
+    terms: tuple[tuple[str, MembershipFunction], ...] = field(
+        metadata={"codec": (_write_terms, _read_terms)})
 
     def __post_init__(self):
         lo, hi = self.universe
@@ -162,8 +205,8 @@ class LinguisticVariable:
 class Rule:
     """Conjunction of (variable IS term) clauses implying an output term."""
 
-    antecedent: tuple[tuple[str, str], ...]
-    consequent: str
+    antecedent: tuple[tuple[str, str], ...] = field(metadata={"key": "if"})
+    consequent: str = field(metadata={"key": "then"})
     weight: float = 1.0
 
     def __post_init__(self):
@@ -605,77 +648,3 @@ def class_output_variable(
 ) -> LinguisticVariable:
     """Two-term output over [0, 1]; term order follows the class ids 0, 1."""
     return uniform_partition(name, 0.0, 1.0, 2, (negative_term, positive_term))
-
-
-# --- serialization -----------------------------------------------------------
-
-
-SHAPES = {"triangular": Triangular, "trapezoidal": Trapezoidal, "gaussian": Gaussian}
-
-
-def _mf_to_dict(mf: MembershipFunction) -> dict:
-    shape, = (name for name, cls in SHAPES.items() if type(mf) is cls)
-    return {"shape": shape, "params": list(astuple(mf))}
-
-
-def _mf_from_dict(d: dict) -> MembershipFunction:
-    shape = d.get("shape")
-    if not isinstance(shape, str) or shape not in SHAPES:
-        raise ConfigError(f"unknown membership shape {shape!r}")
-    return SHAPES[shape](*d.get("params", []))
-
-
-def _variable_to_dict(var: LinguisticVariable) -> dict:
-    return {
-        "name": var.name,
-        "universe": list(var.universe),
-        "terms": [{"name": t, **_mf_to_dict(mf)} for t, mf in var.terms],
-    }
-
-
-def _variable_from_dict(d: dict) -> LinguisticVariable:
-    terms = tuple((t["name"], _mf_from_dict(t)) for t in d["terms"])
-    return LinguisticVariable(d["name"], tuple(d["universe"]), terms)
-
-
-def config_to_dict(config: FISConfig) -> dict:
-    return {
-        "inputs": [_variable_to_dict(v) for v in config.inputs],
-        "output": _variable_to_dict(config.output),
-        "rules": [
-            {
-                "if": [[var, term] for var, term in rule.antecedent],
-                "then": rule.consequent,
-                "weight": rule.weight,
-            }
-            for rule in config.rules
-        ],
-        "resolution": config.resolution,
-        "decision_threshold": config.decision_threshold,
-    }
-
-
-def config_from_dict(d: dict) -> FISConfig:
-    rules = tuple(
-        Rule(
-            tuple((var, term) for var, term in r["if"]),
-            r["then"],
-            float(r.get("weight", 1.0)),
-        )
-        for r in d["rules"]
-    )
-    return FISConfig(
-        tuple(_variable_from_dict(v) for v in d["inputs"]),
-        _variable_from_dict(d["output"]),
-        rules,
-        int(d.get("resolution", FISConfig.resolution)),
-        float(d.get("decision_threshold", FISConfig.decision_threshold)),
-    )
-
-
-def save_model(config: FISConfig, path: str | Path) -> None:
-    write_json(config_to_dict(config), path)
-
-
-def load_model(path: str | Path) -> FISConfig:
-    return read_json(path, config_from_dict, "model")

@@ -7,16 +7,17 @@ whose content does not build the expected object (a number that a float
 cannot hold, such as 1e400, counts), raises a ConfigError naming the file,
 which the CLI maps to exit code 2; NaN and infinities are not written.
 
-The run files (result, baseline, report) are written by encode and read by
-decode, which follow each dataclass's fields and type hints. A field is
-written under its name. decode casts every number and string to its hint
-(int, float, str), except that a JSON integer in a float field stays an
-integer, so a written file reads back to the same bytes. It builds nested
-dataclasses, tuples, lists and `X | None`, ignores a key that no field
-names, and rejects a missing key unless the field's default is None. A
-field whose metadata is `{"codec": (write, read)}` is written as
-write(value) and read as read(payload); one whose metadata is NOT_SAVED
-is left out of the file and takes its default on reading.
+All four are written by encode and read by decode, which follow each
+dataclass's fields and type hints, once per type. A field is written under
+its name, or the key its metadata gives as `{"key": ...}`. decode takes an
+int field only from a JSON integer, a float field from a number (an
+integer stays one), a str field from a string and a tuple or list field
+from an array; a boolean is no number. It ignores a key that no field
+names and refuses a missing one unless the field's default is None, with a
+message led by the keys, such as `inputs: terms: params: expected an
+array, got an object`. A field whose metadata is `{"codec": (write,
+read)}` is written as write(value) and read as read(payload); one whose
+metadata is NOT_SAVED is left out and takes its default on reading.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import math
 import reprlib
 import types
+from functools import cache
 from pathlib import Path
 from typing import Callable, TypeVar, Union, get_args, get_origin, get_type_hints
 
@@ -34,47 +36,84 @@ from .errors import ConfigError, GafuzzyError
 T = TypeVar("T")
 
 NOT_SAVED = {"codec": None}
+_SCALARS = {int: ("an integer", (int,)), float: ("a number", (float, int)),
+            str: ("a string", (str,))}  # what a hint's value must be: JSON types
+_KINDS = {dict: "an object", list: "an array", tuple: "an array",
+          bool: "a boolean", type(None): "null"}
+
+
+def _same(value):
+    return value
 
 
 def encode(obj):
-    """The JSON value of a dataclass, tuple or list of them, or a scalar."""
-    if dataclasses.is_dataclass(obj):
-        out = {}
-        for f in dataclasses.fields(obj):
-            codec = f.metadata.get("codec", ())
-            if codec is not None:
-                value = getattr(obj, f.name)
-                out[f.name] = codec[0](value) if codec else encode(value)
-        return out
-    if isinstance(obj, (tuple, list)):
-        return [encode(value) for value in obj]
-    return obj
+    """The JSON value of a dataclass; json writes its tuples as arrays."""
+    return _codec(type(obj))[0](obj)
 
 
 def decode(cls: type[T], payload) -> T:
-    """The cls that encode wrote as payload, each value cast to its hint."""
-    origin, args = get_origin(cls), get_args(cls)
+    """The cls that encode wrote as payload, each value of its hint's type."""
+    return _codec(cls)[1](payload)
+
+
+def _refused(wanted: str, value) -> ConfigError:
+    got = _KINDS.get(type(value)) or reprlib.repr(value)
+    return ConfigError(f"expected {wanted}, got {got}")
+
+
+@cache
+def _codec(hint) -> tuple[Callable, Callable]:
+    """(write, read) of a type hint, as a field's codec metadata gives them:
+    write turns a value into its JSON value, and read turns a JSON value back,
+    refusing one of another JSON type."""
+    origin, args = get_origin(hint), get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        hints = get_type_hints(hint)
+        plan = [(f.name, f.metadata.get("key", f.name),
+                 *(f.metadata.get("codec") or _codec(hints[f.name])), f.default is not None)
+                for f in dataclasses.fields(hint) if f.metadata.get("codec", ()) is not None]
+
+        def read_dataclass(payload):
+            if type(payload) is not dict:
+                raise _refused("an object", payload)
+            values = {}
+            for name, key, _, read, required in plan:
+                if key in payload:
+                    try:
+                        values[name] = read(payload[key])
+                    except (GafuzzyError, TypeError, ValueError) as exc:
+                        exc.args = (f"{key}: {exc}",)
+                        raise
+                elif required:
+                    raise ConfigError(f"missing key {key!r}")
+            return hint(**values)
+        return (lambda obj: {key: write(getattr(obj, name)) for name, key, write, _, _ in plan},
+                read_dataclass)
     if origin in (Union, types.UnionType):  # X | None
-        inner, = (a for a in args if a is not type(None))
-        return None if payload is None else decode(inner, payload)
-    if origin is tuple:
-        if args[-1] is Ellipsis:
-            return tuple(decode(args[0], value) for value in payload)
-        return tuple(decode(a, value) for a, value in zip(args, payload, strict=True))
-    if origin is list:
-        return [decode(args[0], value) for value in payload]
-    if not dataclasses.is_dataclass(cls):
-        return payload if cls is float and type(payload) is int else cls(payload)
-    hints, values = get_type_hints(cls), {}
-    for f in dataclasses.fields(cls):
-        codec = f.metadata.get("codec", ())
-        if codec is None or (f.name not in payload and f.default is None):
-            continue
-        if f.name not in payload:
-            raise ConfigError(f"missing key {f.name!r}")
-        value = payload[f.name]
-        values[f.name] = codec[1](value) if codec else decode(hints[f.name], value)
-    return cls(**values)
+        write, read = _codec(next(a for a in args if a is not type(None)))
+        return ((lambda value: None if value is None else write(value)),
+                lambda payload: None if payload is None else read(payload))
+    if origin in (list, tuple):
+        item, = {a for a in args if a is not Ellipsis}  # an array holds one type
+        write, read = _codec(item)
+        size = None if origin is list or args[-1] is Ellipsis else len(args)
+
+        def read_array(payload):
+            if type(payload) is not list and type(payload) is not tuple:
+                raise _refused("an array", payload)
+            if size is not None and len(payload) != size:
+                raise ConfigError(f"expected an array of {size}, got {len(payload)}")
+            return origin(map(read, payload))
+        # an array of values that are their own JSON values stays as it is
+        return (_same if write is _same else lambda values: [write(v) for v in values],
+                read_array)
+    wanted, kinds = _SCALARS[hint]
+
+    def read_scalar(value):
+        if type(value) not in kinds:
+            raise _refused(wanted, value)
+        return value
+    return _same, read_scalar
 
 
 def write_json(payload, path: str | Path) -> None:

@@ -16,7 +16,7 @@ digit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -85,8 +85,8 @@ _RULE_RE = re.compile(
 _CLAUSE_RE = re.compile(r"^\s*(?P<var>\S+)\s+IS\s+(?P<term>\S+)\s*$", re.IGNORECASE)
 
 
-def _parse_rule(line: str, line_no: int) -> tuple[str, Rule]:
-    """The output variable and the rule of one line, names unchecked."""
+def _parse_rule(line: str, line_no: int) -> tuple[int, str, Rule]:
+    """The line number, output variable and rule of one line, names unchecked."""
     match = _RULE_RE.match(line)
     if not match:
         raise RuleParseError(line_no, f"cannot parse rule: {line.strip()!r}")
@@ -103,44 +103,40 @@ def _parse_rule(line: str, line_no: int) -> tuple[str, Rule]:
         except ValueError:
             raise RuleParseError(line_no, "weight is not a number") from None
     try:
-        return match["outvar"], Rule(tuple(clauses), match["outterm"], weight)
+        return line_no, match["outvar"], Rule(tuple(clauses), match["outterm"], weight)
     except ConfigError as exc:
         raise RuleParseError(line_no, str(exc)) from exc
 
 
-def parse_rule_line(line: str, line_no: int, config: FISConfig) -> Rule:
-    outvar, rule = _parse_rule(line, line_no)
-    if outvar != config.output.name:
-        raise UnknownTerm(f"line {line_no}: unknown output variable {outvar!r}")
-    try:  # FISConfig checks the variable and term names
-        FISConfig(config.inputs, config.output, (rule,), config.resolution,
-                  config.decision_threshold)
-    except UnknownTerm as exc:
-        raise UnknownTerm(f"line {line_no}: {exc}") from exc
-    return rule
-
-
-def read_expert_rules(path: str | Path) -> list[tuple[int, str]]:
-    """The numbered rules of a rule file (one rule per line, # comments and
-    blanks allowed, at least one rule), each decoded and parsed;
-    load_expert_rules checks their names against a model."""
+def read_expert_rules(path: str | Path) -> list[tuple[int, str, Rule]]:
+    """The rules of a rule file (one rule per line, # comments and blanks
+    allowed, at least one rule), each decoded and parsed once, as (line
+    number, output variable, rule); load_expert_rules checks their names
+    against a model."""
     with reading(path):
         lines = [(no, line.strip()) for no, line in enumerate(read_lines(path), 1)]
-        lines = [(no, text) for no, text in lines if text and not text.startswith("#")]
-        if not lines:
+        rules = [_parse_rule(text, no) for no, text in lines
+                 if text and not text.startswith("#")]
+        if not rules:
             raise NoRules("no rule in the file")
-        for no, text in lines:
-            _parse_rule(text, no)
-    return lines
+    return rules
 
 
 def load_expert_rules(path: str | Path, config: FISConfig,
-                      lines: list[tuple[int, str]] | None = None) -> tuple[Rule, ...]:
+                      rules: list[tuple[int, str, Rule]] | None = None
+                      ) -> tuple[Rule, ...]:
     """The rules of a rule file checked against the variables and terms of
-    config; lines is read_expert_rules(path), read here unless given."""
-    lines = read_expert_rules(path) if lines is None else lines
+    config; rules is read_expert_rules(path), read here unless given."""
+    rules = read_expert_rules(path) if rules is None else rules
     with reading(path):
-        return tuple(parse_rule_line(text, no, config) for no, text in lines)
+        for no, outvar, rule in rules:
+            try:
+                if outvar != config.output.name:
+                    raise UnknownTerm(f"unknown output variable {outvar!r}")
+                replace(config, rules=(rule,))  # FISConfig checks the names
+            except UnknownTerm as exc:
+                raise UnknownTerm(f"line {no}: {exc}") from exc
+    return tuple(rule for _, _, rule in rules)
 
 
 def format_rule(rule: Rule, output_name: str) -> str:

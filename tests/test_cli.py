@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import itertools
 import json
 import os
@@ -1155,29 +1156,84 @@ def run_on_corrupted(saved_run, tmp_path, name, path, value, text=None):
 
 
 @pytest.mark.parametrize(
-    "name, path, value",
+    "name, path, value, message",
     [
-        ("model.json", ("resolution",), "abc"),
-        ("model.json", ("decision_threshold",), "abc"),
-        ("model.json", ("rules", 0, "weight"), "abc"),
-        ("model.json", ("resolution",), 10**30),
-        ("result.json", ("provenance", "fitness", "evaluation", "param"), "abc"),
-        ("baseline.json", ("accuracy",), "x"),
-        ("baseline.json", ("cost",), float("inf")),  # written as Infinity
+        ("model.json", ("resolution",), "abc", None),
+        ("model.json", ("decision_threshold",), "abc", None),
+        ("model.json", ("rules", 0, "weight"), "abc", None),
+        ("model.json", ("resolution",), 10**30, None),
+        ("result.json", ("provenance", "fitness", "evaluation", "param"), "abc", None),
+        ("baseline.json", ("accuracy",), "x", None),
+        ("baseline.json", ("cost",), float("inf"), None),  # written as Infinity
         # a missing key takes no default, unless that default is None
-        ("result.json", ("provenance", "ga", "population_size"), DELETE),
-        ("baseline.json", ("confusion", "tp"), DELETE),
+        ("result.json", ("provenance", "ga", "population_size"), DELETE, None),
+        ("baseline.json", ("confusion", "tp"), DELETE, None),
+        ("model.json", ("resolution",), DELETE, "missing key 'resolution'"),
+        ("model.json", ("decision_threshold",), DELETE,
+         "missing key 'decision_threshold'"),
+        ("model.json", ("rules", 0, "weight"), DELETE, "rules: missing key 'weight'"),
+        # each value has its field's JSON type: nothing is cast
+        ("model.json", ("resolution",), 1001.9,
+         "resolution: expected an integer, got 1001.9"),
+        ("model.json", ("resolution",), "1001",
+         "resolution: expected an integer, got '1001'"),
+        ("model.json", ("rules", 0, "weight"), True,
+         "rules: weight: expected a number, got a boolean"),
+        ("model.json", ("inputs", 0, "terms", 0, "params"), {"a": 0, "b": 1, "c": 2},
+         "inputs: terms: params: expected an array, got an object"),
+        ("baseline.json", ("feature_count",), 8.9,
+         "feature_count: expected an integer, got 8.9"),
+        ("baseline.json", ("feature_count",), "8",
+         "feature_count: expected an integer, got '8'"),
+        ("baseline.json", ("accuracy",), True,
+         "accuracy: expected a number, got a boolean"),
+        ("result.json", ("selected_names",), "glucose",
+         "selected_names: expected an array, got 'glucose'"),
     ],
     ids=["model-resolution", "model-threshold", "model-rule-weight",
          "model-resolution-too-large", "result-evaluation-param",
          "baseline-accuracy", "baseline-infinite-cost",
-         "result-missing-population", "baseline-missing-tp"],
+         "result-missing-population", "baseline-missing-tp",
+         "model-missing-resolution", "model-missing-threshold",
+         "model-missing-rule-weight", "model-fractional-resolution",
+         "model-resolution-string", "model-rule-weight-bool",
+         "model-params-object", "baseline-fractional-feature-count",
+         "baseline-feature-count-string", "baseline-accuracy-bool",
+         "result-selected-names-string"],
 )
-def test_malformed_saved_file_exits_2(saved_run, tmp_path, capsys, name, path, value):
+def test_malformed_saved_file_exits_2(saved_run, tmp_path, capsys, name, path, value,
+                                      message):
     code, target = run_on_corrupted(saved_run, tmp_path, name, path, value)
     err = capsys.readouterr().err
     assert code == 2, err
     assert str(target) in err
+    if message is not None:
+        assert f"{target}: malformed {name.split('.')[0]} file: {message}" in err
+
+
+# SHA-256 of model.json for master seed 1: the full-feature model of the
+# classify benchmark and CI, trained on the reporting holdout's training
+# rows, and the model `select --seed 1` writes
+MODEL_SHA256_SEED_1 = {
+    "full-feature": "444b25dcce81e56095f75b93b8681fa0f3806545aa3eb6059e4213c74e695c4e",
+    "select": "0b276b6241859082fc7acf5ccda2aff39337870a78f58e3f1b9b5a53fc5929de",
+}
+
+
+@pytest.mark.parametrize("which", sorted(MODEL_SHA256_SEED_1))
+def test_model_files_of_seed_1_are_pinned(pima_data, tmp_path, which):
+    # the bytes of a saved model, and a load and a second save keep them
+    path = tmp_path / "model.json"
+    if which == "select":
+        assert main(["select", "--seed", "1", "--out", str(tmp_path)]) == 0
+    else:
+        model, _, _ = selector.holdout_evaluation(
+            pima_data, (1,) * 8, FitnessConfig.from_master_seed(1), InductionConfig())
+        save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MODEL_SHA256_SEED_1[which]
+    again = tmp_path / "again.json"
+    save_model(load_model(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("name, path, text", [

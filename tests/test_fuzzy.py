@@ -18,14 +18,13 @@ from gafuzzy.fuzzy import (
     Triangular,
     centroid_plan,
     class_output_variable,
-    config_from_dict,
-    config_to_dict,
     infer,
     load_model,
     save_model,
     uniform_partition,
 )
 from gafuzzy.dataset import Dataset
+from gafuzzy.jsonio import decode, encode
 from gafuzzy.rule_learning import InductionConfig
 from gafuzzy.selector import FitnessConfig, train_final_classifier
 
@@ -483,8 +482,8 @@ def test_tree_strengths_equal_the_flat_rules(m):
                                         engine.weights[engine.order])
         (_, strengths, _, _), = engine.chunks(records)
         assert strengths.tobytes() == expected.tobytes()
-        saved = json.loads(json.dumps(config_to_dict(engine.config)))
-        (_, loaded, _, _), = CompiledFIS(config_from_dict(saved)).chunks(records)
+        saved = json.loads(json.dumps(encode(engine.config)))
+        (_, loaded, _, _), = CompiledFIS(decode(FISConfig, saved)).chunks(records)
         assert loaded.tobytes() == strengths.tobytes()
         assert engine.tree_slots.shape == (n_rules, min(m, 2))
         assert len(engine.levels) == {1: 0, 2: 0, 3: 1, 4: 1}.get(m, 2 + (m > 8))
@@ -815,7 +814,7 @@ def all_shapes_config(c=3.0):
 
 def test_model_roundtrip_all_shapes():
     config = all_shapes_config()
-    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+    assert decode(FISConfig, json.loads(json.dumps(encode(config)))) == config
 
 
 def test_model_of_every_shape_saves_to_pinned_bytes(tmp_path):

@@ -11,7 +11,6 @@ from gafuzzy.rule_learning import (
     format_rule,
     keep_heaviest,
     load_expert_rules,
-    parse_rule_line,
     read_expert_rules,
 )
 from gafuzzy.selector import FitnessConfig, train_final_classifier
@@ -266,9 +265,10 @@ def test_rule_file_without_rules_is_rejected(tmp_path):
     assert str(exc.value) == f"{path}: no rule in the file"
 
 
-def test_unknown_variable_and_output_term():
-    # FISConfig's messages, after the line number
+def test_unknown_variable_and_output_term(tmp_path):
+    # FISConfig's messages, after the file and the line number
     config = fis_for_rules()
+    path = tmp_path / "rules.txt"
     for line, message in (
         ("IF ghost IS high THEN outcome IS positive", "unknown variable 'ghost'"),
         ("IF glucose IS huge THEN outcome IS positive",
@@ -278,9 +278,10 @@ def test_unknown_variable_and_output_term():
         ("IF glucose IS high THEN verdict IS positive",
          "unknown output variable 'verdict'"),
     ):
+        path.write_text(f"# rules\n\nIF glucose IS high THEN outcome IS positive\n{line}\n")
         with pytest.raises(UnknownTerm) as exc:
-            parse_rule_line(line, 4, config)
-        assert str(exc.value) == f"line 4: {message}"
+            load_expert_rules(path, config)
+        assert str(exc.value) == f"{path}: line 4: {message}"
 
 
 def test_rule_file_may_start_with_a_byte_order_mark(tmp_path):
@@ -291,14 +292,17 @@ def test_rule_file_may_start_with_a_byte_order_mark(tmp_path):
         Rule((("glucose", "high"),), "positive"),)
 
 
-def test_parse_errors():
+def test_parse_errors(tmp_path):
     config = fis_for_rules()
+    path = tmp_path / "rules.txt"
+    path.write_text("# rules\n\nglucose high gives positive\n")
     with pytest.raises(RuleParseError) as exc:
-        parse_rule_line("glucose high gives positive", 3, config)
+        load_expert_rules(path, config)
     assert exc.value.line == 3
-    with pytest.raises(RuleParseError):
-        parse_rule_line("IF glucose IS high THEN outcome IS positive WEIGHT heavy",
-                        1, config)
+    path.write_text("IF glucose IS high THEN outcome IS positive WEIGHT heavy\n")
+    with pytest.raises(RuleParseError) as exc:
+        load_expert_rules(path, config)
+    assert exc.value.line == 1
 
 
 def test_full_grid_roundtrip(tmp_path):
