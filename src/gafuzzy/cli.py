@@ -285,7 +285,7 @@ def _maybe_impute(cfg: RunConfig, data: ds.Dataset,
             raise ConfigError(
                 "no default anomaly columns in this schema; pass --impute-columns"
             )
-    (train_idx, _), = ds.stratified_split(data, fcfg.resolved_report_plan())
+    train_idx, _ = fcfg.report_split(data)
     return ds.impute_zero_medians(data, columns, train_idx)
 
 
@@ -334,7 +334,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         feature_count=data.n_features,
         cost=costs.total_cost,
         dataset_fingerprint=data.fingerprint(),
-        report_seed=fcfg.resolved_report_plan().seed,
+        report_seed=fcfg.report_plan.seed,
     )
 
     selector.save_result(result, out_dir / RESULT_FILE)
@@ -399,13 +399,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = RunConfig(args)
     out_dir = Path(cfg.get("out", DEFAULT_OUT))
-    baseline = ev.load_baseline(
-        Path(cfg.get("baseline") or out_dir / BASELINE_FILE)
-    )
-    result = selector.load_result(
-        Path(cfg.get("result") or out_dir / RESULT_FILE)
-    )
-    report = ev.build_report(baseline, result)
+    baseline_path = Path(cfg.get("baseline") or out_dir / BASELINE_FILE)
+    result_path = Path(cfg.get("result") or out_dir / RESULT_FILE)
+    baseline = ev.load_baseline(baseline_path)
+    result = selector.load_result(result_path)
+    try:
+        report = ev.build_report(baseline, result)
+    except GafuzzyError as exc:
+        raise ConfigError(f"{result_path} does not match {baseline_path}: {exc}") from exc
     print(ev.format_report(report))
     ev.save_report(report, out_dir / REPORT_FILE)
     cost_path, trace_path = ev.emit_plot_data(report, result.trace, out_dir)

@@ -11,8 +11,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyInput, FingerprintMismatch, LengthMismatch
-from .ga import EvolutionTrace
-from .jsonio import decode, encode, read_json, write_json
+from .ga import EvolutionTrace, save_trace_csv
+from .jsonio import check_range, decode, encode, read_json, write_json
 from .selector import SelectionResult
 
 
@@ -22,6 +22,10 @@ class ConfusionMatrix:
     fp: int
     tn: int
     fn: int
+
+    def __post_init__(self):
+        for name in ("tp", "fp", "tn", "fn"):
+            check_range(name, getattr(self, name), 0)
 
     @property
     def total(self) -> int:
@@ -62,6 +66,11 @@ class BaselineRun:
     dataset_fingerprint: str
     report_seed: int
 
+    def __post_init__(self):
+        check_range("accuracy", self.accuracy, 0, 1)
+        check_range("feature_count", self.feature_count, 1)
+        check_range("cost", self.cost, 0)
+
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -86,12 +95,14 @@ def build_report(
         raise FingerprintMismatch(
             "baseline and selection were computed on different datasets"
         )
-    report_plan = selected.provenance.fitness.resolved_report_plan()
-    if baseline.report_seed != report_plan.seed:
+    if baseline.report_seed != selected.provenance.fitness.report_plan.seed:
         raise FingerprintMismatch(
             "baseline and selection used different reporting splits"
         )
     n_original = baseline.feature_count
+    if len(selected.best_mask) != n_original:
+        raise LengthMismatch(f"a mask of {len(selected.best_mask)} bits for "
+                             f"a baseline of {n_original} features")
     rows = (
         ReportRow("without selection", n_original, n_original,
                   baseline.accuracy, baseline.cost),
@@ -132,13 +143,7 @@ def emit_plot_data(
         writer.writerow(["cost", "full", repr(report.rows[0].cost)])
         writer.writerow(["cost", "selected", repr(report.rows[1].cost)])
     trace_path = out_dir / "fitness_trace.csv"
-    with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["generation", "best_fitness", "mean_fitness"])
-        for row in trace:
-            writer.writerow(
-                [row.generation, repr(row.best_fitness), repr(row.mean_fitness)]
-            )
+    save_trace_csv(trace, trace_path, with_mask=False)
     return cost_path, trace_path
 
 

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, LengthMismatch, UnevaluatedPopulation
+from .jsonio import check_range
 
 Mask = tuple[int, ...]
 
@@ -80,6 +81,9 @@ class GenerationStats:
     best_fitness: float
     mean_fitness: float
     best_mask: Mask = field(metadata=MASK_CODEC)
+
+    def __post_init__(self):
+        check_range("generation", self.generation, 0)
 
 
 EvolutionTrace = list[GenerationStats]
@@ -251,17 +255,13 @@ def evolve(
     return best_mask, float(best_fit), trace
 
 
-def save_trace_csv(trace: EvolutionTrace, path: str | Path) -> None:
-    """Write the trace with lossless float formatting."""
+def save_trace_csv(trace: EvolutionTrace, path: str | Path,
+                   with_mask: bool = True) -> None:
+    """Write the trace with lossless float formatting, its best_mask column
+    last unless with_mask is False; every trace file is written here."""
+    columns = 4 if with_mask else 3
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["generation", "best_fitness", "mean_fitness", "best_mask"])
-        for row in trace:
-            writer.writerow(
-                [
-                    row.generation,
-                    repr(row.best_fitness),
-                    repr(row.mean_fitness),
-                    mask_to_string(row.best_mask),
-                ]
-            )
+        writer.writerow(["generation", "best_fitness", "mean_fitness", "best_mask"][:columns])
+        writer.writerows([row.generation, repr(row.best_fitness), repr(row.mean_fitness),
+                          mask_to_string(row.best_mask)][:columns] for row in trace)

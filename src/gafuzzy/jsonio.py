@@ -17,7 +17,9 @@ names and refuses a missing one unless the field's default is None, with a
 message led by the keys, such as `inputs: terms: params: expected an
 array, got an object`. A field whose metadata is `{"codec": (write,
 read)}` is written as write(value) and read as read(payload); one whose
-metadata is NOT_SAVED is left out and takes its default on reading.
+metadata is NOT_SAVED is left out and takes its default on reading. A
+dataclass refuses a value out of its range with check_range, so decode
+refuses it too.
 """
 
 from __future__ import annotations
@@ -114,6 +116,13 @@ def _codec(hint) -> tuple[Callable, Callable]:
             raise _refused(wanted, value)
         return value
     return _same, read_scalar
+
+
+def check_range(name: str, value, low, high=math.inf) -> None:
+    """Refuse a value outside [low, high] with a ConfigError naming it."""
+    if not low <= value <= high:
+        bound = f"at least {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ConfigError(f"{name} must be {bound}, got {value!r}")
 
 
 def write_json(payload, path: str | Path) -> None:

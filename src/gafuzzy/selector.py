@@ -30,7 +30,7 @@ from .fuzzy import (
     uniform_partition,
 )
 from .ga import MASK_CODEC, EvolutionTrace, GAParams, GenerationStats, Mask, evolve
-from .jsonio import NOT_SAVED, decode, encode, read_json, write_json
+from .jsonio import NOT_SAVED, check_range, decode, encode, read_json, write_json
 from .rule_learning import InductionConfig, keep_heaviest
 
 BRUTE_FORCE_LIMIT = 16
@@ -44,7 +44,9 @@ def derive_seed(master: int, label: str) -> int:
 
 @dataclass(frozen=True)
 class FitnessConfig:
-    """How a mask is scored: CV plan, cost weight, classifier settings."""
+    """How a mask is scored: CV plan, cost weight, classifier settings, and
+    the reporting holdout, by default the one of the CV plan's seed. The
+    one place a run's plans become splits."""
 
     cost_weight: float = 0.3
     evaluation: SplitPlan = field(
@@ -64,6 +66,9 @@ class FitnessConfig:
         # made before any search
         FISConfig((), class_output_variable("class"), (), self.resolution,
                   self.decision_threshold)
+        if self.report_plan is None:
+            object.__setattr__(self, "report_plan", SplitPlan.holdout(
+                0.8, seed=derive_seed(self.evaluation.seed, "holdout")))
 
     @classmethod
     def from_master_seed(cls, master: int, folds: int = 5,
@@ -77,11 +82,16 @@ class FitnessConfig:
         )
 
     def resolved_report_plan(self) -> SplitPlan:
-        if self.report_plan is not None:
-            return self.report_plan
-        return SplitPlan.holdout(
-            0.8, seed=derive_seed(self.evaluation.seed, "holdout")
-        )
+        """report_plan, which is never None; kept for the benchmark's calls."""
+        return self.report_plan
+
+    def cv_splits(self, data: Dataset) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The (train_idx, test_idx) of every CV fold the fitness scores."""
+        return stratified_split(data, self.evaluation)
+
+    def report_split(self, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """(train_idx, test_idx) of the holdout the final model is scored on."""
+        return stratified_split(data, self.report_plan)[0]
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,13 @@ class SelectionResult:
     provenance: Provenance
     # saved to its own file, absent after reload
     model: FISConfig | None = field(default=None, metadata=NOT_SAVED)
+
+    def __post_init__(self):
+        if len(self.selected_names) != sum(self.best_mask):
+            raise ConfigError(f"selected_names holds {len(self.selected_names)} names, "
+                              f"best_mask selects {sum(self.best_mask)}")
+        check_range("accuracy", self.accuracy, 0, 1)
+        check_range("cost", self.cost, 0)
 
 
 def build_input_variables(
@@ -257,9 +274,7 @@ class FitnessEvaluator:
         self.costs = costs
         self.fcfg = fcfg
         self.icfg = icfg
-        self._folds = CompiledFolds(
-            data, stratified_split(data, fcfg.evaluation), fcfg, icfg
-        )
+        self._folds = CompiledFolds(data, fcfg.cv_splits(data), fcfg, icfg)
         self._cache: dict[Mask, float] = {}
         self.hits = 0  # calls answered from the cache
 
@@ -309,7 +324,7 @@ def holdout_evaluation(
     Given rules, such as an expert rule base, replace the induced ones
     before scoring. Returns (model, predictions, test labels).
     """
-    (train_idx, test_idx), = stratified_split(data, fcfg.resolved_report_plan())
+    train_idx, test_idx = fcfg.report_split(data)
     model = train_final_classifier(data, mask, fcfg, icfg, train_idx)
     if rules is not None:
         model = replace(model, rules=rules)
@@ -398,9 +413,7 @@ def brute_force_selection(
 
 
 def save_result(result: SelectionResult, path: str | Path) -> None:
-    prov = result.provenance
-    fcfg = replace(prov.fitness, report_plan=prov.fitness.resolved_report_plan())
-    write_json(encode(replace(result, provenance=replace(prov, fitness=fcfg))), path)
+    write_json(encode(result), path)
 
 
 def load_result(path: str | Path) -> SelectionResult:

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from gafuzzy.cli import OPTIONS, _packaged, main
-from gafuzzy.dataset import stratified_split
 from gafuzzy.fuzzy import (
     CompiledFIS,
     FISConfig,
@@ -536,8 +535,7 @@ def test_rules_file_without_rules_stops_select_before_the_search(tmp_path,
 def test_expert_rules_accuracy_scores_saved_model(tmp_path, pima_data, capsys):
     _, out = run_with_expert_rules(tmp_path)
     result = json.loads((out / "result.json").read_text())
-    plan = FitnessConfig.from_master_seed(21).resolved_report_plan()
-    (_, test_idx), = stratified_split(pima_data, plan)
+    _, test_idx = FitnessConfig.from_master_seed(21).report_split(pima_data)
     kept = [i for i, bit in enumerate(result["best_mask"]) if bit == "1"]
     _, labels = CompiledFIS(load_model(out / "model.json")).predict(
         pima_data.records[test_idx][:, kept])
@@ -1189,6 +1187,21 @@ def run_on_corrupted(saved_run, tmp_path, name, path, value, text=None):
          "accuracy: expected a number, got a boolean"),
         ("result.json", ("selected_names",), "glucose",
          "selected_names: expected an array, got 'glucose'"),
+        # each value lies in its field's range
+        ("baseline.json", ("feature_count",), -3,
+         "feature_count must be at least 1, got -3"),
+        ("baseline.json", ("accuracy",), 7.5, "accuracy must be in [0, 1], got 7.5"),
+        ("baseline.json", ("cost",), -1.0, "cost must be at least 0, got -1.0"),
+        ("baseline.json", ("confusion", "tp"), -1,
+         "confusion: tp must be at least 0, got -1"),
+        ("result.json", ("best_mask",), "1",
+         "selected_names holds 2 names, best_mask selects 1"),
+        ("result.json", ("accuracy",), -0.5, "accuracy must be in [0, 1], got -0.5"),
+        ("result.json", ("cost",), -2.0, "cost must be at least 0, got -2.0"),
+        ("result.json", ("trace", 0, "generation"), -1,
+         "trace: generation must be at least 0, got -1"),
+        # a mask as long as the baseline's feature count
+        ("result.json", ("best_mask",), "11", None),
     ],
     ids=["model-resolution", "model-threshold", "model-rule-weight",
          "model-resolution-too-large", "result-evaluation-param",
@@ -1199,7 +1212,11 @@ def run_on_corrupted(saved_run, tmp_path, name, path, value, text=None):
          "model-resolution-string", "model-rule-weight-bool",
          "model-params-object", "baseline-fractional-feature-count",
          "baseline-feature-count-string", "baseline-accuracy-bool",
-         "result-selected-names-string"],
+         "result-selected-names-string", "baseline-feature-count-negative",
+         "baseline-accuracy-above-1", "baseline-cost-negative",
+         "baseline-confusion-negative", "result-mask-names-differ",
+         "result-accuracy-negative", "result-cost-negative",
+         "result-generation-negative", "result-mask-length"],
 )
 def test_malformed_saved_file_exits_2(saved_run, tmp_path, capsys, name, path, value,
                                       message):

@@ -89,7 +89,7 @@ def make_baseline(fingerprint, master=7, accuracy=0.72):
         feature_count=8,
         cost=46.0,
         dataset_fingerprint=fingerprint,
-        report_seed=fcfg.resolved_report_plan().seed,
+        report_seed=fcfg.report_plan.seed,
     )
 
 
@@ -154,7 +154,8 @@ def test_baseline_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("run", [
     make_result("abc"),
-    # no reporting plan, no master seed, and a k-fold param written as 5
+    # the reporting plan of the CV seed, no master seed, and a k-fold param
+    # written as 5
     make_result("abc", fcfg=FitnessConfig(), master=None),
     make_baseline("abc"),
     build_report(make_baseline("abc"), make_result("abc")),

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_lambda_zero_equals_cv_accuracy(toy4, toy4_costs):
     fcfg = toy_fcfg(cost_weight=0.0)
     full = (1, 1, 1, 1)
     value = fresh_fitness(full, toy4, toy4_costs, fcfg, ICFG)
-    folds = stratified_split(toy4, fcfg.evaluation)
+    folds = fcfg.cv_splits(toy4)
     expected = oracle.fitness(full, toy4, toy4_costs, folds, cost_weight=0.0)
     assert value == pytest.approx(expected, abs=1e-12)
 
@@ -71,7 +72,7 @@ def test_fitness_validation(toy4, toy4_costs):
 
 def test_fitness_matches_independent_oracle(toy4, toy4_costs):
     fcfg = toy_fcfg()
-    folds = stratified_split(toy4, fcfg.evaluation)
+    folds = fcfg.cv_splits(toy4)
     for mask in all_masks(4):
         ours = fresh_fitness(mask, toy4, toy4_costs, fcfg, ICFG)
         theirs = oracle.fitness(mask, toy4, toy4_costs, folds,
@@ -83,7 +84,7 @@ def test_fitness_matches_oracle_at_non_default_threshold(toy4, toy4_costs):
     # the fitness path must decide with the configured threshold, not 0.5
     fcfg = FitnessConfig.from_master_seed(5, decision_threshold=0.35)
     evaluator = FitnessEvaluator(toy4, toy4_costs, fcfg, ICFG)
-    folds = stratified_split(toy4, fcfg.evaluation)
+    folds = fcfg.cv_splits(toy4)
     moved = 0
     for mask in all_masks(4):
         theirs = oracle.fitness(mask, toy4, toy4_costs, folds,
@@ -148,10 +149,8 @@ def test_compiled_splits_equal_plain_training(master, pima_data, pima_costs):
     # fitness value or holdout prediction
     fcfg = FitnessConfig.from_master_seed(master)
     evaluator = FitnessEvaluator(pima_data, pima_costs, fcfg, ICFG)
-    folds = fold_trainers(pima_data, stratified_split(pima_data, fcfg.evaluation),
-                          fcfg)
-    holdout = fold_trainers(pima_data, stratified_split(
-        pima_data, fcfg.resolved_report_plan()), fcfg)
+    folds = fold_trainers(pima_data, fcfg.cv_splits(pima_data), fcfg)
+    holdout = fold_trainers(pima_data, [fcfg.report_split(pima_data)], fcfg)
     for mask in SPLIT_MASKS:
         accs = [float(np.mean(engine.predict(x_test)[1] == y_test))
                 for engine, x_test, y_test in fold_engines(pima_data, folds, mask)]
@@ -175,8 +174,7 @@ def test_batched_fitness_equals_fold_by_fold_reference(master, min_weight,
     icfg = InductionConfig(min_rule_weight=min_weight)
     fcfg = FitnessConfig.from_master_seed(master)
     evaluator = FitnessEvaluator(pima_data, pima_costs, fcfg, icfg)
-    trainers = fold_trainers(pima_data, stratified_split(pima_data, fcfg.evaluation),
-                             fcfg, icfg)
+    trainers = fold_trainers(pima_data, fcfg.cv_splits(pima_data), fcfg, icfg)
     ruleless = 0
     for mask in all_masks(pima_data.n_features):
         accs = []
@@ -197,7 +195,7 @@ def test_fold_labels_equal_the_exact_grid_centroid(master, pima_data):
     # Master seed 1 holds exact ties and a negative level 1 ulp above the
     # positive one (mask 10111000)
     fcfg = FitnessConfig.from_master_seed(master)
-    splits = stratified_split(pima_data, fcfg.evaluation)
+    splits = fcfg.cv_splits(pima_data)
     folds = CompiledFolds(pima_data, splits, fcfg, ICFG)
     trainers = fold_trainers(pima_data, splits, fcfg)
     output = class_output_variable()
@@ -262,7 +260,7 @@ def test_fold_table_has_no_sentinel_slot(pima_data):
     # holds one row per feature, fold and term, and every slot a training
     # row can point at is one of them
     fcfg = FitnessConfig.from_master_seed(1)
-    splits = stratified_split(pima_data, fcfg.evaluation)
+    splits = fcfg.cv_splits(pima_data)
     folds = CompiledFolds(pima_data, splits, fcfg, ICFG)
     assert folds.table.shape == (8 * 5 * 3, 154)
     assert folds.slot_of.min() >= 0 and folds.slot_of.max() < 8 * 5 * 3
@@ -279,7 +277,7 @@ def test_fitness_decides_class_ties_exactly():
     costs = CostTable((("f0", 1.0), ("f1", 1.0)))
     fcfg = toy_fcfg(cost_weight=0.0)
     assert fresh_fitness((1, 1), data, costs, fcfg, ICFG) == 1.0
-    trainers = fold_trainers(data, stratified_split(data, fcfg.evaluation), fcfg)
+    trainers = fold_trainers(data, fcfg.cv_splits(data), fcfg)
     for engine, x_test, y_test in fold_engines(data, trainers, (1, 1)):
         tie = x_test[:, 0] == 2.5
         assert np.all(class_levels(engine, x_test[tie]) == 0.4)
@@ -293,7 +291,7 @@ def test_keys_past_int8(folds, partitions, pima_data, pima_costs):
     fcfg = FitnessConfig(evaluation=SplitPlan.kfold(folds, seed=11))
     icfg = InductionConfig(partitions_per_input=partitions)
     evaluator = FitnessEvaluator(pima_data, pima_costs, fcfg, icfg)
-    splits = stratified_split(pima_data, fcfg.evaluation)
+    splits = fcfg.cv_splits(pima_data)
     if partitions > 3:
         proposals = sum(len(train_idx) for train_idx, _ in splits)
         assert folds * partitions ** 8 * proposals > 2 ** 63
@@ -411,6 +409,26 @@ def test_derive_seed_stable():
     assert derive_seed(42, "ga") != derive_seed(42, "cv")
     assert derive_seed(42, "ga") != derive_seed(43, "ga")
     assert 0 <= derive_seed(0, "x") < 2**63
+
+
+def test_report_plan_is_filled_at_construction(tmp_path, toy4, toy4_costs):
+    # a config without a reporting plan holds the holdout of its CV plan's
+    # seed, and so does a result file whose report_plan is null, which
+    # saves again as it was first written
+    fcfg = FitnessConfig(evaluation=SplitPlan.kfold(5, seed=8))
+    assert fcfg.report_plan == SplitPlan.holdout(0.8, derive_seed(8, "holdout"))
+    params = GAParams(population_size=12, max_generations=10, seed=3)
+    path = tmp_path / "result.json"
+    save_result(run_selection(toy4, toy4_costs, params, fcfg, ICFG), path)
+    payload = json.loads(path.read_text())
+    payload["provenance"]["fitness"]["report_plan"] = None
+    null = tmp_path / "null.json"
+    null.write_text(json.dumps(payload))
+    loaded = load_result(null)
+    assert loaded.provenance.fitness.report_plan == fcfg.report_plan
+    again = tmp_path / "again.json"
+    save_result(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_result_roundtrip(tmp_path, toy4, toy4_costs):
