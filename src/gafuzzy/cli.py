@@ -27,7 +27,7 @@ import numpy as np
 from . import dataset as ds
 from . import evaluation as ev
 from . import fuzzy, rule_learning, selector
-from .errors import ConfigError, GafuzzyError
+from .errors import ConfigError
 from .ga import GAParams, mask_to_string, save_trace_csv
 
 DEFAULT_SEED = 1
@@ -293,6 +293,11 @@ def cmd_select(args: argparse.Namespace) -> int:
     cfg = RunConfig(args)
     data, costs = _load_inputs(cfg)
     master, params, fcfg, icfg = _selection_configs(cfg)
+    if cfg.get("folds") is not None:  # a fold count the data cannot fill
+        try:
+            fcfg.cv_splits(data)
+        except ConfigError as exc:
+            raise ConfigError(f"{cfg.named('folds')}: {exc}") from exc
     data = _maybe_impute(cfg, data, fcfg)
     # a rule file is parsed before the search, its names checked after it
     rules_path = cfg.get("rules")
@@ -405,7 +410,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     result = selector.load_result(result_path)
     try:
         report = ev.build_report(baseline, result)
-    except GafuzzyError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{result_path} does not match {baseline_path}: {exc}") from exc
     print(ev.format_report(report))
     ev.save_report(report, out_dir / REPORT_FILE)
@@ -418,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (GafuzzyError, OSError) as exc:  # OSError: an unreadable path
+    except (ConfigError, OSError) as exc:  # OSError: an unreadable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit 1

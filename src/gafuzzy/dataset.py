@@ -22,20 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    ArityMismatch,
-    ClassTooSmall,
-    ConfigError,
-    DuplicateFeature,
-    GafuzzyError,
-    LengthMismatch,
-    MalformedRow,
-    MissingFeature,
-    NegativeCost,
-    UnknownFeature,
-    UnknownLabel,
-    WrongColumnCount,
-)
+from .errors import ConfigError
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -102,7 +89,7 @@ class Dataset:
                 f"records must be N x {schema.n_features}, got shape {records.shape}"
             )
         if records.shape[0] != labels.shape[0]:
-            raise LengthMismatch("records and labels disagree on N")
+            raise ConfigError("records and labels disagree on N")
         if not np.all(np.isfinite(records)):
             raise ConfigError("records contain NaN or infinite values")
         if not np.all((labels == 0) | (labels == 1)):
@@ -159,7 +146,7 @@ class CostTable:
     def __post_init__(self):
         for name, cost in self.entries:
             if cost < 0:
-                raise NegativeCost(name, cost)
+                raise ConfigError(f"feature {name!r} has negative cost {cost}")
 
     @property
     def total_cost(self) -> float:
@@ -173,7 +160,7 @@ class CostTable:
         for n, c in self.entries:
             if n == name:
                 return c
-        raise UnknownFeature(name)
+        raise ConfigError(f"feature {name!r} not declared in the schema")
 
 
 @dataclass(frozen=True)
@@ -209,17 +196,14 @@ class SplitPlan:
 @contextmanager
 def reading(path: str | Path) -> Iterator[None]:
     """The one boundary for errors about a user file: text that is not UTF-8
-    and INI or CSV syntax errors become a ConfigError naming the file, and a
-    GafuzzyError gets the path before its message, keeping its attributes."""
+    becomes a ConfigError naming the file, and an INI or CSV syntax error or
+    a ConfigError becomes a ConfigError with the path before its message."""
     try:
         yield
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    except (configparser.Error, csv.Error) as exc:
+    except (configparser.Error, csv.Error, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except GafuzzyError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
 
 
 def read_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:
@@ -287,7 +271,7 @@ def _parse_label(cell: str, schema: Schema, row: int) -> int:
             return 0
     except ValueError:
         pass
-    raise UnknownLabel(row, cell)
+    raise ConfigError(f"row {row}: unknown label {cell!r}")
 
 
 def load_csv(path: str | Path, schema: Schema) -> Dataset:
@@ -340,28 +324,28 @@ def read_rows(path: str | Path, names: Sequence[str],
             found = [c.strip() for c in cells]
             missing = [n for n in names if n not in found]
             if missing:
-                raise ArityMismatch(f"header lacks model inputs {missing}")
+                raise ConfigError(f"header lacks model inputs {missing}")
             columns, width = [found.index(n) for n in names], len(cells)
             continue
         if columns is None:
             columns, width = range(len(names)), len(names)
         if len(cells) != width:
-            raise WrongColumnCount(row_no, width, len(cells))
+            raise ConfigError(f"row {row_no}: expected {width} columns, got {len(cells)}")
         read = [cells[c] for c in columns]
         if nth == 0 and is_header(read):  # training data: the schema's names
             for c, name in [*zip(columns, names), label]:
                 if cells[c].strip() != name:
-                    raise MalformedRow(row_no, f"column {c} is headed "
-                                       f"{cells[c].strip()!r}, not {name!r}")
+                    raise ConfigError(f"row {row_no}: column {c} is headed "
+                                      f"{cells[c].strip()!r}, not {name!r}")
             continue
         try:
             parsed = list(map(float, read))
         except ValueError:
             bad = next(n for n, c in zip(names, read) if not _is_number(c))
-            raise MalformedRow(
-                row_no, f"non-numeric value in feature column {bad!r}") from None
+            raise ConfigError(f"row {row_no}: non-numeric value in feature "
+                              f"column {bad!r}") from None
         if not all(map(math.isfinite, parsed)):
-            raise MalformedRow(row_no, "non-finite value")
+            raise ConfigError(f"row {row_no}: non-finite value")
         values.extend(parsed)
         if label is not None:
             labels.append((row_no, cells[label[0]]))
@@ -429,17 +413,17 @@ def load_costs(path: str | Path, schema: Schema) -> CostTable:
         try:
             parser = _read_ini(path)
         except configparser.DuplicateOptionError as exc:
-            raise DuplicateFeature(exc.option) from exc
+            raise ConfigError(f"feature {exc.option!r} listed more than once") from exc
         if "costs" not in parser:
             raise ConfigError("missing [costs] section")
         raw = dict(parser["costs"])
         for name in raw:
             if name not in schema.feature_names:
-                raise UnknownFeature(name)
+                raise ConfigError(f"feature {name!r} not declared in the schema")
         entries = []
         for feature in schema.features:
             if feature.name not in raw:
-                raise MissingFeature(feature.name)
+                raise ConfigError(f"feature {feature.name!r} missing from file")
             try:
                 cost = float(raw[feature.name])
             except ValueError as exc:
@@ -462,7 +446,7 @@ def load_costs(path: str | Path, schema: Schema) -> CostTable:
 def mask_cost(mask: Sequence[int], costs: CostTable) -> float:
     """Total cost of the features switched on by the mask."""
     if len(mask) != len(costs.entries):
-        raise LengthMismatch(
+        raise ConfigError(
             f"mask length {len(mask)} != {len(costs.entries)} features"
         )
     return sum(cost for bit, (_, cost) in zip(mask, costs.entries) if bit)
@@ -484,7 +468,7 @@ def stratified_split(
         train_parts, test_parts = [], []
         for idx in by_class:
             if len(idx) < 2:
-                raise ClassTooSmall(
+                raise ConfigError(
                     "holdout needs at least 2 members per class"
                 )
             shuffled = rng.permutation(idx)
@@ -500,7 +484,7 @@ def stratified_split(
     folds: list[list[np.ndarray]] = [[] for _ in range(k)]
     for idx in by_class:
         if len(idx) < k:
-            raise ClassTooSmall(f"a class has fewer than k={k} members")
+            raise ConfigError(f"a class has fewer than k={k} members")
         shuffled = rng.permutation(idx)
         for j in range(k):
             folds[j].append(shuffled[j::k])
@@ -550,7 +534,7 @@ def impute_zero_medians(
     ref = records if reference_indices is None else records[reference_indices]
     for name in columns:
         if name not in name_to_idx:
-            raise UnknownFeature(name)
+            raise ConfigError(f"feature {name!r} not declared in the schema")
         col = name_to_idx[name]
         nonzero = np.sort(ref[:, col][ref[:, col] != 0])
         if nonzero.size == 0:

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, FingerprintMismatch, LengthMismatch
+from .errors import ConfigError
 from .ga import EvolutionTrace, save_trace_csv
 from .jsonio import check_range, decode, encode, read_json, write_json
 from .selector import SelectionResult
@@ -43,9 +43,9 @@ def score(
     predictions = np.asarray(predictions, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if predictions.shape != labels.shape:
-        raise LengthMismatch("predictions and labels differ in length")
+        raise ConfigError("predictions and labels differ in length")
     if predictions.size == 0:
-        raise EmptyInput("nothing to score")
+        raise ConfigError("nothing to score")
     matrix = ConfusionMatrix(
         tp=int(np.sum((predictions == 1) & (labels == 1))),
         fp=int(np.sum((predictions == 1) & (labels == 0))),
@@ -92,17 +92,17 @@ def build_report(
 ) -> ComparisonReport:
     """Two-row comparison: without selection vs with selection."""
     if baseline.dataset_fingerprint != selected.provenance.dataset_fingerprint:
-        raise FingerprintMismatch(
+        raise ConfigError(
             "baseline and selection were computed on different datasets"
         )
     if baseline.report_seed != selected.provenance.fitness.report_plan.seed:
-        raise FingerprintMismatch(
+        raise ConfigError(
             "baseline and selection used different reporting splits"
         )
     n_original = baseline.feature_count
     if len(selected.best_mask) != n_original:
-        raise LengthMismatch(f"a mask of {len(selected.best_mask)} bits for "
-                             f"a baseline of {n_original} features")
+        raise ConfigError(f"a mask of {len(selected.best_mask)} bits for "
+                          f"a baseline of {n_original} features")
     rows = (
         ReportRow("without selection", n_original, n_original,
                   baseline.accuracy, baseline.cost),

@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import ArityMismatch, ConfigError, NoRules, UnknownTerm
+from .errors import ConfigError
 from .jsonio import decode, encode, read_json, write_json
 
 COVERAGE_GRID = 129  # sample count for the coverage sanity check
@@ -198,7 +198,7 @@ class LinguisticVariable:
         for t, mf in self.terms:
             if t == name:
                 return mf
-        raise UnknownTerm(f"variable {self.name!r} has no term {name!r}")
+        raise ConfigError(f"variable {self.name!r} has no term {name!r}")
 
 
 @dataclass(frozen=True)
@@ -241,8 +241,8 @@ class FISConfig:
         for rule in self.rules:
             for var, term in rule.antecedent:
                 if var not in by_name:
-                    raise UnknownTerm(f"unknown variable {var!r}")
-                by_name[var].term(term)  # raises UnknownTerm
+                    raise ConfigError(f"unknown variable {var!r}")
+                by_name[var].term(term)  # raises ConfigError
             self.output.term(rule.consequent)
         centroid_plan(self.output)  # raises ConfigError naming the term
 
@@ -576,7 +576,7 @@ def degree_table(inputs: Sequence[LinguisticVariable],
     is a sentinel 1, the degree of an input a rule leaves unconstrained."""
     records = np.atleast_2d(np.asarray(records, dtype=float))
     if records.shape[1] != len(inputs):
-        raise ArityMismatch(
+        raise ConfigError(
             f"record has {records.shape[1]} values, expected {len(inputs)}"
         )
     t_max = max(len(v.terms) for v in inputs)
@@ -592,7 +592,7 @@ def degree_table(inputs: Sequence[LinguisticVariable],
 def infer(config: FISConfig, record: Sequence[float]) -> Inference:
     """Full pipeline for one record: fuzzify, fire rules, aggregate, defuzzify."""
     if not config.rules:
-        raise NoRules("cannot infer with an empty rule base")
+        raise ConfigError("cannot infer with an empty rule base")
     engine = config.engine
     rec = np.asarray(record, dtype=float)[None, :]
     _, strengths, crisp, labels = next(engine.chunks(rec))

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, LengthMismatch, UnevaluatedPopulation
+from .errors import ConfigError
 from .jsonio import check_range
 
 Mask = tuple[int, ...]
@@ -84,6 +84,7 @@ class GenerationStats:
 
     def __post_init__(self):
         check_range("generation", self.generation, 0)
+        check_range("bits set in best_mask", sum(self.best_mask), 1)
 
 
 EvolutionTrace = list[GenerationStats]
@@ -118,7 +119,7 @@ def roulette_select(
     flat population degrades to uniform sampling.
     """
     if pop.fitnesses is None:
-        raise UnevaluatedPopulation("population has no fitness values yet")
+        raise ConfigError("population has no fitness values yet")
     if count < 1:
         raise ConfigError("count must be positive")
     fits = np.asarray(pop.fitnesses, dtype=float)
@@ -138,9 +139,9 @@ def two_point_crossover(
     the parents pass through unchanged.
     """
     if len(a) != len(b):
-        raise LengthMismatch("parents differ in length")
+        raise ConfigError("parents differ in length")
     if len(a) < 2:
-        raise LengthMismatch("crossover needs length >= 2")
+        raise ConfigError("crossover needs length >= 2")
     length = len(a)
     if length < 3 or rng.random() >= crossover_prob:
         return a, b

@@ -33,7 +33,7 @@ from functools import cache
 from pathlib import Path
 from typing import Callable, TypeVar, Union, get_args, get_origin, get_type_hints
 
-from .errors import ConfigError, GafuzzyError
+from .errors import ConfigError
 
 T = TypeVar("T")
 
@@ -83,7 +83,7 @@ def _codec(hint) -> tuple[Callable, Callable]:
                 if key in payload:
                     try:
                         values[name] = read(payload[key])
-                    except (GafuzzyError, TypeError, ValueError) as exc:
+                    except (ConfigError, TypeError, ValueError) as exc:
                         exc.args = (f"{key}: {exc}",)
                         raise
                 elif required:
@@ -153,5 +153,5 @@ def read_json(path: str | Path, from_dict: Callable[[dict], T], what: str) -> T:
             raise ConfigError(f"{path}: malformed {what} file: {exc}") from exc
     try:
         return from_dict(payload)
-    except (GafuzzyError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed {what} file: {exc}") from exc

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import read_lines, reading
-from .errors import ConfigError, NoRules, RuleParseError, UnknownTerm
+from .errors import ConfigError
 from .fuzzy import FISConfig, Rule
 
 
@@ -89,23 +89,23 @@ def _parse_rule(line: str, line_no: int) -> tuple[int, str, Rule]:
     """The line number, output variable and rule of one line, names unchecked."""
     match = _RULE_RE.match(line)
     if not match:
-        raise RuleParseError(line_no, f"cannot parse rule: {line.strip()!r}")
+        raise ConfigError(f"line {line_no}: cannot parse rule: {line.strip()!r}")
     clauses = []
     for part in re.split(r"\s+AND\s+", match.group("body"), flags=re.IGNORECASE):
         clause = _CLAUSE_RE.match(part)
         if not clause:
-            raise RuleParseError(line_no, f"cannot parse clause: {part.strip()!r}")
+            raise ConfigError(f"line {line_no}: cannot parse clause: {part.strip()!r}")
         clauses.append((clause.group("var"), clause.group("term")))
     weight = 1.0
     if match.group("weight") is not None:
         try:
             weight = float(match.group("weight"))
         except ValueError:
-            raise RuleParseError(line_no, "weight is not a number") from None
+            raise ConfigError(f"line {line_no}: weight is not a number") from None
     try:
         return line_no, match["outvar"], Rule(tuple(clauses), match["outterm"], weight)
     except ConfigError as exc:
-        raise RuleParseError(line_no, str(exc)) from exc
+        raise ConfigError(f"line {line_no}: {exc}") from exc
 
 
 def read_expert_rules(path: str | Path) -> list[tuple[int, str, Rule]]:
@@ -118,7 +118,7 @@ def read_expert_rules(path: str | Path) -> list[tuple[int, str, Rule]]:
         rules = [_parse_rule(text, no) for no, text in lines
                  if text and not text.startswith("#")]
         if not rules:
-            raise NoRules("no rule in the file")
+            raise ConfigError("no rule in the file")
     return rules
 
 
@@ -132,10 +132,10 @@ def load_expert_rules(path: str | Path, config: FISConfig,
         for no, outvar, rule in rules:
             try:
                 if outvar != config.output.name:
-                    raise UnknownTerm(f"unknown output variable {outvar!r}")
+                    raise ConfigError(f"unknown output variable {outvar!r}")
                 replace(config, rules=(rule,))  # FISConfig checks the names
-            except UnknownTerm as exc:
-                raise UnknownTerm(f"line {no}: {exc}") from exc
+            except ConfigError as exc:
+                raise ConfigError(f"line {no}: {exc}") from exc
     return tuple(rule for _, _, rule in rules)
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import CostTable, Dataset, SplitPlan, mask_cost, stratified_split
-from .errors import ConfigError, EmptyMask, LengthMismatch, TooManyFeatures
+from .errors import ConfigError
 from .fuzzy import (
     BLOCK_BYTES,
     FISConfig,
@@ -117,6 +117,7 @@ class SelectionResult:
     model: FISConfig | None = field(default=None, metadata=NOT_SAVED)
 
     def __post_init__(self):
+        check_range("bits set in best_mask", sum(self.best_mask), 1)
         if len(self.selected_names) != sum(self.best_mask):
             raise ConfigError(f"selected_names holds {len(self.selected_names)} names, "
                               f"best_mask selects {sum(self.best_mask)}")
@@ -141,12 +142,12 @@ def build_input_variables(
 def _kept_columns(data: Dataset, mask: Mask) -> list[int]:
     """The column indices the mask keeps."""
     if len(mask) != data.n_features:
-        raise LengthMismatch(
+        raise ConfigError(
             f"mask length {len(mask)} != {data.n_features} features"
         )
     kept = [i for i, bit in enumerate(mask) if bit]
     if not kept:
-        raise EmptyMask("cannot select an empty feature set")
+        raise ConfigError("cannot select an empty feature set")
     return kept
 
 
@@ -390,7 +391,7 @@ def brute_force_selection(
     """
     length = data.n_features
     if length > BRUTE_FORCE_LIMIT:
-        raise TooManyFeatures(
+        raise ConfigError(
             f"brute force is capped at {BRUTE_FORCE_LIMIT} features, got {length}"
         )
     if evaluator is None:

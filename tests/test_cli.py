@@ -29,7 +29,7 @@ from gafuzzy.fuzzy import (
     uniform_partition,
 )
 from gafuzzy import dataset as ds, fuzzy, selector
-from gafuzzy.errors import GafuzzyError
+from gafuzzy.errors import ConfigError
 from gafuzzy.rule_learning import InductionConfig, format_rule
 from gafuzzy.selector import FitnessConfig
 
@@ -464,6 +464,21 @@ def test_unknown_impute_column_names_how_it_was_set(tmp_path, capsys, flag):
     assert "gen " not in err
 
 
+@pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+def test_unfillable_fold_count_names_how_it_was_set(tmp_path, capsys, flag):
+    # a fold count larger than a class stops select before the search,
+    # named by the flag, or by the file and [fitness] key it came from
+    config = tmp_path / "run.ini"
+    config.write_text("[fitness]\n" + ("" if flag else "folds = 800\n"))
+    argv = ["select", *PIMA_ARGS, *FAST, "--config", str(config),
+            "--out", str(tmp_path / "out")]
+    assert main(argv + ["--folds", "800"] * flag) == 2
+    err = capsys.readouterr().err
+    named = "--folds" if flag else f"{config}: [fitness] folds"
+    assert f"error: {named}: a class has fewer than k=800 members" in err, err
+    assert "gen " not in err
+
+
 EXPERT_ARGV = ["select", *PIMA_ARGS, "--seed", "21", *FAST]
 
 
@@ -853,7 +868,7 @@ def test_seeded_fuzz_of_classify_records(tmp_path, capsys):
         try:
             with ds.reading(path):
                 expected, _ = ds.read_rows(path, names)
-        except GafuzzyError:
+        except ConfigError:
             expected = None
         records = ds._loadtxt_records(path, names)
         if records is not None:
@@ -1200,6 +1215,10 @@ def run_on_corrupted(saved_run, tmp_path, name, path, value, text=None):
         ("result.json", ("cost",), -2.0, "cost must be at least 0, got -2.0"),
         ("result.json", ("trace", 0, "generation"), -1,
          "trace: generation must be at least 0, got -1"),
+        ("result.json", ("best_mask",), "00000000",
+         "bits set in best_mask must be at least 1, got 0"),
+        ("result.json", ("trace", 0, "best_mask"), "00000000",
+         "trace: bits set in best_mask must be at least 1, got 0"),
         # a mask as long as the baseline's feature count
         ("result.json", ("best_mask",), "11", None),
     ],
@@ -1216,7 +1235,8 @@ def run_on_corrupted(saved_run, tmp_path, name, path, value, text=None):
          "baseline-accuracy-above-1", "baseline-cost-negative",
          "baseline-confusion-negative", "result-mask-names-differ",
          "result-accuracy-negative", "result-cost-negative",
-         "result-generation-negative", "result-mask-length"],
+         "result-generation-negative", "result-mask-empty",
+         "result-trace-mask-empty", "result-mask-length"],
 )
 def test_malformed_saved_file_exits_2(saved_run, tmp_path, capsys, name, path, value,
                                       message):
@@ -1226,6 +1246,22 @@ def test_malformed_saved_file_exits_2(saved_run, tmp_path, capsys, name, path, v
     assert str(target) in err
     if message is not None:
         assert f"{target}: malformed {name.split('.')[0]} file: {message}" in err
+
+
+def test_report_refuses_a_selection_of_no_feature(saved_run, tmp_path, capsys):
+    # a mask with no bit set and no selected name agree with each other, but
+    # no classifier runs on an empty feature set
+    out = tmp_path / "run"
+    shutil.copytree(saved_run, out)
+    target = out / "result.json"
+    payload = json.loads(target.read_text())
+    payload["best_mask"], payload["selected_names"] = "00000000", []
+    target.write_text(json.dumps(payload))
+    assert main(["report", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (f"{target}: malformed result file: bits set in best_mask must be "
+            "at least 1, got 0") in captured.err
+    assert "with selection" not in captured.out
 
 
 # SHA-256 of model.json for master seed 1: the full-feature model of the

@@ -21,18 +21,7 @@ from gafuzzy.dataset import (
     mask_cost,
     stratified_split,
 )
-from gafuzzy.errors import (
-    ClassTooSmall,
-    ConfigError,
-    DuplicateFeature,
-    LengthMismatch,
-    MalformedRow,
-    MissingFeature,
-    NegativeCost,
-    UnknownFeature,
-    UnknownLabel,
-    WrongColumnCount,
-)
+from gafuzzy.errors import ConfigError
 
 from conftest import make_schema
 
@@ -90,9 +79,8 @@ def test_data_and_records_decide_the_header_alike(tmp_path, first, header):
     if header or first.endswith((",0", ",1")):
         assert load_csv(data, make_schema(2)).records.tolist() == values
     else:
-        with pytest.raises(UnknownLabel) as exc:
+        with pytest.raises(ConfigError, match="row 1: unknown label "):
             load_csv(data, make_schema(2))
-        assert exc.value.row == 1
 
 
 @pytest.mark.parametrize("load, text, message", [
@@ -105,62 +93,57 @@ def test_a_header_names_the_columns_of_every_row(tmp_path, load, text, message):
     # a row is never read by position past its header: a stray comma or
     # swapped columns would shift the values silently
     path = write(tmp_path, "f.csv", text)
-    with pytest.raises((WrongColumnCount, MalformedRow), match=message):
+    with pytest.raises(ConfigError, match=message):
         if load == "records":
             load_records(path, ("f0", "f1"))
         else:
             load_csv(path, make_schema(2))
 
 
-@pytest.mark.parametrize("rows, error, message", [
-    (["1,2", "1,x"], MalformedRow, "row 2: non-numeric value in feature column 'f1'"),
-    (["1,2", "1,inf"], MalformedRow, "row 2: non-finite value"),
-    (["1,2", "1,2,3"], WrongColumnCount, "row 2: expected "),
-    (["", " "], ConfigError, "no data rows"),
+@pytest.mark.parametrize("rows, message", [
+    (["1,2", "1,x"], "row 2: non-numeric value in feature column 'f1'"),
+    (["1,2", "1,inf"], "row 2: non-finite value"),
+    (["1,2", "1,2,3"], "row 2: expected "),
+    (["", " "], "no data rows"),
 ], ids=["non-numeric", "non-finite", "width", "empty"])
-def test_data_and_records_give_the_same_errors(tmp_path, rows, error, message):
+def test_data_and_records_give_the_same_errors(tmp_path, rows, message):
     records = write(tmp_path, "r.csv", "".join(f"{row}\n" for row in rows))
     data = write(tmp_path, "d.csv", "".join(
         f"{row},0\n" if row.strip() else f"{row}\n" for row in rows))
     for load in (lambda: load_records(records, ("f0", "f1")),
                  lambda: load_csv(data, make_schema(2))):
-        with pytest.raises(error, match=message):
+        with pytest.raises(ConfigError, match=message):
             load()
 
 
 def test_malformed_row_names_row_number(tmp_path):
     path = write(tmp_path, "bad.csv", "1,2,0\nabc,4,1\n")
-    with pytest.raises(MalformedRow) as exc:
+    with pytest.raises(ConfigError, match="row 2: ") as exc:
         load_csv(path, make_schema(2))
-    assert exc.value.row == 2
     assert "2" in str(exc.value)
 
 
-def test_errors_name_the_file_and_keep_their_fields(tmp_path):
+def test_errors_name_the_file_and_what_was_refused(tmp_path):
     path = write(tmp_path, "bad.csv", "1,2,0\nabc,4,1\n")
-    with pytest.raises(MalformedRow) as exc:
+    with pytest.raises(ConfigError, match="row 2: ") as exc:
         load_csv(path, make_schema(2))
-    assert exc.value.row == 2
     assert str(exc.value) == f"{path}: row 2: non-numeric value in feature column 'f0'"
     path = write(tmp_path, "c.ini", "[costs]\nf0 = 1\nf1 = 2\nf0 = 3\n")
-    with pytest.raises(DuplicateFeature) as exc:
+    with pytest.raises(ConfigError, match="'f0'") as exc:
         load_costs(path, make_schema(2))
-    assert exc.value.name == "f0"
     assert str(exc.value) == f"{path}: feature 'f0' listed more than once"
 
 
 def test_wrong_column_count(tmp_path):
     path = write(tmp_path, "wide.csv", "1,2,0\n1,2,3,0\n")
-    with pytest.raises(WrongColumnCount) as exc:
+    with pytest.raises(ConfigError, match="row 2: expected 3 columns, got 4"):
         load_csv(path, make_schema(2))
-    assert exc.value.row == 2
 
 
 def test_unknown_label(tmp_path):
     path = write(tmp_path, "lab.csv", "1,0\n2,7\n")
-    with pytest.raises(UnknownLabel) as exc:
+    with pytest.raises(ConfigError, match="row 2: unknown label ") as exc:
         load_csv(path, make_schema(1))
-    assert exc.value.row == 2
     assert "7" in str(exc.value)
 
 
@@ -171,13 +154,13 @@ def test_missing_file():
 
 def test_single_class_rejected(tmp_path):
     path = write(tmp_path, "one.csv", "1,0\n2,0\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="both classes must be present"):
         load_csv(path, make_schema(1))
 
 
 def test_nonfinite_rejected(tmp_path):
     path = write(tmp_path, "inf.csv", "1,0\ninf,1\n")
-    with pytest.raises(MalformedRow):
+    with pytest.raises(ConfigError, match="row 2: non-finite value"):
         load_csv(path, make_schema(1))
 
 
@@ -208,11 +191,11 @@ def test_load_schema_pima(pima_schema):
 
 
 def test_schema_invariants():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="at least one feature"):
         Schema((), "y", 0)
-    with pytest.raises(ConfigError):  # non-contiguous indices
+    with pytest.raises(ConfigError, match="contiguous"):
         Schema((FeatureSpec("a", 0), FeatureSpec("b", 2)), "y", 1)
-    with pytest.raises(ConfigError):  # label collides
+    with pytest.raises(ConfigError, match="label column collides"):
         Schema((FeatureSpec("a", 0),), "y", 0)
 
 
@@ -230,22 +213,21 @@ def test_default_pima_costs_total(pima_costs):
 def test_costs_missing_feature(tmp_path):
     schema = make_schema(3)
     path = write(tmp_path, "c.ini", "[costs]\nf0 = 1\nf1 = 2\n")
-    with pytest.raises(MissingFeature) as exc:
+    with pytest.raises(ConfigError, match="feature 'f2' missing from file"):
         load_costs(path, schema)
-    assert exc.value.name == "f2"
 
 
 def test_costs_duplicate_feature(tmp_path):
     schema = make_schema(2)
     path = write(tmp_path, "c.ini", "[costs]\nf0 = 1\nf1 = 2\nf0 = 3\n")
-    with pytest.raises(DuplicateFeature):
+    with pytest.raises(ConfigError, match="feature 'f0' listed more than once"):
         load_costs(path, schema)
 
 
 def test_costs_negative(tmp_path):
     schema = make_schema(2)
     path = write(tmp_path, "c.ini", "[costs]\nf0 = 1\nf1 = -2\n")
-    with pytest.raises(NegativeCost):
+    with pytest.raises(ConfigError, match="feature 'f1' has negative cost -2.0"):
         load_costs(path, schema)
 
 
@@ -269,7 +251,7 @@ def test_costs_total_must_be_positive_and_finite(tmp_path, values):
 def test_costs_unknown_feature(tmp_path):
     schema = make_schema(1)
     path = write(tmp_path, "c.ini", "[costs]\nf0 = 1\nghost = 2\n")
-    with pytest.raises(UnknownFeature):
+    with pytest.raises(ConfigError, match="feature 'ghost' not declared in the schema"):
         load_costs(path, schema)
 
 
@@ -285,7 +267,7 @@ def test_mask_cost_examples():
     assert mask_cost((0,) * 8, uniform) == 0.0
     table = costs_of([3, 1, 4, 1, 5, 9, 2, 6])
     assert mask_cost((1, 0, 1, 0, 0, 0, 0, 0), table) == 7.0
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ConfigError, match="mask length 2 != 8 features"):
         mask_cost((1, 0), table)
 
 
@@ -362,9 +344,9 @@ def test_split_proportionality_random():
 def test_class_too_small():
     labels = np.array([0, 0, 0, 1])
     data = Dataset(make_schema(1), np.arange(4.0).reshape(-1, 1), labels)
-    with pytest.raises(ClassTooSmall):
+    with pytest.raises(ConfigError, match="a class has fewer than k=2 members"):
         stratified_split(data, SplitPlan.kfold(2, seed=0))
-    with pytest.raises(ClassTooSmall):
+    with pytest.raises(ConfigError, match="holdout needs at least 2 members per class"):
         stratified_split(
             Dataset(make_schema(1), np.arange(3.0).reshape(-1, 1), np.array([0, 0, 1])),
             SplitPlan.holdout(0.5, seed=0),
@@ -372,9 +354,9 @@ def test_class_too_small():
 
 
 def test_split_plan_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="holdout train fraction must lie in"):
         SplitPlan.holdout(1.0, seed=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="k must be an integer >= 2"):
         SplitPlan.kfold(1, seed=0)
 
 
@@ -417,5 +399,5 @@ def test_impute_zero_medians():
     assert fixed.records[3, 1] == 0.0  # f1 untouched
     ref = impute_zero_medians(data, ["f0"], reference_indices=np.array([0, 1, 2]))
     assert ref.records[0, 0] == 6.0  # median of 4, 8
-    with pytest.raises(UnknownFeature):
+    with pytest.raises(ConfigError, match="feature 'ghost' not declared in the schema"):
         impute_zero_medians(data, ["ghost"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gafuzzy.errors import ConfigError, LengthMismatch, UnevaluatedPopulation
+from gafuzzy.errors import ConfigError
 from gafuzzy.ga import (
     GAParams,
     Population,
@@ -23,20 +23,20 @@ CHI2_DF2_ALPHA_01 = 9.21034  # upper 1% point of chi-square with 2 dof
 # --- params / helpers ---------------------------------------------------------
 
 def test_params_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="population_size must be at least 2"):
         GAParams(population_size=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="crossover_prob must lie in"):
         GAParams(crossover_prob=1.5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="mutation_prob must lie in"):
         GAParams(mutation_prob=-0.1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="elite_count must satisfy"):
         GAParams(elite_count=50, population_size=50)
 
 
 def test_mask_string_roundtrip():
     assert mask_to_string((1, 0, 1)) == "101"
     assert string_to_mask("101") == (1, 0, 1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="not a bitstring"):
         string_to_mask("10x")
 
 
@@ -74,7 +74,7 @@ def pop_with(fits):
 
 def test_roulette_requires_fitness():
     pop = Population(((1, 0),), None, 0)
-    with pytest.raises(UnevaluatedPopulation):
+    with pytest.raises(ConfigError, match="population has no fitness values yet"):
         roulette_select(pop, 1, np.random.default_rng(0))
 
 
@@ -157,9 +157,9 @@ def test_crossover_pc_zero_is_identity():
 
 def test_crossover_short_masks():
     rng = np.random.default_rng(4)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ConfigError, match="crossover needs length >= 2"):
         two_point_crossover((1,), (0,), rng, 1.0)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ConfigError, match="parents differ in length"):
         two_point_crossover((1, 0), (0,), rng, 1.0)
     # length 2 leaves no interior cut pair: parents unchanged
     assert two_point_crossover((1, 0), (0, 1), rng, 1.0) == ((1, 0), (0, 1))
@@ -270,7 +270,7 @@ def test_evolve_deterministic():
 
 
 def test_nonfinite_fitness_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="non-finite value"):
         evolve(GAParams(seed=1, max_generations=2), 4, lambda m: float("nan"))
 
 

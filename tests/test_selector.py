@@ -8,7 +8,7 @@ import pytest
 from gafuzzy.dataset import (
     CostTable, Dataset, SplitPlan, mask_cost, stratified_split,
 )
-from gafuzzy.errors import EmptyMask, LengthMismatch, TooManyFeatures
+from gafuzzy.errors import ConfigError
 from gafuzzy.fuzzy import CompiledFIS, class_output_variable
 from gafuzzy.ga import GAParams, mask_to_string
 from gafuzzy.rule_learning import InductionConfig
@@ -64,9 +64,9 @@ def test_lambda_one_full_mask_shifts_by_one(toy4, toy4_costs):
 
 def test_fitness_validation(toy4, toy4_costs):
     fcfg = toy_fcfg()
-    with pytest.raises(EmptyMask):
+    with pytest.raises(ConfigError, match="cannot select an empty feature set"):
         fresh_fitness((0, 0, 0, 0), toy4, toy4_costs, fcfg, ICFG)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ConfigError, match="mask length 2 != 4 features"):
         fresh_fitness((1, 0), toy4, toy4_costs, fcfg, ICFG)
 
 
@@ -341,7 +341,7 @@ def test_brute_force_single_feature():
 def test_brute_force_guard(toy4, toy4_costs):
     class Wide:
         n_features = 17
-    with pytest.raises(TooManyFeatures):
+    with pytest.raises(ConfigError, match="brute force is capped at 16 features, got 17"):
         brute_force_selection(Wide(), toy4_costs, toy_fcfg(), ICFG)
 
 
