@@ -41,7 +41,6 @@ from .fuzzy import (  # noqa: F401
 from .ga import (  # noqa: F401
     GAParams,
     GenerationStats,
-    Population,
     bit_mutation,
     evolve,
     init_population,

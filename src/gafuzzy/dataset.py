@@ -56,6 +56,9 @@ class Schema:
                 "feature indices must be unique and contiguous from 0, "
                 f"in declaration order (got {indices})"
             )
+        if self.label_index < 0:
+            raise ConfigError(
+                f"label index must be at least 0, got {self.label_index}")
         if self.label_index in indices:
             raise ConfigError("label column collides with a feature column")
         names = [f.name for f in self.features]
@@ -213,8 +216,12 @@ def read_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:
         yield from fh
 
 
-def _read_ini(path: str | Path) -> configparser.ConfigParser:
+def _read_ini(path: str | Path, exact_keys: bool = False) -> configparser.ConfigParser:
+    """An INI file whose keys are lowercased, or kept as written when
+    exact_keys is set; section names always keep their case."""
     parser = configparser.ConfigParser(strict=True, interpolation=None)
+    if exact_keys:
+        parser.optionxform = str
     parser.read_file(read_lines(path), source=str(path))
     return parser
 
@@ -325,6 +332,9 @@ def read_rows(path: str | Path, names: Sequence[str],
             missing = [n for n in names if n not in found]
             if missing:
                 raise ConfigError(f"header lacks model inputs {missing}")
+            twice = [n for n in names if found.count(n) > 1]
+            if twice:
+                raise ConfigError(f"header names model inputs {twice} more than once")
             columns, width = [found.index(n) for n in names], len(cells)
             continue
         if columns is None:
@@ -370,9 +380,9 @@ def _loadtxt_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray | N
     """The records of a plain numeric file, parsed in one np.loadtxt pass,
     or None for read_rows to decide. None comes for a file that is not
     UTF-8 or holds a quote, a blank first line, a header that lacks a model
-    input or has no rows under it, rows of the wrong width, a cell
-    np.loadtxt cannot parse (float() takes some, such as 1_000) and a value
-    that is not finite."""
+    input, names one twice or has no rows under it, rows of the wrong width,
+    a cell np.loadtxt cannot parse (float() takes some, such as 1_000) and a
+    value that is not finite."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -387,7 +397,7 @@ def _loadtxt_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray | N
     if is_header(cells):
         names = [c.strip() for c in cells]
         # np.loadtxt warns on a header without rows
-        if not rest.strip() or any(n not in names for n in input_names):
+        if not rest.strip() or any(names.count(n) != 1 for n in input_names):
             return None
         usecols = [names.index(n) for n in input_names]
     elif len(cells) != len(input_names):
@@ -408,10 +418,11 @@ def _loadtxt_records(path: Path, input_names: tuple[str, ...]) -> np.ndarray | N
 
 
 def load_costs(path: str | Path, schema: Schema) -> CostTable:
-    """Read a [costs] file and check it covers the schema exactly."""
+    """Read a [costs] file and check it covers the schema exactly: its keys
+    are the features' names, case included."""
     with reading(path):
         try:
-            parser = _read_ini(path)
+            parser = _read_ini(path, exact_keys=True)
         except configparser.DuplicateOptionError as exc:
             raise ConfigError(f"feature {exc.option!r} listed more than once") from exc
         if "costs" not in parser:

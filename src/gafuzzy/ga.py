@@ -2,13 +2,16 @@
 
 Generational evolution with roulette-wheel selection (fitness windowed to
 keep weights non-negative), two-point crossover, per-bit mutation and
-elitism. All randomness flows from one seeded generator owned by the
-orchestrating loop, so a run is a pure function of its parameters.
+elitism. evolve takes every generation, the random first one included,
+through one loop body: score, rank once, record, then stop or breed. All
+randomness flows from one seeded generator owned by that loop, so a run is
+a pure function of its parameters.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -68,13 +71,6 @@ class GAParams:
             raise ConfigError("elite_count must satisfy 1 <= elites < population")
 
 
-@dataclass
-class Population:
-    individuals: tuple[Mask, ...]
-    fitnesses: tuple[float, ...] | None
-    generation: int = 0
-
-
 @dataclass(frozen=True)
 class GenerationStats:
     generation: int
@@ -99,34 +95,32 @@ def _repair_zero(bits: Mask, rng: np.random.Generator) -> Mask:
 
 def init_population(
     params: GAParams, length: int, rng: np.random.Generator | None = None
-) -> Population:
+) -> tuple[Mask, ...]:
     """Uniform random masks; all-zero draws get one random bit switched on."""
     if length < 1:
         raise ConfigError("chromosome length must be at least 1")
     if rng is None:
         rng = np.random.default_rng(params.seed)
     raw = rng.integers(0, 2, size=(params.population_size, length), dtype=np.int64)
-    individuals = tuple(_repair_zero(tuple(row.tolist()), rng) for row in raw)
-    return Population(individuals, None, 0)
+    return tuple(_repair_zero(tuple(row.tolist()), rng) for row in raw)
 
 
 def roulette_select(
-    pop: Population, count: int, rng: np.random.Generator
+    individuals: Sequence[Mask], fitnesses: Sequence[float], count: int,
+    rng: np.random.Generator,
 ) -> list[Mask]:
     """Fitness-proportional sampling with min-shift windowing.
 
     Weights are f - min(f) + epsilon, so negative fitnesses are legal and a
     flat population degrades to uniform sampling.
     """
-    if pop.fitnesses is None:
-        raise ConfigError("population has no fitness values yet")
     if count < 1:
         raise ConfigError("count must be positive")
-    fits = np.asarray(pop.fitnesses, dtype=float)
+    fits = np.asarray(fitnesses, dtype=float)
     weights = fits - fits.min() + ROULETTE_EPSILON
     probs = weights / weights.sum()
     chosen = rng.choice(len(fits), size=count, replace=True, p=probs)
-    return [pop.individuals[i] for i in chosen]
+    return [individuals[i] for i in chosen]
 
 
 def two_point_crossover(
@@ -136,12 +130,10 @@ def two_point_crossover(
 
     Cut points satisfy 1 <= p < q <= L-1 and the half-open segment [p, q)
     moves between the parents. Lengths below 3 leave no valid cut pair, so
-    the parents pass through unchanged.
+    the parents pass through unchanged, and no number is drawn.
     """
     if len(a) != len(b):
         raise ConfigError("parents differ in length")
-    if len(a) < 2:
-        raise ConfigError("crossover needs length >= 2")
     length = len(a)
     if length < 3 or rng.random() >= crossover_prob:
         return a, b
@@ -159,31 +151,6 @@ def bit_mutation(
     return _repair_zero(tuple(int(b) ^ f for b, f in zip(mask, flips)), rng)
 
 
-def _evaluate(
-    fitness_fn: Callable[[Mask], float], individuals: Sequence[Mask]
-) -> tuple[float, ...]:
-    values = [float(fitness_fn(m)) for m in individuals]
-    if not np.all(np.isfinite(values)):
-        raise ConfigError("fitness function returned a non-finite value")
-    return tuple(values)
-
-
-def _best_index(fits: Sequence[float]) -> int:
-    arr = np.asarray(fits)
-    return int(np.lexsort((np.arange(arr.size), -arr))[0])
-
-
-def _stats(pop: Population) -> GenerationStats:
-    assert pop.fitnesses is not None
-    best = _best_index(pop.fitnesses)
-    return GenerationStats(
-        pop.generation,
-        float(pop.fitnesses[best]),
-        float(np.mean(pop.fitnesses)),
-        pop.individuals[best],
-    )
-
-
 def evolve(
     params: GAParams,
     length: int,
@@ -193,67 +160,48 @@ def evolve(
     """Run the full loop and return the best-ever mask, its fitness and the
     per-generation trace.
 
-    The loop is: evaluate, roulette-select a full parent pool, pair parents
-    in selection order, crossover then mutate, then overwrite the worst
-    children with the best individuals of the previous generation
-    (elitism). It stops at max_generations, or once the best fitness has
-    not improved for stagnation_window consecutive generations.
+    Every generation, the random first one included, is scored, its worst
+    members replaced by the elites of the one before, ranked once (best
+    first, the earlier on ties) for its recorded best and its own elites,
+    and recorded. The loop stops at max_generations, or once the best
+    fitness has not improved for stagnation_window consecutive generations;
+    otherwise it roulette-selects a full parent pool, pairs the parents in
+    selection order, and crosses over then mutates them into the next
+    generation.
     """
     rng = np.random.default_rng(params.seed)
-    pop = init_population(params, length, rng=rng)
-    fits = _evaluate(fitness_fn, pop.individuals)
-    pop = Population(pop.individuals, fits, 0)
-    trace: EvolutionTrace = [_stats(pop)]
-    if on_generation:
-        on_generation(trace[-1])
-
-    best_idx = _best_index(fits)
-    best_mask, best_fit = pop.individuals[best_idx], fits[best_idx]
-    last_improvement = 0
-    generation = 0
-
-    while (
-        generation < params.max_generations
-        and generation - last_improvement < params.stagnation_window
-    ):
-        parents = roulette_select(pop, params.population_size, rng)
-        children: list[Mask] = []
-        for i in range(0, len(parents) - 1, 2):
-            c1, c2 = two_point_crossover(
-                parents[i], parents[i + 1], rng, params.crossover_prob
-            )
-            children.extend((c1, c2))
-        if len(parents) % 2:
-            children.append(parents[-1])
-        children = [bit_mutation(c, rng, params.mutation_prob) for c in children]
-
-        child_fits = list(_evaluate(fitness_fn, children))
-
-        # elitism: best of the old generation replace the worst children
-        old_order = np.lexsort(
-            (np.arange(len(fits)), -np.asarray(fits))
-        )[: params.elite_count]
-        child_order = np.lexsort(
-            (np.arange(len(child_fits)), np.asarray(child_fits))
-        )[: params.elite_count]
-        for elite_i, child_i in zip(old_order, child_order):
-            children[int(child_i)] = pop.individuals[int(elite_i)]
-            child_fits[int(child_i)] = fits[int(elite_i)]
-
-        generation += 1
-        pop = Population(tuple(children), tuple(child_fits), generation)
-        fits = pop.fitnesses
-        trace.append(_stats(pop))
+    individuals = list(init_population(params, length, rng=rng))
+    elites: list[tuple[Mask, float]] = []
+    trace: EvolutionTrace = []
+    best_mask, best_fit, last_improvement = individuals[0], -np.inf, 0
+    for generation in itertools.count():
+        fits = [float(fitness_fn(m)) for m in individuals]
+        if not np.all(np.isfinite(fits)):
+            raise ConfigError("fitness function returned a non-finite value")
+        worst = np.lexsort((np.arange(len(fits)), fits))[: len(elites)]
+        for i, (mask, fit) in zip(worst.tolist(), elites):
+            individuals[i], fits[i] = mask, fit
+        order = np.lexsort((np.arange(len(fits)), -np.asarray(fits))).tolist()
+        best = order[0]
+        trace.append(GenerationStats(generation, fits[best], float(np.mean(fits)),
+                                     individuals[best]))
         if on_generation:
             on_generation(trace[-1])
+        if fits[best] > best_fit:
+            best_mask, best_fit, last_improvement = individuals[best], fits[best], generation
+        if (generation >= params.max_generations
+                or generation - last_improvement >= params.stagnation_window):
+            return best_mask, best_fit, trace
 
-        gen_best = _best_index(fits)
-        if fits[gen_best] > best_fit:
-            best_fit = fits[gen_best]
-            best_mask = pop.individuals[gen_best]
-            last_improvement = generation
-
-    return best_mask, float(best_fit), trace
+        elites = [(individuals[i], fits[i]) for i in order[: params.elite_count]]
+        parents = roulette_select(individuals, fits, params.population_size, rng)
+        children: list[Mask] = []
+        for i in range(0, len(parents) - 1, 2):
+            children.extend(two_point_crossover(
+                parents[i], parents[i + 1], rng, params.crossover_prob))
+        if len(parents) % 2:
+            children.append(parents[-1])
+        individuals = [bit_mutation(c, rng, params.mutation_prob) for c in children]
 
 
 def save_trace_csv(trace: EvolutionTrace, path: str | Path,

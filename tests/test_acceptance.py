@@ -19,7 +19,7 @@ from gafuzzy.fuzzy import (
     class_output_variable,
     infer,
 )
-from gafuzzy.ga import GAParams, Population, bit_mutation, evolve, roulette_select
+from gafuzzy.ga import GAParams, bit_mutation, evolve, roulette_select
 from gafuzzy.rule_learning import InductionConfig
 from gafuzzy.selector import (
     FitnessConfig,
@@ -184,8 +184,7 @@ def test_ga_property_suite():
 
     # roulette chi-square at alpha = 0.01 over 1e5 draws
     masks = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    pop = Population(masks, (1.0, 2.0, 3.0), 0)
-    chosen = roulette_select(pop, 100_000, np.random.default_rng(55))
+    chosen = roulette_select(masks, (1.0, 2.0, 3.0), 100_000, np.random.default_rng(55))
     counts = np.array([sum(c == m for c in chosen) for m in masks])
     eps = 1e-9
     weights = np.array([eps, 1 + eps, 2 + eps])

@@ -234,8 +234,15 @@ FIELD_LIMIT = csv.field_size_limit()
         b"pregnancies,glucose,", b"glucose,pregnancies,", 1),
      "row 1: column 0 is headed 'glucose', not 'pregnancies'"),
     ("classify", "--data", b"u,v\n6,30\n6,1,30\n", "row 3: expected 2 columns, got 3"),
+    ("validate", "--schema", packaged_with("pima.schema", b"index = 8", b"index = -1"),
+     "label index must be at least 0, got -1"),
+    ("classify", "--data", b"u,v,u\n6,30,1\n",
+     "header names model inputs ['u'] more than once"),
+    ("classify", "--data", b'"u","v","u"\n"6","30","1"\n',
+     "header names model inputs ['u'] more than once"),
 ], ids=["data-label", "data-first-label", "costs-missing", "costs-duplicate", "rules-variable",
-        "data-long-cell", "records-long-cell", "data-swapped-header", "records-stray-comma"])
+        "data-long-cell", "records-long-cell", "data-swapped-header", "records-stray-comma",
+        "schema-negative-label", "records-input-twice", "records-input-twice-quoted"])
 def test_rejection_names_the_file(tmp_path, capsys, command, flag, data, message):
     path = tmp_path / "input"
     path.write_bytes(data)
@@ -360,6 +367,21 @@ def test_seeded_fuzz_of_user_files(tmp_path, capsys):
 
 
 # --- select ---------------------------------------------------------------------
+
+def test_one_feature_data_selects_and_reports(tmp_path, capsys):
+    # the only mask with a bit set is chosen; crossover has no cut to make
+    rows = csv.reader(_packaged("pima.csv").read_text().splitlines())
+    (tmp_path / "one.csv").write_text("".join(f"{r[1]},{r[-1]}\n" for r in rows))
+    (tmp_path / "one.schema").write_text(
+        "[label]\nname = outcome\nindex = 1\n\n[glucose]\nindex = 0\n")
+    (tmp_path / "one.costs").write_text("[costs]\nglucose = 16\n")
+    files = [str(tmp_path / name) for name in ("one.csv", "one.schema", "one.costs")]
+    argv = ["select", "--data", files[0], "--schema", files[1], "--costs", files[2],
+            "--seed", "1", *FAST, "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert "selected mask: 1\n" in capsys.readouterr().out
+    assert main(["report", "--out", str(tmp_path / "out")]) == 0
+
 
 def test_select_deterministic_and_prints_selection(tmp_path, capsys):
     out_a = tmp_path / "a"
@@ -862,7 +884,7 @@ def test_seeded_fuzz_of_classify_records(tmp_path, capsys):
     path = tmp_path / "records.csv"
     rng = random.Random(14)
     seen = {"one pass": 0, "row loop": 0, "rejected": 0}
-    for _ in range(300):
+    for _ in range(400):  # enough that each outcome comes over 30 times
         data = corrupt_records(rng)
         path.write_bytes(data)
         try:
@@ -1287,6 +1309,20 @@ def test_model_files_of_seed_1_are_pinned(pima_data, tmp_path, which):
     again = tmp_path / "again.json"
     save_model(load_model(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+# SHA-256 of the run files `select --seed 1` writes that hold the search:
+# its generation trace, and the result with the trace and selected mask
+RUN_SHA256_SEED_1 = {
+    "trace.csv": "7c7249571d0282893b67ab5d2a49c4369999003584b0aa20ac9cf158176c5e18",
+    "result.json": "7e31158021b9bd6cec2156e4272689eda834e3f86df61c620a071a705ee26d89",
+}
+
+
+def test_search_files_of_seed_1_are_pinned(tmp_path):
+    assert main(["select", "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in RUN_SHA256_SEED_1} == RUN_SHA256_SEED_1
 
 
 @pytest.mark.parametrize("name, path, text", [

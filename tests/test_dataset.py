@@ -255,6 +255,20 @@ def test_costs_unknown_feature(tmp_path):
         load_costs(path, schema)
 
 
+def test_cost_keys_are_exact_feature_names(tmp_path):
+    # a cost file's keys keep their case, as schema sections and headers do;
+    # a schema's own keys stay case-insensitive
+    schema = load_schema(write(tmp_path, "s.ini",
+                               "[label]\nName = y\nIndex = 2\n\n[Glucose]\nINDEX = 0\n\n"
+                               "[BMI]\nindex = 1\n"))
+    assert schema.feature_names == ("Glucose", "BMI")
+    table = load_costs(write(tmp_path, "c.ini", "[costs]\nGlucose = 16\nBMI = 1\n"), schema)
+    assert table.entries == (("Glucose", 16.0), ("BMI", 1.0))
+    path = write(tmp_path, "lower.ini", "[costs]\nglucose = 16\nBMI = 1\n")
+    with pytest.raises(ConfigError, match="feature 'glucose' not declared in the schema"):
+        load_costs(path, schema)
+
+
 # --- mask_cost -----------------------------------------------------------------
 
 def costs_of(values):

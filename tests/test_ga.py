@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +8,6 @@ import pytest
 from gafuzzy.errors import ConfigError
 from gafuzzy.ga import (
     GAParams,
-    Population,
     bit_mutation,
     evolve,
     init_population,
@@ -45,20 +46,18 @@ def test_mask_string_roundtrip():
 def test_init_deterministic():
     params = GAParams(seed=99)
     a = init_population(params, 8)
-    b = init_population(params, 8)
-    assert a.individuals == b.individuals
-    assert a.fitnesses is None and a.generation == 0
+    assert a == init_population(params, 8)
+    assert len(a) == params.population_size
 
 
 def test_init_length_one_repairs_to_ones():
-    pop = init_population(GAParams(population_size=40, seed=3), 1)
-    assert all(ind == (1,) for ind in pop.individuals)
+    masks = init_population(GAParams(population_size=40, seed=3), 1)
+    assert all(ind == (1,) for ind in masks)
 
 
 def test_init_no_all_zero_and_bit_frequency():
     params = GAParams(population_size=10_000, seed=11)
-    pop = init_population(params, 8)
-    bits = np.array(pop.individuals)
+    bits = np.array(init_population(params, 8))
     assert np.all(bits.sum(axis=1) >= 1)
     freqs = bits.mean(axis=0)
     # uniform bits plus the zero-repair bias keep per-bit frequency near 0.5
@@ -67,22 +66,10 @@ def test_init_no_all_zero_and_bit_frequency():
 
 # --- roulette -------------------------------------------------------------------
 
-def pop_with(fits):
-    masks = tuple((1,) * 4 for _ in fits)
-    return Population(masks, tuple(float(f) for f in fits), 0)
-
-
-def test_roulette_requires_fitness():
-    pop = Population(((1, 0),), None, 0)
-    with pytest.raises(ConfigError, match="population has no fitness values yet"):
-        roulette_select(pop, 1, np.random.default_rng(0))
-
-
 def test_roulette_degenerate_wheel():
     masks = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-    pop = Population(masks, (1.0, 0.0, 0.0), 0)
     rng = np.random.default_rng(21)
-    chosen = roulette_select(pop, 10_000, rng)
+    chosen = roulette_select(masks, (1.0, 0.0, 0.0), 10_000, rng)
     share = sum(c == masks[0] for c in chosen) / 10_000
     assert share >= 0.999
 
@@ -95,18 +82,16 @@ def chi_square(counts, probs):
 
 def test_roulette_uniform_when_flat():
     masks = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-    pop = Population(masks, (0.7, 0.7, 0.7), 0)
     rng = np.random.default_rng(33)
-    chosen = roulette_select(pop, 100_000, rng)
+    chosen = roulette_select(masks, (0.7, 0.7, 0.7), 100_000, rng)
     counts = np.array([sum(c == m for c in chosen) for m in masks])
     assert chi_square(counts, np.full(3, 1 / 3)) < CHI2_DF2_ALPHA_01
 
 
 def test_roulette_windowed_frequencies():
     masks = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-    pop = Population(masks, (1.0, 2.0, 3.0), 0)
     rng = np.random.default_rng(55)
-    chosen = roulette_select(pop, 100_000, rng)
+    chosen = roulette_select(masks, (1.0, 2.0, 3.0), 100_000, rng)
     counts = np.array([sum(c == m for c in chosen) for m in masks])
     eps = 1e-9
     weights = np.array([eps, 1.0 + eps, 2.0 + eps])
@@ -115,8 +100,8 @@ def test_roulette_windowed_frequencies():
 
 
 def test_roulette_negative_fitness_ok():
-    pop = pop_with([-5.0, -1.0, -3.0])
-    chosen = roulette_select(pop, 1000, np.random.default_rng(8))
+    masks = ((1,) * 4,) * 3
+    chosen = roulette_select(masks, (-5.0, -1.0, -3.0), 1000, np.random.default_rng(8))
     assert len(chosen) == 1000
 
 
@@ -157,8 +142,11 @@ def test_crossover_pc_zero_is_identity():
 
 def test_crossover_short_masks():
     rng = np.random.default_rng(4)
-    with pytest.raises(ConfigError, match="crossover needs length >= 2"):
-        two_point_crossover((1,), (0,), rng, 1.0)
+    state = rng.bit_generator.state
+    # length 1, like length 2 below, leaves no cut pair: parents unchanged,
+    # and no number is drawn
+    assert two_point_crossover((1,), (0,), rng, 1.0) == ((1,), (0,))
+    assert rng.bit_generator.state == state
     with pytest.raises(ConfigError, match="parents differ in length"):
         two_point_crossover((1, 0), (0,), rng, 1.0)
     # length 2 leaves no interior cut pair: parents unchanged
@@ -284,3 +272,27 @@ def test_trace_csv(tmp_path):
     assert len(lines) == len(trace) + 1
     save_trace_csv(trace, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+# SHA-256 of what evolve returns, and of its on_generation calls, over every
+# valid combination of the GAParams below, each run with its own seed
+EVOLVE_GRID_SHA256 = "ffc127a8f304e62c2229a5a3b559a3f7599371e083601a2405a86dda78e2110e"
+
+
+def test_evolve_on_a_parameter_grid_is_pinned():
+    digest = hashlib.sha256()
+    grid = itertools.product((2, 3, 7), (0, 1, 5), (1, 3), (1, 2), (0.0, 1.0),
+                             (0.0, 1.0), (2, 3, 8))
+    for seed, (pop, gens, window, elites, pc, pm, length) in enumerate(grid):
+        if elites >= pop:
+            continue
+        params = GAParams(population_size=pop, crossover_prob=pc, mutation_prob=pm,
+                          max_generations=gens, stagnation_window=window,
+                          elite_count=elites, seed=seed)
+        calls = []
+        best, fit, trace = evolve(params, length, hash_fitness, calls.append)
+        assert calls == trace
+        rows = [(t.generation, t.best_fitness.hex(), t.mean_fitness.hex(), t.best_mask)
+                for t in trace]
+        digest.update(repr((best, fit.hex(), rows)).encode())
+    assert digest.hexdigest() == EVOLVE_GRID_SHA256
