@@ -1,61 +1,12 @@
 """Cost-aware feature selection: a binary genetic algorithm picks a cheap
-feature subset and a Mamdani fuzzy rule classifier predicts the label."""
+feature subset and a Mamdani fuzzy rule classifier predicts the label.
+These nine names run that pipeline (README "Library use"); every other
+object is imported from its module, such as gafuzzy.fuzzy.Triangular."""
 
 __version__ = "0.1.0"
 
-from .dataset import (  # noqa: F401
-    ColumnStats,
-    CostTable,
-    Dataset,
-    FeatureSpec,
-    Schema,
-    SplitPlan,
-    feature_stats,
-    load_costs,
-    load_csv,
-    load_schema,
-    mask_cost,
-    stratified_split,
-)
-from .evaluation import (  # noqa: F401
-    BaselineRun,
-    ComparisonReport,
-    ConfusionMatrix,
-    build_report,
-    emit_plot_data,
-    score,
-)
-from .fuzzy import (  # noqa: F401
-    FISConfig,
-    Gaussian,
-    LinguisticVariable,
-    Rule,
-    Trapezoidal,
-    Triangular,
-    class_output_variable,
-    infer,
-    load_model,
-    save_model,
-    uniform_partition,
-)
-from .ga import (  # noqa: F401
-    GAParams,
-    GenerationStats,
-    bit_mutation,
-    evolve,
-    init_population,
-    roulette_select,
-    two_point_crossover,
-)
-from .rule_learning import (  # noqa: F401
-    InductionConfig,
-    load_expert_rules,
-)
-from .selector import (  # noqa: F401
-    FitnessConfig,
-    FitnessEvaluator,
-    SelectionResult,
-    brute_force_selection,
-    derive_seed,
-    run_selection,
-)
+from .dataset import load_costs, load_csv, load_schema  # noqa: F401
+from .fuzzy import infer  # noqa: F401
+from .ga import GAParams  # noqa: F401
+from .rule_learning import InductionConfig  # noqa: F401
+from .selector import FitnessConfig, derive_seed, run_selection  # noqa: F401

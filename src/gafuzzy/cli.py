@@ -253,13 +253,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print(f"total cost: {costs.total_cost}")
     print(f"{'feature':<16} {'min':>10} {'max':>10} {'mean':>10} "
           f"{'cost':>8} {'zeros':>6}")
-    counts = np.sum(data.records == 0, axis=0).tolist()
+    records = data.records
+    lows, highs = records.min(axis=0).tolist(), records.max(axis=0).tolist()
+    means, counts = records.mean(axis=0).tolist(), np.sum(records == 0, axis=0).tolist()
+    # the cost entries are in the schema's feature order, as the columns are
+    for j, (name, cost) in enumerate(costs.entries):
+        print(f"{name:<16} {lows[j]:>10.3f} {highs[j]:>10.3f} {means[j]:>10.3f} "
+              f"{cost:>8.2f} {counts[j]:>6}")
     zeros = dict(zip(data.schema.feature_names, counts))
-    for stat in ds.feature_stats(data):
-        print(
-            f"{stat.name:<16} {stat.min:>10.3f} {stat.max:>10.3f} "
-            f"{stat.mean:>10.3f} {costs.cost_of(stat.name):>8.2f} {zeros[stat.name]:>6}"
-        )
     anomalies = [c for c in DEFAULT_ZERO_COLUMNS if zeros.get(c)]
     if anomalies:
         print(f"zero-value anomalies in: {', '.join(anomalies)} "
@@ -269,17 +270,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _maybe_impute(cfg: RunConfig, data: ds.Dataset,
                   fcfg: selector.FitnessConfig) -> ds.Dataset:
-    if cfg.get("impute") != "median":
-        return data
     names = data.schema.feature_names
     raw = cfg.get("impute_columns")
-    if raw:
+    columns = None
+    if raw is not None:  # checked whether or not --impute median uses it
         columns = [c.strip() for c in raw.split(",") if c.strip()]
+        if not columns:
+            raise ConfigError(f"{cfg.named('impute_columns')}: names no feature")
         for name in columns:
             if name not in names:
                 raise ConfigError(f"{cfg.named('impute_columns')}: "
                                   f"unknown feature {name!r}")
-    else:
+    if cfg.get("impute") != "median":
+        return data
+    if columns is None:
         columns = [c for c in DEFAULT_ZERO_COLUMNS if c in names]
         if not columns:
             raise ConfigError(

@@ -155,16 +155,6 @@ class CostTable:
     def total_cost(self) -> float:
         return sum(cost for _, cost in self.entries)
 
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
-
-    def cost_of(self, name: str) -> float:
-        for n, c in self.entries:
-            if n == name:
-                return c
-        raise ConfigError(f"feature {name!r} not declared in the schema")
-
 
 @dataclass(frozen=True)
 class SplitPlan:
@@ -506,26 +496,6 @@ def stratified_split(
         train = np.setdiff1d(all_idx, test, assume_unique=True)
         out.append((train, test))
     return out
-
-
-@dataclass(frozen=True)
-class ColumnStats:
-    name: str
-    min: float
-    max: float
-    mean: float
-
-
-def feature_stats(data: Dataset) -> list[ColumnStats]:
-    """Exact column-wise min/max/mean for every feature."""
-    mins = data.records.min(axis=0)
-    maxs = data.records.max(axis=0)
-    means = data.records.mean(axis=0)
-    return [
-        ColumnStats(f.name, float(mins[f.index]), float(maxs[f.index]),
-                    float(means[f.index]))
-        for f in data.schema.features
-    ]
 
 
 def impute_zero_medians(

@@ -24,6 +24,8 @@ from .jsonio import check_range
 Mask = tuple[int, ...]
 
 ROULETTE_EPSILON = 1e-9
+# generation 0 of the bundled table peaks at 58 MB with this many masks
+MAX_POPULATION = 100_000
 
 
 def mask_to_string(mask: Mask) -> str:
@@ -59,6 +61,8 @@ class GAParams:
     def __post_init__(self):
         if self.population_size < 2:
             raise ConfigError("population_size must be at least 2")
+        if self.population_size > MAX_POPULATION:
+            raise ConfigError(f"population_size must be at most {MAX_POPULATION:,}")
         if not 0.0 <= self.crossover_prob <= 1.0:
             raise ConfigError("crossover_prob must lie in [0, 1]")
         if not 0.0 <= self.mutation_prob <= 1.0:

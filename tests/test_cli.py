@@ -30,7 +30,8 @@ from gafuzzy.fuzzy import (
 )
 from gafuzzy import dataset as ds, fuzzy, selector
 from gafuzzy.errors import ConfigError
-from gafuzzy.rule_learning import InductionConfig, format_rule
+from gafuzzy.ga import MAX_POPULATION
+from gafuzzy.rule_learning import MAX_PARTITIONS, InductionConfig, format_rule
 from gafuzzy.selector import FitnessConfig
 
 from conftest import class_levels
@@ -240,9 +241,18 @@ FIELD_LIMIT = csv.field_size_limit()
      "header names model inputs ['u'] more than once"),
     ("classify", "--data", b'"u","v","u"\n"6","30","1"\n',
      "header names model inputs ['u'] more than once"),
+    ("select", "--rules", b"IF glucose IS high THEN outcome IS positive WEIGHT 2\n",
+     "line 1: rule weight must lie in [0, 1], got 2.0"),
+    ("select", "--rules", b"IF glucose IS high AND glucose IS low THEN outcome IS positive\n",
+     "line 1: rule repeats a variable in its antecedent"),
+    ("validate", "--schema", packaged_with("pima.schema", b"negative = 0", b"negative = 1"),
+     "positive and negative label values must differ"),
+    ("validate", "--data", b"".join(_packaged("pima.csv").read_bytes().splitlines(True)[:2]),
+     "need at least 2 records"),
 ], ids=["data-label", "data-first-label", "costs-missing", "costs-duplicate", "rules-variable",
         "data-long-cell", "records-long-cell", "data-swapped-header", "records-stray-comma",
-        "schema-negative-label", "records-input-twice", "records-input-twice-quoted"])
+        "schema-negative-label", "records-input-twice", "records-input-twice-quoted",
+        "rules-weight", "rules-repeated-variable", "schema-equal-labels", "data-one-record"])
 def test_rejection_names_the_file(tmp_path, capsys, command, flag, data, message):
     path = tmp_path / "input"
     path.write_bytes(data)
@@ -484,6 +494,76 @@ def test_unknown_impute_column_names_how_it_was_set(tmp_path, capsys, flag):
     named = "--impute-columns" if flag else f"{config}: [run] impute_columns"
     assert f"error: {named}: unknown feature 'foo'" in err, err
     assert "gen " not in err
+
+
+@pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+@pytest.mark.parametrize("impute, value, message", [
+    ("none", "nosuch", "unknown feature 'nosuch'"),
+    ("none", ",", "names no feature"),
+    ("median", ",", "names no feature"),
+], ids=["unknown-unused", "empty-unused", "empty"])
+def test_impute_columns_are_checked_whenever_given(tmp_path, capsys, flag, impute,
+                                                   value, message):
+    # with or without --impute median to use them, before the search
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\n" + ("" if flag else f"impute_columns = {value}\n"))
+    argv = ["select", *PIMA_ARGS, *FAST, "--impute", impute, "--config", str(config),
+            "--out", str(tmp_path / "out")]
+    assert main(argv + ["--impute-columns", value] * flag) == 2
+    err = capsys.readouterr().err
+    named = "--impute-columns" if flag else f"{config}: [run] impute_columns"
+    assert err == f"error: {named}: {message}\n"
+
+
+def test_impute_median_needs_columns_the_schema_has(tmp_path, capsys):
+    # none of the default anomaly columns: refused until some are named
+    rows = csv.reader(_packaged("pima.csv").read_text().splitlines())
+    (tmp_path / "p.csv").write_text("".join(f"{r[0]},{r[-1]}\n" for r in rows))
+    (tmp_path / "p.schema").write_text(
+        "[label]\nname = outcome\nindex = 1\n\n[pregnancies]\nindex = 0\n")
+    (tmp_path / "p.costs").write_text("[costs]\npregnancies = 1\n")
+    argv = ["select", "--data", str(tmp_path / "p.csv"), "--schema",
+            str(tmp_path / "p.schema"), "--costs", str(tmp_path / "p.costs"),
+            *FAST, "--impute", "median", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: no default anomaly columns in this "
+                                       "schema; pass --impute-columns\n")
+    assert main(argv + ["--impute-columns", "pregnancies"]) == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--generations", "-1", "max_generations must be non-negative"),
+    ("--stagnation", "0", "stagnation_window must be at least 1"),
+    ("--partitions", "1", "partitions_per_input must be at least 2"),
+    ("--partitions", str(MAX_PARTITIONS + 1),
+     f"partitions_per_input must be at most {MAX_PARTITIONS:,}"),
+    ("--pop", str(MAX_POPULATION + 1), f"population_size must be at most {MAX_POPULATION:,}"),
+], ids=["generations", "stagnation", "partitions-low", "partitions-cap", "pop-cap"])
+def test_a_search_knob_out_of_range_exits_2_before_allocating(tmp_path, capsys, source,
+                                                              flag, value, message):
+    # refused as the configs are built, before the degree tables or the
+    # first population take their memory
+    opt, = [opt for opt in OPTIONS.values() if opt.flag == flag]
+    argv = ["select", *PIMA_ARGS, "--out", str(tmp_path / "out")]
+    named = flag
+    if source == "flag":
+        argv += [flag, value]
+    else:
+        config = tmp_path / "run.ini"
+        config.write_text(f"[{opt.section}]\n{opt.key} = {value}\n")
+        argv += ["--config", str(config)]
+        named = f"{config}: [{opt.section}] {opt.key}"
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {named}: {message}\n"
+    assert not (tmp_path / "out").exists()
+    assert peak < 16 * 2**20, peak
 
 
 @pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
@@ -798,6 +878,11 @@ def test_classify_headerless_and_column_reorder(tmp_path, capsys):
     reordered.write_text("v,u\n30,6\n")
     assert main(["classify", "--model", str(model), "--data", str(reordered)]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_classify_without_data_exits_2(tmp_path, capsys):
+    assert main(["classify", "--model", str(golden_model(tmp_path))]) == 2
+    assert capsys.readouterr().err == "error: missing required path: --data\n"
 
 
 def test_classify_arity_mismatch(tmp_path, capsys):
@@ -1125,19 +1210,41 @@ def test_report_missing_result(tmp_path, capsys):
     assert code == 2
 
 
-def test_readme_library_example_runs(monkeypatch, capsys):
-    # the README's python block, run where the packaged data files are
+def readme_library_block():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block, = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    return block
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    # the README's python block, run as written where the packaged data
+    # files are: it prints the selected names, the accuracy and the cost
     monkeypatch.chdir(_packaged("pima.csv").parent)
-    exec(compile(block, "README.md", "exec"), {})
-    assert capsys.readouterr().out
+    exec(compile(readme_library_block(), "README.md", "exec"), {})
+    names, accuracy, cost = capsys.readouterr().out.rsplit(" ", 2)
+    assert names.startswith("(") and 0.0 < float(accuracy) <= 1.0 and float(cost) > 0
+
+
+def test_top_level_names_are_the_readme_names():
+    # gafuzzy exports what README "Library use" calls, and no more, and
+    # importing it loads neither the report module nor the CLI
+    script = ("import sys, types, gafuzzy; print(' '.join(sorted(n for n, v in "
+              "vars(gafuzzy).items() if not n.startswith('_') "
+              "and not isinstance(v, types.ModuleType)))); "
+              "print('gafuzzy.evaluation' in sys.modules, 'gafuzzy.cli' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(fuzzy.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    used = set(re.findall(r"\bgz\.(\w+)", readme_library_block()))
+    assert len(used) == 9
+    assert out == [" ".join(sorted(used)), "False False"]
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["select", "--pop", "not-a-number"])
-    assert exc.value.code == 2
+    for argv in (["select", "--pop", "not-a-number"], ["select", "--impute", "foo"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 # --- malformed saved files -------------------------------------------------------

@@ -4,15 +4,13 @@ import statistics
 import numpy as np
 import pytest
 
-from gafuzzy.cli import _packaged
+from gafuzzy.cli import _packaged, main
 from gafuzzy.dataset import (
-    ColumnStats,
     CostTable,
     Dataset,
     FeatureSpec,
     Schema,
     SplitPlan,
-    feature_stats,
     impute_zero_medians,
     load_costs,
     load_csv,
@@ -145,6 +143,12 @@ def test_unknown_label(tmp_path):
     with pytest.raises(ConfigError, match="row 2: unknown label ") as exc:
         load_csv(path, make_schema(1))
     assert "7" in str(exc.value)
+
+
+def test_numeric_labels_in_another_format(tmp_path):
+    # "1.0" under positive = 1 is positive, as "0.00" is negative
+    path = write(tmp_path, "lab.csv", "1,1.0\n2,0.00\n3,1e0\n")
+    assert list(load_csv(path, make_schema(1)).labels) == [1, 0, 1]
 
 
 def test_missing_file():
@@ -374,33 +378,51 @@ def test_split_plan_validation():
         SplitPlan.kfold(1, seed=0)
 
 
-# --- feature stats -----------------------------------------------------------
+# --- the feature table validate prints -----------------------------------------
 
-def test_stats_constant_columns():
-    data = Dataset(make_schema(2), np.array([[5.0, 7.0], [5.0, 7.0]]), np.array([0, 1]))
-    stats = feature_stats(data)
-    assert stats[0] == ColumnStats("f0", 5.0, 5.0, 5.0)
-    assert stats[1] == ColumnStats("f1", 7.0, 7.0, 7.0)
+def validate_table(tmp_path, capsys, rows, costs):
+    """The feature lines `validate` prints for a headerless table of these
+    rows, whose last cell is the 0/1 label, with these feature costs."""
+    names = [f"f{i}" for i in range(len(costs))]
+    schema = write(tmp_path, "t.schema", f"[label]\nname = label\nindex = {len(names)}\n"
+                   + "".join(f"[{f}]\nindex = {i}\n" for i, f in enumerate(names)))
+    data = write(tmp_path, "t.csv", "".join(",".join(map(str, r)) + "\n" for r in rows))
+    cost_file = write(tmp_path, "t.costs", "[costs]\n" + "".join(
+        f"{f} = {c}\n" for f, c in zip(names, costs)))
+    assert main(["validate", "--data", str(data), "--schema", str(schema),
+                 "--costs", str(cost_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines.index(f"{'feature':<16} {'min':>10} {'max':>10} {'mean':>10} "
+                         f"{'cost':>8} {'zeros':>6}")
+    return lines[header + 1:header + 1 + len(names)]
 
 
-def test_stats_two_records():
-    data = Dataset(make_schema(1), np.array([[0.0], [10.0]]), np.array([0, 1]))
-    (stat,) = feature_stats(data)
-    assert (stat.min, stat.max, stat.mean) == (0.0, 10.0, 5.0)
+def test_stats_constant_columns(tmp_path, capsys):
+    assert validate_table(tmp_path, capsys, [[5, 7, 0], [5, 7, 1]], [1, 2.5]) == [
+        "f0                    5.000      5.000      5.000     1.00      0",
+        "f1                    7.000      7.000      7.000     2.50      0",
+    ]
 
 
-def test_pima_glucose_stats_against_independent_recomputation(pima_data):
+def test_stats_two_records(tmp_path, capsys):
+    assert validate_table(tmp_path, capsys, [[0, 0], [10, 1]], [1]) == [
+        "f0                    0.000     10.000      5.000     1.00      1",
+    ]
+
+
+def test_pima_glucose_stats_against_independent_recomputation(capsys):
     # independent path: csv + statistics stdlib, no numpy
     with open(_packaged("pima.csv"), encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     header, rows = rows[0], rows[1:]
     col = header.index("glucose")
     values = [float(r[col]) for r in rows]
-    stat = feature_stats(pima_data)[1]
-    assert stat.name == "glucose"
-    assert stat.min == min(values)
-    assert stat.max == max(values)
-    assert stat.mean == pytest.approx(statistics.mean(values), abs=1e-9)
+    assert main(["validate"]) == 0
+    line, = [s for s in capsys.readouterr().out.splitlines() if s.startswith("glucose ")]
+    assert line.split() == [
+        "glucose", f"{min(values):.3f}", f"{max(values):.3f}",
+        f"{statistics.mean(values):.3f}", "16.00", str(values.count(0.0)),
+    ]
 
 
 # --- imputation ----------------------------------------------------------------
