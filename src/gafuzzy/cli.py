@@ -5,9 +5,11 @@ stochastic component (GA, CV folds, reporting holdout) through fixed
 labelled derivations, so a run is reproducible from its flags alone.
 
 OPTIONS declares each option once: its [section] key in a --config file,
-its flag, type and help, and for a selection knob the field it fills. The
-parser and CONFIG_KEYS are built from it, a flag overrides the config
-file, and an option neither sets keeps the default of that field.
+its flag, type and help, for a selection knob the field it fills, and the
+commands that read it. The parser and CONFIG_KEYS are built from it: each
+command takes only the flags it reads, one config file serves every
+command, a flag overrides the config file, and an option neither sets
+keeps the default of that field.
 
 Exit codes: 0 success, 1 internal error, 2 user/config error.
 """
@@ -56,7 +58,7 @@ class Option(NamedTuple):
     """An option that a flag or [section] key of a --config file sets. The
     flag's argparse dest is the key; type parses either source; a selection
     knob fills a field of GAParams, FitnessConfig or InductionConfig, whose
-    default is the knob's."""
+    default is the knob's. Only the commands that read it take its flag."""
 
     section: str
     key: str
@@ -64,23 +66,25 @@ class Option(NamedTuple):
     type: Callable[[str], object]
     help: str
     field: str | None = None
-    command: str = "select"  # the command that takes it, or "all"
+    commands: tuple[str, ...] = ("select",)
 
+
+INPUTS = ("validate", "select")  # the commands that read the training files
 
 OPTIONS = {opt.key: opt for opt in (
-    Option("paths", "data", "--data", str, "CSV data file", command="all"),
-    Option("paths", "schema", "--schema", str, "schema file (INI)", command="all"),
-    Option("paths", "costs", "--costs", str, "cost table file (INI)", command="all"),
-    Option("run", "seed", "--seed", int, f"master seed (default {DEFAULT_SEED})",
-           command="all"),
+    Option("paths", "data", "--data", str, "CSV data file",
+           commands=(*INPUTS, "classify")),
+    Option("paths", "schema", "--schema", str, "schema file (INI)", commands=INPUTS),
+    Option("paths", "costs", "--costs", str, "cost table file (INI)", commands=INPUTS),
+    Option("run", "seed", "--seed", int, f"master seed (default {DEFAULT_SEED})"),
     Option("paths", "out", "--out", str, f"output directory (default {DEFAULT_OUT})",
-           command="all"),
+           commands=("select", "classify", "report")),
     Option("run", "impute", "--impute", _impute_mode,
            "none (default), or median to replace zero anomalies by the "
-           "training-split median", command="all"),
+           "training-split median", commands=INPUTS),
     Option("run", "impute_columns", "--impute-columns", str,
            "comma-separated columns for --impute (default: known anomaly columns)",
-           command="all"),
+           commands=INPUTS),
     Option("fitness", "lambda", "--lambda", float, "cost penalty weight", "cost_weight"),
     Option("ga", "population", "--pop", int, "population size", "population_size"),
     Option("ga", "pc", "--pc", float, "crossover probability", "crossover_prob"),
@@ -102,11 +106,11 @@ OPTIONS = {opt.key: opt for opt in (
     Option("paths", "rules", "--rules", str, "expert rule file for the final model"),
     Option("run", "workers", "--workers", int, "ignored; kept so that old scripts run"),
     Option("paths", "model", "--model", str, "model file (default <out>/model.json)",
-           command="classify"),
+           commands=("classify",)),
     Option("paths", "baseline", "--baseline", str,
-           "baseline file (default <out>/baseline.json)", command="report"),
+           "baseline file (default <out>/baseline.json)", commands=("report",)),
     Option("paths", "result", "--result", str,
-           "result file (default <out>/result.json)", command="report"),
+           "result file (default <out>/result.json)", commands=("report",)),
 )}
 
 # every [section] key some command reads from a --config file, so one file
@@ -140,13 +144,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ("validate", cmd_validate, "check data, schema and cost files"),
         ("select", cmd_select, "run the GA feature selection"),
         ("classify", cmd_classify, "classify records with a saved model"),
-        ("report", cmd_report, "compare baseline and selection runs, emit plot data"),
+        ("report", cmd_report, "compare baseline and selection runs"),
     ):
         p = sub.add_parser(command, help=summary)
         p.set_defaults(handler=handler)
         p.add_argument("--config", help="run configuration file (INI)")
         for opt in OPTIONS.values():
-            if opt.command in ("all", command):
+            if command in opt.commands:
                 default = f" (default {defaults[opt.field]})" if opt.field else ""
                 p.add_argument(opt.flag, dest=opt.key, type=opt.type,
                                help=opt.help + default)
@@ -247,6 +251,7 @@ def _selection_configs(cfg: RunConfig):
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = RunConfig(args)
     data, costs = _load_inputs(cfg)
+    _impute_columns(cfg, data.schema.feature_names)  # refused here as by select
     print(f"records: {data.n_records}")
     print(f"features: {data.n_features}")
     print(f"positive rate: {float(np.mean(data.labels)):.3f}")
@@ -268,12 +273,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _maybe_impute(cfg: RunConfig, data: ds.Dataset,
-                  fcfg: selector.FitnessConfig) -> ds.Dataset:
-    names = data.schema.feature_names
+def _impute_columns(cfg: RunConfig, names: tuple[str, ...]) -> list[str] | None:
+    """The columns --impute median replaces zeros in, else None. The names
+    are checked whenever they are given, whether or not --impute uses them."""
     raw = cfg.get("impute_columns")
     columns = None
-    if raw is not None:  # checked whether or not --impute median uses it
+    if raw is not None:
         columns = [c.strip() for c in raw.split(",") if c.strip()]
         if not columns:
             raise ConfigError(f"{cfg.named('impute_columns')}: names no feature")
@@ -282,15 +287,14 @@ def _maybe_impute(cfg: RunConfig, data: ds.Dataset,
                 raise ConfigError(f"{cfg.named('impute_columns')}: "
                                   f"unknown feature {name!r}")
     if cfg.get("impute") != "median":
-        return data
+        return None
     if columns is None:
         columns = [c for c in DEFAULT_ZERO_COLUMNS if c in names]
         if not columns:
             raise ConfigError(
                 "no default anomaly columns in this schema; pass --impute-columns"
             )
-    train_idx, _ = fcfg.report_split(data)
-    return ds.impute_zero_medians(data, columns, train_idx)
+    return columns
 
 
 def cmd_select(args: argparse.Namespace) -> int:
@@ -302,7 +306,9 @@ def cmd_select(args: argparse.Namespace) -> int:
             fcfg.cv_splits(data)
         except ConfigError as exc:
             raise ConfigError(f"{cfg.named('folds')}: {exc}") from exc
-    data = _maybe_impute(cfg, data, fcfg)
+    columns = _impute_columns(cfg, data.schema.feature_names)
+    if columns:
+        data = ds.impute_zero_medians(data, columns, fcfg.report_split(data)[0])
     # a rule file is parsed before the search, its names checked after it
     rules_path = cfg.get("rules")
     parsed_rules = rule_learning.read_expert_rules(rules_path) if rules_path else None
@@ -418,8 +424,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError(f"{result_path} does not match {baseline_path}: {exc}") from exc
     print(ev.format_report(report))
     ev.save_report(report, out_dir / REPORT_FILE)
-    cost_path, trace_path = ev.emit_plot_data(report, result.trace, out_dir)
-    print(f"wrote {out_dir / REPORT_FILE}, {cost_path}, {trace_path}")
+    print(f"wrote {out_dir / REPORT_FILE}")
     return 0
 
 

@@ -1,8 +1,7 @@
-"""Scoring, the with/without-selection comparison report, and plot data."""
+"""Scoring and the with/without-selection comparison report."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -11,7 +10,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .ga import EvolutionTrace, save_trace_csv
 from .jsonio import check_range, decode, encode, read_json, write_json
 from .selector import SelectionResult
 
@@ -125,26 +123,6 @@ def format_report(report: ComparisonReport) -> str:
             f"{row.cost:>8.2f}"
         )
     return "\n".join(lines)
-
-
-def emit_plot_data(
-    report: ComparisonReport, trace: EvolutionTrace, out_dir: str | Path
-) -> tuple[Path, Path]:
-    """Write the cost-comparison series and the per-generation fitness series.
-
-    Both files are deterministic for identical inputs.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cost_path = out_dir / "cost_series.csv"
-    with open(cost_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series", "label", "value"])
-        writer.writerow(["cost", "full", repr(report.rows[0].cost)])
-        writer.writerow(["cost", "selected", repr(report.rows[1].cost)])
-    trace_path = out_dir / "fitness_trace.csv"
-    save_trace_csv(trace, trace_path, with_mask=False)
-    return cost_path, trace_path
 
 
 # --- files -------------------------------------------------------------------

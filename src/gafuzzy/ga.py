@@ -167,19 +167,21 @@ def evolve(
     Every generation, the random first one included, is scored, its worst
     members replaced by the elites of the one before, ranked once (best
     first, the earlier on ties) for its recorded best and its own elites,
-    and recorded. The loop stops at max_generations, or once the best
-    fitness has not improved for stagnation_window consecutive generations;
-    otherwise it roulette-selects a full parent pool, pairs the parents in
-    selection order, and crosses over then mutates them into the next
-    generation.
+    and recorded. The loop stops at max_generations, once the best fitness
+    has not improved for stagnation_window consecutive generations, or once
+    every one of the 2**length - 1 masks has been scored; otherwise it
+    roulette-selects a full parent pool, pairs the parents in selection
+    order, and crosses over then mutates them into the next generation.
     """
     rng = np.random.default_rng(params.seed)
     individuals = list(init_population(params, length, rng=rng))
     elites: list[tuple[Mask, float]] = []
     trace: EvolutionTrace = []
     best_mask, best_fit, last_improvement = individuals[0], -np.inf, 0
+    scored: set[Mask] = set()
     for generation in itertools.count():
         fits = [float(fitness_fn(m)) for m in individuals]
+        scored.update(individuals)
         if not np.all(np.isfinite(fits)):
             raise ConfigError("fitness function returned a non-finite value")
         worst = np.lexsort((np.arange(len(fits)), fits))[: len(elites)]
@@ -194,7 +196,8 @@ def evolve(
         if fits[best] > best_fit:
             best_mask, best_fit, last_improvement = individuals[best], fits[best], generation
         if (generation >= params.max_generations
-                or generation - last_improvement >= params.stagnation_window):
+                or generation - last_improvement >= params.stagnation_window
+                or len(scored) == 2 ** length - 1):
             return best_mask, best_fit, trace
 
         elites = [(individuals[i], fits[i]) for i in order[: params.elite_count]]
@@ -208,13 +211,11 @@ def evolve(
         individuals = [bit_mutation(c, rng, params.mutation_prob) for c in children]
 
 
-def save_trace_csv(trace: EvolutionTrace, path: str | Path,
-                   with_mask: bool = True) -> None:
+def save_trace_csv(trace: EvolutionTrace, path: str | Path) -> None:
     """Write the trace with lossless float formatting, its best_mask column
-    last unless with_mask is False; every trace file is written here."""
-    columns = 4 if with_mask else 3
+    last; every trace file is written here."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["generation", "best_fitness", "mean_fitness", "best_mask"][:columns])
+        writer.writerow(["generation", "best_fitness", "mean_fitness", "best_mask"])
         writer.writerows([row.generation, repr(row.best_fitness), repr(row.mean_fitness),
-                          mask_to_string(row.best_mask)][:columns] for row in trace)
+                          mask_to_string(row.best_mask)] for row in trace)

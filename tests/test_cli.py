@@ -379,7 +379,8 @@ def test_seeded_fuzz_of_user_files(tmp_path, capsys):
 # --- select ---------------------------------------------------------------------
 
 def test_one_feature_data_selects_and_reports(tmp_path, capsys):
-    # the only mask with a bit set is chosen; crossover has no cut to make
+    # the only mask with a bit set is chosen; crossover has no cut to make,
+    # and the search stops after generation 0, which has scored that mask
     rows = csv.reader(_packaged("pima.csv").read_text().splitlines())
     (tmp_path / "one.csv").write_text("".join(f"{r[1]},{r[-1]}\n" for r in rows))
     (tmp_path / "one.schema").write_text(
@@ -389,7 +390,12 @@ def test_one_feature_data_selects_and_reports(tmp_path, capsys):
     argv = ["select", "--data", files[0], "--schema", files[1], "--costs", files[2],
             "--seed", "1", *FAST, "--out", str(tmp_path / "out")]
     assert main(argv) == 0
-    assert "selected mask: 1\n" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "selected mask: 1\n" in captured.out
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("gen 0: ") and " unique=1 " in last, captured.err
+    trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert len(trace) == 2 and trace[1].startswith("0,")
     assert main(["report", "--out", str(tmp_path / "out")]) == 0
 
 
@@ -515,20 +521,46 @@ def test_impute_columns_are_checked_whenever_given(tmp_path, capsys, flag, imput
     assert err == f"error: {named}: {message}\n"
 
 
-def test_impute_median_needs_columns_the_schema_has(tmp_path, capsys):
-    # none of the default anomaly columns: refused until some are named
+def pregnancies_only(tmp_path):
+    """Input flags of a one-feature table that has none of the default
+    anomaly columns."""
     rows = csv.reader(_packaged("pima.csv").read_text().splitlines())
     (tmp_path / "p.csv").write_text("".join(f"{r[0]},{r[-1]}\n" for r in rows))
     (tmp_path / "p.schema").write_text(
         "[label]\nname = outcome\nindex = 1\n\n[pregnancies]\nindex = 0\n")
     (tmp_path / "p.costs").write_text("[costs]\npregnancies = 1\n")
-    argv = ["select", "--data", str(tmp_path / "p.csv"), "--schema",
-            str(tmp_path / "p.schema"), "--costs", str(tmp_path / "p.costs"),
-            *FAST, "--impute", "median", "--out", str(tmp_path / "out")]
+    return ["--data", str(tmp_path / "p.csv"), "--schema", str(tmp_path / "p.schema"),
+            "--costs", str(tmp_path / "p.costs")]
+
+
+def test_impute_median_needs_columns_the_schema_has(tmp_path, capsys):
+    # none of the default anomaly columns: refused until some are named
+    argv = ["select", *pregnancies_only(tmp_path), *FAST, "--impute", "median",
+            "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert capsys.readouterr().err == ("error: no default anomaly columns in this "
                                        "schema; pass --impute-columns\n")
     assert main(argv + ["--impute-columns", "pregnancies"]) == 0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--impute-columns", "nosuch"], "--impute-columns: unknown feature 'nosuch'"),
+    (["--impute-columns", ","], "--impute-columns: names no feature"),
+    (["--impute", "median"], "no default anomaly columns in this schema; "
+                             "pass --impute-columns"),
+], ids=["unknown", "empty", "median-without-anomaly-columns"])
+def test_validate_checks_the_impute_options_as_select_does(tmp_path, capsys, flags,
+                                                          message):
+    # validate takes --impute and --impute-columns to check them, so a typo
+    # is caught before a run and not silently ignored
+    inputs = pregnancies_only(tmp_path)
+    for command in ("validate", "select"):
+        extra = [*FAST, "--out", str(tmp_path / "out")] if command == "select" else []
+        assert main([command, *inputs, *flags, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -674,7 +706,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys, body, named):
     config.write_text(body)
     out = tmp_path / "out"
     for command in ("select", "validate"):
-        code = main([command, *PIMA_ARGS, "--config", str(config), "--out", str(out)])
+        code = main([command, *PIMA_ARGS, "--config", str(config),
+                     *["--out", str(out)] * (command == "select")])
         assert code == 2
         err = capsys.readouterr().err
         assert named in err and str(config) in err
@@ -686,19 +719,17 @@ def test_one_config_file_serves_every_command(tmp_path):
     out = tmp_path / "out"
     config = tmp_path / "run.ini"
     config.write_text(
-        f"[paths]\nout = {out}\n"
-        "[run]\nseed = 3\nimpute = none\nworkers = 4\n"
+        f"[paths]\nout = {out}\ndata = {_packaged('pima.csv')}\n"
+        f"schema = {_packaged('pima.schema')}\ncosts = {_packaged('pima.costs')}\n"
+        "[run]\nseed = 3\nimpute = none\nimpute_columns = glucose\nworkers = 4\n"
         "[ga]\npopulation = 8\npc = 0.6\npm = 0.05\ngenerations = 2\n"
         "stagnation = 2\nelites = 1\n"
         "[fitness]\nlambda = 0.3\nfolds = 3\n"
         "[fis]\nresolution = 101\nthreshold = 0.5\n"
         "[induction]\npartitions = 3\nmin_rule_weight = 0.0\n"
     )
-    argv = [*PIMA_ARGS, "--config", str(config)]
-    assert main(["validate", *argv]) == 0
-    assert main(["select", *argv]) == 0
-    assert main(["report", *argv]) == 0
-    assert main(["classify", *argv]) == 0
+    for command in ("validate", "select", "report", "classify"):
+        assert main([command, "--config", str(config)]) == 0
     result = json.loads((out / "result.json").read_text())
     assert result["provenance"]["ga"]["population_size"] == 8
 
@@ -1197,12 +1228,13 @@ def test_report_end_to_end(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     rows = {r["condition"]: r for r in report["rows"]}
     assert rows["with selection"]["cost"] < rows["without selection"]["cost"]
-    cost_csv = (out / "cost_series.csv").read_bytes()
-    trace_csv = (out / "fitness_trace.csv").read_bytes()
-    # repeated invocation: identical outputs
+    assert text.endswith(f"wrote {out / 'report.json'}\n")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "baseline.json", "model.json", "report.json", "result.json", "trace.csv"]
+    written = (out / "report.json").read_bytes()
+    # repeated invocation: identical output
     assert main(["report", "--out", str(out)]) == 0
-    assert (out / "cost_series.csv").read_bytes() == cost_csv
-    assert (out / "fitness_trace.csv").read_bytes() == trace_csv
+    assert (out / "report.json").read_bytes() == written
 
 
 def test_report_missing_result(tmp_path, capsys):
@@ -1245,6 +1277,39 @@ def test_usage_error_exit_code():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+# each command takes only the flags it reads; these were once accepted by
+# commands that read none of them, so a typo in one passed silently
+DROPPED_FLAG_VALUES = {
+    "--data": str(_packaged("pima.csv")),
+    "--schema": str(_packaged("pima.schema")),
+    "--costs": str(_packaged("pima.costs")),
+    "--seed": "1", "--out": "out", "--impute": "median", "--impute-columns": "glucose",
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("validate", "--seed"), ("validate", "--out"),
+    *[("classify", flag) for flag in
+      ("--schema", "--costs", "--seed", "--impute", "--impute-columns")],
+    *[("report", flag) for flag in
+      ("--data", "--schema", "--costs", "--seed", "--impute", "--impute-columns")],
+])
+def test_a_flag_its_command_does_not_read_exits_2(saved_run, tmp_path, capsys,
+                                                  command, flag):
+    run = tmp_path / "run"
+    shutil.copytree(saved_run, run)
+    argv = {"validate": [],
+            "classify": ["--model", str(run / "model.json"),
+                         "--data", str(_packaged("pima.csv"))],
+            "report": ["--out", str(run)]}[command]
+    value = DROPPED_FLAG_VALUES[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (run / "report.json").exists()
 
 
 # --- malformed saved files -------------------------------------------------------
@@ -1466,9 +1531,35 @@ def test_report_reads_a_result_file_of_the_old_format(saved_run, tmp_path):
             del payload["provenance"]["master_seed"]
             (out / "result.json").write_text(json.dumps(payload))
         assert main(["report", "--out", str(out)]) == 0
-        runs.append({name: (out / name).read_bytes() for name in
-                     ("report.json", "cost_series.csv", "fitness_trace.csv")})
+        runs.append((out / "report.json").read_bytes())
     assert runs[0] == runs[1]
+
+
+# SHA-256 of the report.json that `report` writes for `select --seed 1`
+REPORT_SHA256_SEED_1 = "662632cc3bc920b3fe67c4f46a13f71d6c8902ded4800119df1addd91cfd88fe"
+
+
+def test_report_leaves_the_plot_files_of_an_older_run(tmp_path, capsys):
+    # a run directory from when report also wrote cost_series.csv and
+    # fitness_trace.csv still reports, and those files stay as they were
+    assert main(["select", "--seed", "1", "--out", str(tmp_path)]) == 0
+    trace = (tmp_path / "trace.csv").read_text().splitlines()
+    old = {
+        "cost_series.csv": b"series,label,value\ncost,full,46.0\ncost,selected,17.0\n",
+        "fitness_trace.csv": "".join(
+            ",".join(line.split(",")[:3]) + "\n" for line in trace).encode(),
+    }
+    for name, data in old.items():
+        (tmp_path / name).write_bytes(data)
+        os.utime(tmp_path / name, ns=(0, 0))
+    capsys.readouterr()
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {tmp_path / 'report.json'}\n")
+    for name, data in old.items():
+        assert (tmp_path / name).read_bytes() == data
+        assert (tmp_path / name).stat().st_mtime_ns == 0
+    report = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == REPORT_SHA256_SEED_1
 
 
 def test_seeded_corruption_of_saved_files_exits_2(saved_run, tmp_path, capsys):
@@ -1489,20 +1580,20 @@ def test_no_command_imports_numpy_ma(saved_run, tmp_path, pima_data, command):
     # numpy imports numpy.ma, 11-17 ms of start-up, on the first call of
     # np.unique without return_inverse or of np.median; select imputes, and
     # classify runs a full-feature model, so that its engine builds a tree
-    argv = [command, *PIMA_ARGS, "--out", str(saved_run)]
-    if command == "select":
-        argv[-1] = str(tmp_path)
-        argv += [*FAST, "--impute", "median"]
+    argv = {"validate": [*PIMA_ARGS],
+            "select": [*PIMA_ARGS, "--out", str(tmp_path), *FAST, "--impute", "median"],
+            "classify": ["--data", str(_packaged("pima.csv")),
+                         "--model", str(tmp_path / "full.json")],
+            "report": ["--out", str(saved_run)]}[command]
     if command == "classify":
         model = selector.train_final_classifier(
             pima_data, (1,) * 8, FitnessConfig(), InductionConfig(), np.arange(768))
         assert model.engine.levels
         save_model(model, tmp_path / "full.json")
-        argv += ["--model", str(tmp_path / "full.json")]
     script = ("import sys; from gafuzzy.cli import main; code = main(sys.argv[1:]); "
               "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'; "
               "sys.exit(code)")
     env = {**os.environ, "PYTHONPATH": str(Path(fuzzy.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, command, *argv], env=env,
                           capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr

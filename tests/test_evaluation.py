@@ -9,7 +9,6 @@ from gafuzzy.evaluation import (
     BaselineRun,
     ConfusionMatrix,
     build_report,
-    emit_plot_data,
     format_report,
     load_baseline,
     save_baseline,
@@ -121,27 +120,6 @@ def test_format_report_one_decimal():
     assert "69.1%" in text
     assert "87.5%" in text
     assert text.count("\n") == 2  # header + two rows
-
-
-def test_emit_plot_data(tmp_path):
-    baseline = make_baseline("abc")
-    result = make_result("abc")
-    report = build_report(baseline, result)
-    cost_path, trace_path = emit_plot_data(report, result.trace, tmp_path)
-    cost_lines = cost_path.read_text().splitlines()
-    assert cost_lines[0] == "series,label,value"
-    assert len(cost_lines) == 3
-    full_value = float(cost_lines[1].split(",")[2])
-    selected_value = float(cost_lines[2].split(",")[2])
-    assert selected_value < full_value
-    trace_lines = trace_path.read_text().splitlines()
-    assert trace_lines[0] == "generation,best_fitness,mean_fitness"
-    assert len(trace_lines) == len(result.trace) + 1
-    # byte-identical on re-emit
-    second = tmp_path / "again"
-    cost2, trace2 = emit_plot_data(report, result.trace, second)
-    assert cost2.read_bytes() == cost_path.read_bytes()
-    assert trace2.read_bytes() == trace_path.read_bytes()
 
 
 def test_baseline_roundtrip(tmp_path):

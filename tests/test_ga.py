@@ -276,7 +276,7 @@ def test_trace_csv(tmp_path):
 
 # SHA-256 of what evolve returns, and of its on_generation calls, over every
 # valid combination of the GAParams below, each run with its own seed
-EVOLVE_GRID_SHA256 = "ffc127a8f304e62c2229a5a3b559a3f7599371e083601a2405a86dda78e2110e"
+EVOLVE_GRID_SHA256 = "f7a2ed94c630add70d72c95df2b72391af4f4099e37cf510b6ead4f654b62d54"
 
 
 def test_evolve_on_a_parameter_grid_is_pinned():
@@ -296,3 +296,18 @@ def test_evolve_on_a_parameter_grid_is_pinned():
                 for t in trace]
         digest.update(repr((best, fit.hex(), rows)).encode())
     assert digest.hexdigest() == EVOLVE_GRID_SHA256
+
+
+def test_evolve_stops_once_every_mask_is_scored():
+    # once all 2**length - 1 masks have been scored, no generation can find
+    # a better one, so the search returns after the one that scored the last
+    for length, pop in ((1, 4), (2, 3), (3, 8)):
+        scored = []
+        params = GAParams(population_size=pop, max_generations=100,
+                          stagnation_window=50, seed=length)
+        _, _, trace = evolve(params, length,
+                             lambda m: scored.append(m) or hash_fitness(m))
+        assert len(scored) == pop * len(trace)
+        seen = [len(set(scored[: pop * (g + 1)])) for g in range(len(trace))]
+        assert seen[-1] == 2 ** length - 1
+        assert all(n < 2 ** length - 1 for n in seen[:-1])
