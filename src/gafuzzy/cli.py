@@ -30,7 +30,7 @@ from . import dataset as ds
 from . import evaluation as ev
 from . import fuzzy, rule_learning, selector
 from .errors import ConfigError
-from .ga import GAParams, mask_to_string, save_trace_csv
+from .ga import GAParams, mask_to_string
 
 DEFAULT_SEED = 1
 DEFAULT_OUT = "gafuzzy-out"
@@ -43,7 +43,6 @@ DEFAULT_ZERO_COLUMNS = (
 RESULT_FILE = "result.json"
 MODEL_FILE = "model.json"
 BASELINE_FILE = "baseline.json"
-TRACE_FILE = "trace.csv"
 REPORT_FILE = "report.json"
 
 
@@ -242,6 +241,15 @@ def _selection_configs(cfg: RunConfig):
     master = cfg.get("seed", DEFAULT_SEED)
     fcfg = cfg.build(partial(selector.FitnessConfig.from_master_seed, master),
                      "fitness", "fis")
+    # the crisp values of the class output run from its class levels (1, 0)
+    # to (0, 1): a threshold outside (low, high] labels every record alike
+    low, high = fuzzy.FISConfig(
+        (), fuzzy.class_output_variable(), (), fcfg.resolution, fcfg.decision_threshold
+    ).engine.crisp_values(np.eye(2)).tolist()
+    if not low < fcfg.decision_threshold <= high:
+        raise ConfigError(f"{cfg.named('threshold')}: decision threshold must lie in "
+                          f"({low!r}, {high!r}], the crisp values reachable at "
+                          f"resolution {fcfg.resolution}")
     params = cfg.build(partial(GAParams, seed=selector.derive_seed(master, "ga")),
                        "ga")
     icfg = cfg.build(rule_learning.InductionConfig, "induction")
@@ -355,7 +363,6 @@ def cmd_select(args: argparse.Namespace) -> int:
     selector.save_result(result, out_dir / RESULT_FILE)
     fuzzy.save_model(result.model, out_dir / MODEL_FILE)
     ev.save_baseline(baseline, out_dir / BASELINE_FILE)
-    save_trace_csv(result.trace, out_dir / TRACE_FILE)
 
     print(f"selected features: {', '.join(result.selected_names)}")
     print(f"selected mask: {mask_to_string(result.best_mask)}")

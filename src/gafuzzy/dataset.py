@@ -66,6 +66,10 @@ class Schema:
             raise ConfigError("duplicate feature name in schema")
         if self.positive_label == self.negative_label:
             raise ConfigError("positive and negative label values must differ")
+        value = _number(self.positive_label)
+        if value is not None and value == _number(self.negative_label):
+            raise ConfigError(f"positive and negative label values {self.positive_label!r} "
+                              f"and {self.negative_label!r} are the same number")
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -259,15 +263,13 @@ def _parse_label(cell: str, schema: Schema, row: int) -> int:
         return 1
     if cell == schema.negative_label:
         return 0
-    # numeric labels may be written with differing formats ("1" vs "1.0")
-    try:
-        value = float(cell)
-        if value == float(schema.positive_label):
-            return 1
-        if value == float(schema.negative_label):
-            return 0
-    except ValueError:
-        pass
+    # numeric labels may be written with differing formats ("1" vs "1.0"),
+    # and each label that is a number is compared as one
+    value = _number(cell)
+    if value is not None:
+        for label, target in ((schema.positive_label, 1), (schema.negative_label, 0)):
+            if _number(label) == value:
+                return target
     raise ConfigError(f"row {row}: unknown label {cell!r}")
 
 
@@ -289,18 +291,18 @@ def csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     return ((row_no, cells) for row_no, cells in rows if any(map(str.strip, cells)))
 
 
-def _is_number(cell: str) -> bool:
+def _number(cell: str) -> float | None:
+    """The cell as a float, else None."""
     try:
-        float(cell)
-        return True
+        return float(cell)
     except ValueError:
-        return False
+        return None
 
 
 def is_header(cells: Iterable[str]) -> bool:
     """The header rule of every CSV file: its first non-blank row is a
     header when one of the cells that would be read as a number is not."""
-    return not all(map(_is_number, cells))
+    return any(_number(cell) is None for cell in cells)
 
 
 def read_rows(path: str | Path, names: Sequence[str],
@@ -341,7 +343,7 @@ def read_rows(path: str | Path, names: Sequence[str],
         try:
             parsed = list(map(float, read))
         except ValueError:
-            bad = next(n for n, c in zip(names, read) if not _is_number(c))
+            bad = next(n for n, c in zip(names, read) if _number(c) is None)
             raise ConfigError(f"row {row_no}: non-numeric value in feature "
                               f"column {bad!r}") from None
         if not all(map(math.isfinite, parsed)):

@@ -10,10 +10,8 @@ a pure function of its parameters.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -209,13 +207,3 @@ def evolve(
         if len(parents) % 2:
             children.append(parents[-1])
         individuals = [bit_mutation(c, rng, params.mutation_prob) for c in children]
-
-
-def save_trace_csv(trace: EvolutionTrace, path: str | Path) -> None:
-    """Write the trace with lossless float formatting, its best_mask column
-    last; every trace file is written here."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["generation", "best_fitness", "mean_fitness", "best_mask"])
-        writer.writerows([row.generation, repr(row.best_fitness), repr(row.mean_fitness),
-                          mask_to_string(row.best_mask)] for row in trace)

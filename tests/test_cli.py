@@ -247,12 +247,15 @@ FIELD_LIMIT = csv.field_size_limit()
      "line 1: rule repeats a variable in its antecedent"),
     ("validate", "--schema", packaged_with("pima.schema", b"negative = 0", b"negative = 1"),
      "positive and negative label values must differ"),
+    ("validate", "--schema", packaged_with("pima.schema", b"negative = 0", b"negative = 1.0"),
+     "positive and negative label values '1' and '1.0' are the same number"),
     ("validate", "--data", b"".join(_packaged("pima.csv").read_bytes().splitlines(True)[:2]),
      "need at least 2 records"),
 ], ids=["data-label", "data-first-label", "costs-missing", "costs-duplicate", "rules-variable",
         "data-long-cell", "records-long-cell", "data-swapped-header", "records-stray-comma",
         "schema-negative-label", "records-input-twice", "records-input-twice-quoted",
-        "rules-weight", "rules-repeated-variable", "schema-equal-labels", "data-one-record"])
+        "rules-weight", "rules-repeated-variable", "schema-equal-labels",
+        "schema-equal-number-labels", "data-one-record"])
 def test_rejection_names_the_file(tmp_path, capsys, command, flag, data, message):
     path = tmp_path / "input"
     path.write_bytes(data)
@@ -394,8 +397,8 @@ def test_one_feature_data_selects_and_reports(tmp_path, capsys):
     assert "selected mask: 1\n" in captured.out
     last = captured.err.splitlines()[-1]
     assert last.startswith("gen 0: ") and " unique=1 " in last, captured.err
-    trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
-    assert len(trace) == 2 and trace[1].startswith("0,")
+    trace = json.loads((tmp_path / "out" / "result.json").read_text())["trace"]
+    assert [row["generation"] for row in trace] == [0]
     assert main(["report", "--out", str(tmp_path / "out")]) == 0
 
 
@@ -408,7 +411,7 @@ def test_select_deterministic_and_prints_selection(tmp_path, capsys):
     assert main([*argv, "--out", str(out_b)]) == 0
 
     files_a, files_b = read_all(out_a), read_all(out_b)
-    assert set(files_a) == {"result.json", "model.json", "baseline.json", "trace.csv"}
+    assert set(files_a) == {"result.json", "model.json", "baseline.json"}
     assert files_a == files_b  # byte-identical across invocations
 
     assert "selected features:" in first.out
@@ -737,7 +740,7 @@ def test_one_config_file_serves_every_command(tmp_path):
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("key, value", [
     ("resolution", "-1"), ("resolution", "2"), ("resolution", str(10**30)),
-    ("threshold", "1.5"),
+    ("threshold", "1.5"), ("threshold", "0.333"), ("threshold", "0.7"),
 ])
 def test_fis_settings_are_checked_before_the_search(tmp_path, capsys, source,
                                                     key, value):
@@ -754,6 +757,18 @@ def test_fis_settings_are_checked_before_the_search(tmp_path, capsys, source,
     assert key in err
     assert "gen " not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--threshold", "0.334"], ["--threshold", "0.667"],
+    ["--threshold", "0.2", "--resolution", "3"],
+])
+def test_a_threshold_the_crisp_output_reaches_is_accepted(tmp_path, args):
+    # the class output's crisp values span [0.333, 0.667] at the default
+    # resolution of 1001 samples, and [1/6, 5/6] at 3
+    argv = ["select", *PIMA_ARGS, "--pop", "4", "--generations", "0", *args,
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
 
 
 def test_seeded_fuzz_of_config_values_exits_2(tmp_path, capsys):
@@ -1230,7 +1245,7 @@ def test_report_end_to_end(tmp_path, capsys):
     assert rows["with selection"]["cost"] < rows["without selection"]["cost"]
     assert text.endswith(f"wrote {out / 'report.json'}\n")
     assert sorted(p.name for p in out.iterdir()) == [
-        "baseline.json", "model.json", "report.json", "result.json", "trace.csv"]
+        "baseline.json", "model.json", "report.json", "result.json"]
     written = (out / "report.json").read_bytes()
     # repeated invocation: identical output
     assert main(["report", "--out", str(out)]) == 0
@@ -1483,18 +1498,22 @@ def test_model_files_of_seed_1_are_pinned(pima_data, tmp_path, which):
     assert again.read_bytes() == path.read_bytes()
 
 
-# SHA-256 of the run files `select --seed 1` writes that hold the search:
-# its generation trace, and the result with the trace and selected mask
+# SHA-256 of the run file `select --seed 1` writes that holds the search:
+# the result with the generation trace and selected mask
 RUN_SHA256_SEED_1 = {
-    "trace.csv": "7c7249571d0282893b67ab5d2a49c4369999003584b0aa20ac9cf158176c5e18",
     "result.json": "7e31158021b9bd6cec2156e4272689eda834e3f86df61c620a071a705ee26d89",
 }
 
 
-def test_search_files_of_seed_1_are_pinned(tmp_path):
+def test_search_files_of_seed_1_are_pinned(tmp_path, capsys):
     assert main(["select", "--seed", "1", "--out", str(tmp_path)]) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in RUN_SHA256_SEED_1} == RUN_SHA256_SEED_1
+    # the trace holds one row per generation logged
+    logged = [line.split(":")[0] for line in capsys.readouterr().err.splitlines()
+              if line.startswith("gen ")]
+    trace = json.loads((tmp_path / "result.json").read_text())["trace"]
+    assert [f"gen {row['generation']}" for row in trace] == logged
 
 
 @pytest.mark.parametrize("name, path, text", [
@@ -1540,14 +1559,18 @@ REPORT_SHA256_SEED_1 = "662632cc3bc920b3fe67c4f46a13f71d6c8902ded4800119df1addd9
 
 
 def test_report_leaves_the_plot_files_of_an_older_run(tmp_path, capsys):
-    # a run directory from when report also wrote cost_series.csv and
-    # fitness_trace.csv still reports, and those files stay as they were
+    # a run directory from when select also wrote trace.csv, and report
+    # cost_series.csv and fitness_trace.csv, still reports, and those files
+    # stay as they were
     assert main(["select", "--seed", "1", "--out", str(tmp_path)]) == 0
-    trace = (tmp_path / "trace.csv").read_text().splitlines()
+    rows = [["generation", "best_fitness", "mean_fitness", "best_mask"]] + [
+        [str(row["generation"]), repr(row["best_fitness"]), repr(row["mean_fitness"]),
+         row["best_mask"]]
+        for row in json.loads((tmp_path / "result.json").read_text())["trace"]]
     old = {
+        "trace.csv": "".join(",".join(row) + "\n" for row in rows).encode(),
         "cost_series.csv": b"series,label,value\ncost,full,46.0\ncost,selected,17.0\n",
-        "fitness_trace.csv": "".join(
-            ",".join(line.split(",")[:3]) + "\n" for line in trace).encode(),
+        "fitness_trace.csv": "".join(",".join(row[:3]) + "\n" for row in rows).encode(),
     }
     for name, data in old.items():
         (tmp_path / name).write_bytes(data)

@@ -1,5 +1,6 @@
 import csv
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,6 +150,15 @@ def test_numeric_labels_in_another_format(tmp_path):
     # "1.0" under positive = 1 is positive, as "0.00" is negative
     path = write(tmp_path, "lab.csv", "1,1.0\n2,0.00\n3,1e0\n")
     assert list(load_csv(path, make_schema(1)).labels) == [1, 0, 1]
+    # so is the one label that is a number when the other is a word,
+    # whichever class it names
+    for positive, negative, text, labels in (
+        ("yes", "0", "1,yes\n2,0.0\n3,0\n", [1, 0, 0]),
+        ("1", "no", "1,1.0\n2,no\n3,1\n", [1, 0, 1]),
+    ):
+        schema = replace(make_schema(1), positive_label=positive, negative_label=negative)
+        path = write(tmp_path, "lab.csv", text)
+        assert list(load_csv(path, schema).labels) == labels, (positive, negative)
 
 
 def test_missing_file():

@@ -13,7 +13,6 @@ from gafuzzy.ga import (
     init_population,
     mask_to_string,
     roulette_select,
-    save_trace_csv,
     string_to_mask,
     two_point_crossover,
 )
@@ -260,18 +259,6 @@ def test_evolve_deterministic():
 def test_nonfinite_fitness_rejected():
     with pytest.raises(ConfigError, match="non-finite value"):
         evolve(GAParams(seed=1, max_generations=2), 4, lambda m: float("nan"))
-
-
-def test_trace_csv(tmp_path):
-    _, _, trace = evolve(GAParams(seed=42, max_generations=5, stagnation_window=50),
-                         6, onemax)
-    path = tmp_path / "trace.csv"
-    save_trace_csv(trace, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "generation,best_fitness,mean_fitness,best_mask"
-    assert len(lines) == len(trace) + 1
-    save_trace_csv(trace, tmp_path / "again.csv")
-    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 # SHA-256 of what evolve returns, and of its on_generation calls, over every
